@@ -1,8 +1,9 @@
-"""Pure-Python fallback for the hot exact-arithmetic kernels.
+"""The Bernoulli recurrence, the package's one hot exact-arithmetic loop.
 
-The compiled twin in ``_speed.pyx`` implements the same algorithms with typed
-loop bookkeeping; this module is the reference and must stay in exact
-agreement with it (see tests/test_kernels.py).
+It lives in its own module, and bernoulli.py calls it as
+``_kernels.bernoulli_extend(...)`` looked up at call time, so that a
+profiler can replace this module attribute to time and count every call.
+IMPLEMENTATION names the kernel in benchmark environment reports.
 """
 
 from __future__ import annotations
@@ -52,26 +53,3 @@ def bernoulli_extend(nums: list[int], dens: list[int], upto: int) -> None:
         g = gcd(b_n, b_d)
         nums.append(b_n // g)
         dens.append(b_d // g)
-
-
-def harmonic_sum(order: int, upto: int) -> tuple[int, int]:
-    """Exact sum of j^-order for j = 1..upto, as a reduced (num, den) pair."""
-    acc_n, acc_d = 0, 1
-    for j in range(1, upto + 1):
-        t_d = j**order
-        g = gcd(acc_d, t_d)
-        acc_n = acc_n * (t_d // g) + (acc_d // g)
-        acc_d = acc_d // g * t_d
-    g = gcd(acc_n, acc_d)
-    return (acc_n // g, acc_d // g) if g else (0, 1)
-
-
-def harmonic_mod_sum(order: int, upto: int, modulus: int) -> int:
-    """Sum of j^-order for j = 1..upto entirely in arithmetic mod `modulus`.
-
-    Every j must be invertible; callers enforce upto < p.
-    """
-    acc = 0
-    for j in range(1, upto + 1):
-        acc = (acc + pow(j, -order, modulus)) % modulus
-    return acc

@@ -12,7 +12,7 @@ import threading
 from fractions import Fraction
 
 from . import _kernels
-from .errors import HypothesisViolated, IndexCeilingExceeded
+from .errors import CacheFileCorrupt, HypothesisViolated, IndexCeilingExceeded
 from .exact import PrimePower, binomial, is_prime, vp
 
 DEFAULT_CEILING = 2500
@@ -61,17 +61,25 @@ class BernoulliCache:
         except FileNotFoundError:
             return
         with fh:
-            for lineno, line in enumerate(fh):
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                idx_s, frac_s = line.split()
-                num_s, den_s = frac_s.split("/")
-                if int(idx_s) != len(self._nums):
-                    raise ValueError(
-                        f"{self._path}:{lineno + 1}: non-contiguous index {idx_s}"
-                    )
-                self._append_checked(int(num_s), int(den_s))
+                where = f"{self._path}:{lineno}"
+                try:
+                    idx_s, frac_s = line.split()
+                    num_s, den_s = frac_s.split("/")
+                    idx, num, den = int(idx_s), int(num_s), int(den_s)
+                except ValueError as exc:
+                    raise CacheFileCorrupt(
+                        f"{where}: malformed line {line[:40]!r}: {exc}"
+                    ) from None
+                if idx != len(self._nums):
+                    raise CacheFileCorrupt(f"{where}: non-contiguous index {idx}")
+                try:
+                    self._append_checked(num, den)
+                except ValueError as exc:
+                    raise CacheFileCorrupt(f"{where}: {exc}") from None
 
     def _append_checked(self, num: int, den: int):
         n = len(self._nums)

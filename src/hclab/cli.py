@@ -117,6 +117,9 @@ def _cmd_verify(args) -> int:
     if args.p is None:
         print("verify requires --p", file=sys.stderr)
         return 2
+    if not is_prime(args.p):
+        print(f"{args.p} is not prime", file=sys.stderr)
+        return 2
     params = {}
     for name in names:
         value = getattr(args, name)
@@ -137,16 +140,30 @@ def _cmd_verify(args) -> int:
     return 0 if record.passed else 1
 
 
-def _max_bernoulli_index(theorem_id: str, p_hi: int, grids: dict) -> int:
+def _max_bernoulli_index(theorem_id: str, p_hi: int, grids: dict,
+                         tier: int | None) -> int:
+    """Largest Bernoulli index a scan up to p_hi over these grids can read."""
+
+    def hi(name, default=0):
+        return max(grids.get(name, ()), default=default)
+
+    def lo(name):
+        return min(grids.get(name, ()), default=0)
+
     if theorem_id in ("prop41", "prop42", "eq47"):
-        n_hi = max(grids.get("n", [1]))
-        return p_hi ** (n_hi - 1) * (p_hi - 1)
-    if theorem_id in ("thm-ee10bis", "thm-eecj", "cor-ee10biss", "cor-eecjj"):
-        return 2 * max(
-            max(grids.get("n", [0]), default=0),
-            max(grids.get("k", [0]), default=0),
-            max(grids.get("j_terms", [0]), default=0),
-        ) + 4
+        return p_hi ** (hi("n", 1) - 1) * (p_hi - 1)
+    if theorem_id in ("thm-ee10bis", "thm-eecj"):
+        series = 2 * hi("n") + 1
+        if tier is not None:
+            return series
+        # Resolving the tier reads B_{p-2n-2i-5} (thm-ee10bis), or B_{2n+2}
+        # and B_{p-2n-2i-1} (thm-eecj), to test for an irregular pair.
+        offset = 5 if theorem_id == "thm-ee10bis" else 1
+        return max(series + 1, p_hi - 2 * lo("n") - 2 * lo("i") - offset)
+    if theorem_id in ("cor-ee10biss", "cor-eecjj"):
+        return 2 * max(hi("k"), hi("j_terms")) + 4
+    if theorem_id == "thm-ee20":
+        return hi("n") + 1
     if theorem_id.startswith("prop3") or theorem_id == "sun":
         return p_hi
     return 0
@@ -173,7 +190,7 @@ def _cmd_scan(args) -> int:
             return 2
         grids[name] = value
     cache = _cache_from(args)
-    need = _max_bernoulli_index(args.id, p_hi, grids)
+    need = _max_bernoulli_index(args.id, p_hi, grids, args.tier)
     if need > cache.ceiling:
         print(
             f"grid needs Bernoulli index {need}, beyond ceiling {cache.ceiling}",
@@ -317,6 +334,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
+    # Bernoulli numerators near the index ceiling and the left-hand sides of
+    # high-order verdicts run past Python's default 4300-digit int<->str
+    # limit (added in 3.10.7), both in the cache file and in reports.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -19,3 +19,8 @@ class IndexCeilingExceeded(HclabError):
 
 class UpperIndexNotBelowP(HclabError):
     """Raised when a modular harmonic sum would hit a non-invertible term."""
+
+
+class CacheFileCorrupt(HclabError, ValueError):
+    """Raised when a Bernoulli cache file line is malformed or fails a check;
+    the message starts with ``path:line``."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 
-from . import _kernels
 from .errors import UpperIndexNotBelowP
 from .exact import PrimePower
 
@@ -42,4 +41,7 @@ def harmonic_mod(order: int, upto: int, m: PrimePower) -> int:
     """
     if upto >= m.p:
         raise UpperIndexNotBelowP(f"upper index {upto} not below p = {m.p}")
-    return _kernels.harmonic_mod_sum(order, upto, m.modulus)
+    acc = 0
+    for j in range(1, upto + 1):
+        acc = (acc + pow(j, -order, m.modulus)) % m.modulus
+    return acc

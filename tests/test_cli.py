@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from hclab import cli
+from hclab.bernoulli import BernoulliCache
 from hclab.cli import run
 from hclab.report import parse
 
@@ -44,6 +46,40 @@ def test_verify_usage_errors(capsys):
     # hypothesis violations surface as exit 2, not a crash
     code, _, err = run_capture(capsys, ["verify", "wolstenholme", "--p", "3"])
     assert code == 2 and "hypothesis" in err
+
+
+@pytest.mark.parametrize("theorem_id,p", [("wolstenholme", "9"), ("lehmer", "341")])
+def test_verify_composite_p_exit_two(capsys, theorem_id, p):
+    # 341 = 11 * 31 is a base-2 pseudoprime
+    code, out, err = run_capture(capsys, ["verify", theorem_id, "--p", p])
+    assert code == 2 and out == "" and err == f"{p} is not prime\n"
+
+
+def test_verify_past_int_str_digit_limit(capsys):
+    # the exact left-hand side has more than 4300 decimal digits
+    code, out, err = run_capture(
+        capsys, ["verify", "thm-ee20", "--p", "1487", "--n", "6"]
+    )
+    assert code == 0 and err == ""
+    rec = json.loads(out.splitlines()[0])
+    assert rec["pass"] is True and rec["achieved_valuation"] == 6
+
+
+@pytest.mark.parametrize(
+    "body,problem",
+    [
+        ("0 1/1\n1 -1/2\n2 1/7\n", "Von Staudt-Clausen"),
+        ("0 1/1\n1 -1/2\n2 garbage\n", "malformed line"),
+        ("0 1/1\n1 -1/2\n3 0/1\n", "non-contiguous index 3"),
+    ],
+)
+def test_malformed_cache_exit_two(capsys, tmp_path, body, problem):
+    path = tmp_path / "bad.cache"
+    path.write_text(body)
+    code, out, err = run_capture(capsys, ["bernoulli", "4", "--cache", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}:3: ") and problem in err
+    assert len(err.splitlines()) == 1
 
 
 def test_unknown_subcommand(capsys):
@@ -164,3 +200,38 @@ def test_verify_fixed_tier(capsys):
     assert code == 0
     rec = json.loads(out.splitlines()[0])
     assert rec["tier"] == 2 and rec["required_exponent"] == 4
+
+
+class _RecordingCache(BernoulliCache):
+    largest = -1
+
+    def get(self, n):
+        _RecordingCache.largest = max(_RecordingCache.largest, n)
+        return super().get(n)
+
+
+_NEED_GRID = {"n": "0:2", "i": "0:2", "k": "1:3", "h": "1:2", "j_terms": "0:4"}
+
+
+@pytest.mark.parametrize(
+    "theorem_id,tier",
+    [(t, None) for t in sorted(cli._REGISTRY)]
+    + [("thm-ee10bis", 1), ("thm-eecj", 1)],
+)
+def test_scan_bernoulli_need_covers_reads(capsys, tmp_path_factory, monkeypatch,
+                                          theorem_id, tier):
+    """The up-front ceiling check must bound every index a scan reads."""
+    monkeypatch.setattr(cli, "BernoulliCache", _RecordingCache)
+    monkeypatch.setattr(_RecordingCache, "largest", -1)
+    names = cli._REGISTRY[theorem_id][0]
+    argv = ["scan", theorem_id, "--p-min", "2", "--p-max", "23",
+            "--cache", str(tmp_path_factory.getbasetemp() / "need.cache")]
+    for name in names:
+        argv += [f"--{name.replace('_', '-')}", _NEED_GRID[name]]
+    if tier is not None:
+        argv += ["--tier", str(tier)]
+    code, _, err = run_capture(capsys, argv)
+    assert code in (0, 1), err
+    grids = {name: cli._parse_range(_NEED_GRID[name]) for name in names}
+    need = cli._max_bernoulli_index(theorem_id, 23, grids, tier)
+    assert _RecordingCache.largest <= need

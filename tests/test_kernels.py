@@ -1,61 +1,24 @@
-"""The pure and compiled kernels must be interchangeable."""
+"""The Bernoulli recurrence kernel."""
 
 from fractions import Fraction
 
 from hclab import _kernels
-from hclab._kernels import pure
 
 
 def test_selected_implementation_is_known():
-    assert _kernels.IMPLEMENTATION in ("pure", "compiled")
-
-
-def _maybe_speed():
-    try:
-        from hclab._kernels import _speed
-    except ImportError:
-        return None
-    return _speed
+    assert _kernels.IMPLEMENTATION == "pure"
 
 
 def test_bernoulli_extend_agreement():
-    speed = _maybe_speed()
-    nums_a, dens_a = [], []
-    pure.bernoulli_extend(nums_a, dens_a, 80)
-    assert Fraction(nums_a[12], dens_a[12]) == Fraction(-691, 2730)
-    if speed is not None:
-        nums_b, dens_b = [], []
-        speed.bernoulli_extend(nums_b, dens_b, 80)
-        assert nums_a == nums_b and dens_a == dens_b
+    nums, dens = [], []
+    _kernels.bernoulli_extend(nums, dens, 80)
+    assert Fraction(nums[12], dens[12]) == Fraction(-691, 2730)
 
 
 def test_bernoulli_extend_resumes_in_place():
     nums, dens = [], []
-    pure.bernoulli_extend(nums, dens, 10)
-    pure.bernoulli_extend(nums, dens, 30)
+    _kernels.bernoulli_extend(nums, dens, 10)
+    _kernels.bernoulli_extend(nums, dens, 30)
     fresh_n, fresh_d = [], []
-    pure.bernoulli_extend(fresh_n, fresh_d, 30)
+    _kernels.bernoulli_extend(fresh_n, fresh_d, 30)
     assert nums == fresh_n and dens == fresh_d
-
-
-def test_harmonic_sum_agreement():
-    speed = _maybe_speed()
-    for order in (1, 2, 5):
-        for upto in (0, 1, 17, 60):
-            num, den = pure.harmonic_sum(order, upto)
-            acc = sum((Fraction(1, j**order) for j in range(1, upto + 1)),
-                      Fraction(0))
-            assert Fraction(num, den) == acc
-            if speed is not None:
-                assert speed.harmonic_sum(order, upto) == (num, den)
-
-
-def test_harmonic_mod_agreement():
-    speed = _maybe_speed()
-    for order in (1, 3):
-        for mod in (7, 49, 121):
-            got = pure.harmonic_mod_sum(order, 6, mod)
-            acc = sum(pow(j, -order, mod) for j in range(1, 7)) % mod
-            assert got == acc
-            if speed is not None:
-                assert speed.harmonic_mod_sum(order, 6, mod) == got
