@@ -57,22 +57,22 @@ class BernoulliCache:
 
     def _load(self):
         try:
-            fh = open(self._path, encoding="utf-8")
+            fh = open(self._path, "rb")
         except FileNotFoundError:
             return
         with fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
+            for lineno, raw in enumerate(fh, start=1):
                 where = f"{self._path}:{lineno}"
                 try:
+                    line = raw.decode("utf-8").strip()  # a ValueError if not UTF-8
+                    if not line:
+                        continue
                     idx_s, frac_s = line.split()
                     num_s, den_s = frac_s.split("/")
                     idx, num, den = int(idx_s), int(num_s), int(den_s)
                 except ValueError as exc:
                     raise CacheFileCorrupt(
-                        f"{where}: malformed line {line[:40]!r}: {exc}"
+                        f"{where}: malformed line {raw.strip()[:40]!r}: {exc}"
                     ) from None
                 if idx != len(self._nums):
                     raise CacheFileCorrupt(f"{where}: non-contiguous index {idx}")
@@ -87,8 +87,8 @@ class BernoulliCache:
             raise ValueError("B_0 must be 1")
         if n == 1 and (num, den) != (-1, 2):
             raise ValueError("B_1 must be -1/2")
-        if n >= 3 and n % 2 == 1 and num != 0:
-            raise ValueError(f"B_{n} must vanish")
+        if n >= 3 and n % 2 == 1 and (num, den) != (0, 1):
+            raise ValueError(f"B_{n} must vanish, stored as 0/1")
         if n >= 2 and n % 2 == 0 and den != von_staudt_denominator(n):
             raise ValueError(f"B_{n} denominator fails the Von Staudt-Clausen check")
         self._nums.append(num)
@@ -123,10 +123,6 @@ class BernoulliCache:
 
 
 _default_cache = BernoulliCache()
-
-
-def default_cache() -> BernoulliCache:
-    return _default_cache
 
 
 def bernoulli(n: int, cache: BernoulliCache | None = None) -> Fraction:

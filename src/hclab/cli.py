@@ -24,52 +24,6 @@ from .report import ReportRecord, emit
 
 DEFAULT_CACHE_FILE = "./bernoulli.cache"
 
-# theorem id -> (parameter names drawn from the grid, verifier)
-_REGISTRY = {
-    "wolstenholme": ((), lambda p, a, c: cg.verify_wolstenholme(p)),
-    "wolstenholme-refined": ((), lambda p, a, c: cg.verify_wolstenholme_refined(p)),
-    "eisenstein": ((), lambda p, a, c: cg.verify_eisenstein(p)),
-    "lehmer": ((), lambda p, a, c: cg.verify_lehmer(p)),
-    "cor-ee10biss": (
-        ("i", "k"),
-        lambda p, a, c: cg.verify_cor_ee10biss(p, a["i"], a["k"], c),
-    ),
-    "thm-eecj": (
-        ("n", "i"),
-        lambda p, a, c: cg.verify_thm_eecj(p, a["n"], a["i"], a.get("tier"), c),
-    ),
-    "cor-eecjj": (("j_terms",), lambda p, a, c: cg.verify_cor_eecjj(p, a["j_terms"], c)),
-    "thm-ee10bis": (
-        ("n", "i"),
-        lambda p, a, c: cg.verify_thm_ee10bis(p, a["n"], a["i"], a.get("tier"), c),
-    ),
-    "prop41": (("n",), lambda p, a, c: cg.verify_prop41(p, a["n"], c)),
-    "prop42": (("n", "h"), lambda p, a, c: cg.verify_prop42(p, a["n"], a["h"], c)),
-    "thm-ee20": (("n",), lambda p, a, c: cg.verify_thm_ee20(p, a["n"], c)),
-    "eq47": (("n",), lambda p, a, c: cg.verify_intermediate_47(p, a["n"], c)),
-    "sun": ((), lambda p, a, c: cg.sun_congruence(p, c)),
-}
-for _eq in cg.EXPANSION_IDS:
-    _REGISTRY[f"expansion-{_eq}"] = (
-        ("k", "j_terms"),
-        lambda p, a, c, w=_eq: cg.verify_expansion_truncation(w, a["k"], p, a["j_terms"]),
-    )
-for _idx, _eq in enumerate(cg.REMARK0_IDS, start=1):
-    _REGISTRY[f"cor-remark0-{_idx}"] = (
-        ("k",),
-        lambda p, a, c, w=_eq: cg.verify_cor_remark0(w, a["k"], p),
-    )
-for _idx, _eq in enumerate(cg.PROP3_IDS, start=1):
-    _REGISTRY[f"prop3-{_idx}"] = (
-        ("k",),
-        lambda p, a, c, w=_eq: cg.verify_thm_prop3(w, a["k"], p, c),
-    )
-
-# Scan-level hypothesis filters for verifiers that evaluate totally.
-_SCAN_HYPOTHESES = {
-    "thm-ee20": lambda p, a: 2 * p > a["n"] + 1,
-}
-
 # The four worked examples reproduced by `selftest`: theorem id, arguments,
 # exact expected (numerator, valuation) or full value.
 GOLD_VECTORS = (
@@ -80,12 +34,14 @@ GOLD_VECTORS = (
 )
 
 
-def _parse_range(text: str) -> list[int]:
+class _UsageError(Exception):
+    """Ends a command with its one-line message and exit code 2."""
+
+
+def _parse_range(text: str) -> range:
     """A single integer or an inclusive lo:hi range."""
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    lo, sep, hi = text.partition(":")
+    return range(int(lo), int(hi if sep else lo) + 1)
 
 
 def _cache_from(args) -> BernoulliCache:
@@ -103,120 +59,75 @@ def _emit_records(records, args) -> None:
 
 
 def _record_for(theorem_id: str, p: int, params: dict, cache) -> ReportRecord:
-    names, fn = _REGISTRY[theorem_id]
     t0 = time.perf_counter()
-    verdict = fn(p, params, cache)
+    verdict = cg.THEOREMS[theorem_id].run(p, params, cache)
     return ReportRecord.from_verdict(verdict, (time.perf_counter() - t0) * 1000.0)
 
 
-def _cmd_verify(args) -> int:
-    if args.id not in _REGISTRY:
-        print(f"unknown theorem id: {args.id}", file=sys.stderr)
-        return 2
-    names, _ = _REGISTRY[args.id]
-    if args.p is None:
-        print("verify requires --p", file=sys.stderr)
-        return 2
-    if not is_prime(args.p):
-        print(f"{args.p} is not prime", file=sys.stderr)
-        return 2
-    params = {}
-    for name in names:
-        value = getattr(args, name)
-        if value is None:
-            print(f"verify {args.id} requires --{name.replace('_', '-')}",
-                  file=sys.stderr)
-            return 2
-        params[name] = value[0] if len(value) == 1 else None
-        if params[name] is None:
-            print("verify takes single parameter values, not ranges",
-                  file=sys.stderr)
-            return 2
-    if args.tier is not None:
-        params["tier"] = args.tier
-    cache = _cache_from(args)
-    record = _record_for(args.id, args.p, params, cache)
-    _emit_records([record], args)
-    return 0 if record.passed else 1
-
-
-def _max_bernoulli_index(theorem_id: str, p_hi: int, grids: dict,
-                         tier: int | None) -> int:
-    """Largest Bernoulli index a scan up to p_hi over these grids can read."""
-
-    def hi(name, default=0):
-        return max(grids.get(name, ()), default=default)
-
-    def lo(name):
-        return min(grids.get(name, ()), default=0)
-
-    if theorem_id in ("prop41", "prop42", "eq47"):
-        return p_hi ** (hi("n", 1) - 1) * (p_hi - 1)
-    if theorem_id in ("thm-ee10bis", "thm-eecj"):
-        series = 2 * hi("n") + 1
-        if tier is not None:
-            return series
-        # Resolving the tier reads B_{p-2n-2i-5} (thm-ee10bis), or B_{2n+2}
-        # and B_{p-2n-2i-1} (thm-eecj), to test for an irregular pair.
-        offset = 5 if theorem_id == "thm-ee10bis" else 1
-        return max(series + 1, p_hi - 2 * lo("n") - 2 * lo("i") - offset)
-    if theorem_id in ("cor-ee10biss", "cor-eecjj"):
-        return 2 * max(hi("k"), hi("j_terms")) + 4
-    if theorem_id == "thm-ee20":
-        return hi("n") + 1
-    if theorem_id.startswith("prop3") or theorem_id == "sun":
-        return p_hi
-    return 0
-
-
-def _cmd_scan(args) -> int:
-    if args.id not in _REGISTRY:
-        print(f"unknown theorem id: {args.id}", file=sys.stderr)
-        return 2
-    names, _ = _REGISTRY[args.id]
+def _prime_bounds(args) -> tuple[int, int]:
+    """`verify` takes one prime --p; `scan` takes --p or --p-min/--p-max."""
+    if args.command == "verify":
+        if args.p is None:
+            raise _UsageError("verify requires --p")
+        if not is_prime(args.p):
+            raise _UsageError(f"{args.p} is not prime")
     if args.p is not None:
-        p_lo = p_hi = args.p
-    else:
-        p_lo, p_hi = args.p_min, args.p_max
-        if p_lo is None or p_hi is None:
-            print("scan requires --p or --p-min/--p-max", file=sys.stderr)
-            return 2
+        return args.p, args.p
+    if args.p_min is None or args.p_max is None:
+        raise _UsageError("scan requires --p or --p-min/--p-max")
+    return args.p_min, args.p_max
+
+
+def _cmd_grid(args) -> int:
+    """`verify` and `scan`: one record per prime and parameter combination.
+
+    `verify` runs exactly one case, with no scan filter, and a violated
+    hypothesis ends it with exit 2; `scan` reports such cases as skipped.
+    """
+    theorem = cg.THEOREMS.get(args.id)
+    if theorem is None:
+        raise _UsageError(f"unknown theorem id: {args.id}")
+    scan = args.command == "scan"
+    p_lo, p_hi = _prime_bounds(args)
     grids = {}
-    for name in names:
-        value = getattr(args, name)
-        if value is None:
-            print(f"scan {args.id} requires --{name.replace('_', '-')}",
-                  file=sys.stderr)
-            return 2
-        grids[name] = value
+    for name in theorem.params:
+        flag = "--" + name.replace("_", "-")
+        values = getattr(args, name)
+        if values is None:
+            raise _UsageError(f"{args.command} {args.id} requires {flag}")
+        if not values:
+            raise _UsageError(f"{flag} {values.start}:{values.stop - 1} is an empty range")
+        if not scan and len(values) > 1:
+            raise _UsageError("verify takes single parameter values, not ranges")
+        grids[name] = values
+    if args.tier is not None and not theorem.tiered:
+        raise _UsageError(f"{args.id} has no tier ladder; --tier does not apply")
     cache = _cache_from(args)
-    need = _max_bernoulli_index(args.id, p_hi, grids, args.tier)
+    need = theorem.bernoulli_need(p_hi, grids, args.tier)
     if need > cache.ceiling:
-        print(
-            f"grid needs Bernoulli index {need}, beyond ceiling {cache.ceiling}",
-            file=sys.stderr,
+        raise _UsageError(
+            f"{args.id} needs Bernoulli index {need}, beyond ceiling {cache.ceiling}"
         )
-        return 2
     records = []
-    for p in primes_in(p_lo, p_hi):
-        for combo in itertools.product(*(grids[name] for name in names)):
-            params = dict(zip(names, combo))
+    for p in primes_in(p_lo, p_hi) if scan else [p_lo]:
+        for combo in itertools.product(*grids.values()):
+            params = dict(zip(theorem.params, combo))
             if args.tier is not None:
                 params["tier"] = args.tier
-            hypothesis = _SCAN_HYPOTHESES.get(args.id)
-            if hypothesis is not None and not hypothesis(p, params):
-                records.append(ReportRecord.skipped(args.id, p, params, "hypothesis"))
-                continue
             try:
+                if scan and not theorem.hypothesis(p, params):
+                    raise HypothesisViolated
                 records.append(_record_for(args.id, p, params, cache))
             except HypothesisViolated:
+                if not scan:
+                    raise
+                case = theorem.case(args.id, p, params)
                 records.append(
-                    ReportRecord.skipped(args.id, p, params, "hypothesis")
+                    ReportRecord.skipped(args.id, p, dict(case.params), "hypothesis")
                 )
     records.sort(key=ReportRecord.sort_key)
     _emit_records(records, args)
-    failed = any(r.passed is False for r in records)
-    return 1 if failed else 0
+    return 1 if any(r.passed is False for r in records) else 0
 
 
 def _cmd_bernoulli(args) -> int:
@@ -289,27 +200,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_params(sp, with_p=True):
-        if with_p:
-            sp.add_argument("--p", type=int)
-        sp.add_argument("--p-min", type=int)
-        sp.add_argument("--p-max", type=int)
-        sp.add_argument("--n", type=_parse_range)
-        sp.add_argument("--k", type=_parse_range)
-        sp.add_argument("--i", type=_parse_range)
-        sp.add_argument("--h", type=_parse_range)
-        sp.add_argument("--j-terms", dest="j_terms", type=_parse_range)
-        sp.add_argument("--tier", type=int)
-
-    sp = sub.add_parser("verify", parents=[common], help="run one congruence check")
-    sp.add_argument("id")
-    add_params(sp)
-    sp.set_defaults(fn=_cmd_verify)
-
-    sp = sub.add_parser("scan", parents=[common], help="run a check over a parameter grid")
-    sp.add_argument("id")
-    add_params(sp)
-    sp.set_defaults(fn=_cmd_scan)
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("id")
+    for flag in ("--p", "--p-min", "--p-max", "--tier"):
+        grid.add_argument(flag, type=int)
+    for flag in ("--n", "--k", "--i", "--h", "--j-terms"):
+        grid.add_argument(flag, type=_parse_range)
+    for verb, text in (("verify", "run one congruence check"),
+                       ("scan", "run a check over a parameter grid")):
+        sub.add_parser(verb, parents=[common, grid], help=text).set_defaults(fn=_cmd_grid)
 
     sp = sub.add_parser("bernoulli", parents=[common], help="print an exact Bernoulli number")
     sp.add_argument("index", type=int)
@@ -346,6 +245,9 @@ def run(argv) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.fn(args)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except IndexCeilingExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

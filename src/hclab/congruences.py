@@ -9,7 +9,8 @@ a tier instead to probe the ladder rung by rung.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .bernoulli import BernoulliCache, bernoulli, is_irregular_pair
@@ -32,9 +33,6 @@ class CaseSpec:
     @staticmethod
     def make(theorem_id: str, p: int, **params: int) -> "CaseSpec":
         return CaseSpec(theorem_id, p, tuple(sorted(params.items())))
-
-    def sort_key(self):
-        return (self.theorem_id, self.p, self.params)
 
 
 @dataclass(frozen=True)
@@ -483,3 +481,91 @@ def sun_congruence(p: int, cache: BernoulliCache | None = None) -> Verdict:
         + 2 * (q - Fraction(q * q * p, 2) + Fraction(q**3 * p * p, 3))
     )
     return _verdict("sun", p, lhs, 3)
+
+
+# -- the theorem table ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """What `verify` and `scan` know of one theorem id.
+
+    ``params`` name the grid parameters as their CLI flags do.  ``run(p, args,
+    cache)`` is the verdict on one case (``args`` also holds a pinned ``tier``)
+    and calls its verifier by module-level name, so a profiler can wrap it.
+    ``bernoulli_need(p_hi, grids, tier)`` bounds every Bernoulli index that
+    cases with p <= p_hi read.  Scans skip cases failing ``hypothesis``.
+    """
+
+    params: tuple[str, ...]
+    run: Callable[[int, dict, BernoulliCache | None], Verdict]
+    bernoulli_need: Callable[[int, dict, int | None], int] = lambda p_hi, g, tier: 0
+    hypothesis: Callable[[int, dict], bool] = lambda p, a: True
+    tiered: bool = False
+
+    def case(self, theorem_id: str, p: int, args: dict) -> CaseSpec:
+        """The case a verdict on these arguments names (``j_terms`` as J)."""
+        return CaseSpec.make(
+            theorem_id, p, **{"J" if n == "j_terms" else n: args[n] for n in self.params}
+        )
+
+
+def _ladder_need(offset: int):
+    """The series reads B_{2n+1}; resolving the tier reads B_{2n+2} (thm-eecj)
+    and B_{p-2n-2i-offset}, to test for an irregular pair."""
+
+    def need(p_hi: int, g: dict, tier: int | None) -> int:
+        series = 2 * max(g["n"]) + 1
+        if tier is not None:
+            return series
+        return max(series + 1, p_hi - 2 * min(g["n"]) - 2 * min(g["i"]) - offset)
+
+    return need
+
+
+def _z_need(p_hi: int, g: dict, tier: int | None) -> int:
+    # coeff_z(p, n, h) with h >= 1 reads B_{p^(n-1)(p-1) - 2h}
+    return p_hi ** max(max(g["n"]) - 1, 0) * (p_hi - 1) - 2
+
+
+THEOREMS: dict[str, Theorem] = {
+    "wolstenholme": Theorem((), lambda p, a, c: verify_wolstenholme(p)),
+    "wolstenholme-refined": Theorem((), lambda p, a, c: verify_wolstenholme_refined(p)),
+    "eisenstein": Theorem((), lambda p, a, c: verify_eisenstein(p)),
+    "lehmer": Theorem((), lambda p, a, c: verify_lehmer(p)),
+    **{f"expansion-{w}": Theorem(
+        ("k", "j_terms"),
+        lambda p, a, c, w=w: verify_expansion_truncation(w, a["k"], p, a["j_terms"]),
+    ) for w in EXPANSION_IDS},
+    **{f"cor-remark0-{idx}": Theorem(
+        ("k",), lambda p, a, c, w=w: verify_cor_remark0(w, a["k"], p),
+    ) for idx, w in enumerate(REMARK0_IDS, start=1)},
+    **{f"prop3-{idx}": Theorem(
+        ("k",), lambda p, a, c, w=w: verify_thm_prop3(w, a["k"], p, c),
+        lambda p_hi, g, tier: p_hi - 3,  # B_{p-1-2k}, k >= 1
+    ) for idx, w in enumerate(PROP3_IDS, start=1)},
+    "thm-ee10bis": Theorem(
+        ("n", "i"), lambda p, a, c: verify_thm_ee10bis(p, a["n"], a["i"], a.get("tier"), c),
+        _ladder_need(5), tiered=True,
+    ),
+    "cor-ee10biss": Theorem(
+        ("i", "k"), lambda p, a, c: verify_cor_ee10biss(p, a["i"], a["k"], c),
+        lambda p_hi, g, tier: max(g["k"]) - 1,
+    ),
+    "thm-eecj": Theorem(
+        ("n", "i"), lambda p, a, c: verify_thm_eecj(p, a["n"], a["i"], a.get("tier"), c),
+        _ladder_need(1), tiered=True,
+    ),
+    "cor-eecjj": Theorem(
+        ("j_terms",), lambda p, a, c: verify_cor_eecjj(p, a["j_terms"], c),
+        lambda p_hi, g, tier: max(g["j_terms"]) + 1,
+    ),
+    "prop41": Theorem(("n",), lambda p, a, c: verify_prop41(p, a["n"], c), _z_need),
+    "prop42": Theorem(("n", "h"), lambda p, a, c: verify_prop42(p, a["n"], a["h"], c), _z_need),
+    "thm-ee20": Theorem(
+        ("n",), lambda p, a, c: verify_thm_ee20(p, a["n"], c),
+        lambda p_hi, g, tier: max(g["n"]) + 1, hypothesis=lambda p, a: 2 * p > a["n"] + 1,
+    ),
+    "eq47": Theorem(("n",), lambda p, a, c: verify_intermediate_47(p, a["n"], c), _z_need),
+    "sun": Theorem((), lambda p, a, c: sun_congruence(p, c), lambda p_hi, g, tier: p_hi - 3),
+}

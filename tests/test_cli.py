@@ -5,6 +5,7 @@ import json
 import pytest
 
 from hclab import cli
+from hclab import congruences as cg
 from hclab.bernoulli import BernoulliCache
 from hclab.cli import run
 from hclab.report import parse
@@ -71,14 +72,18 @@ def test_verify_past_int_str_digit_limit(capsys):
         ("0 1/1\n1 -1/2\n2 1/7\n", "Von Staudt-Clausen"),
         ("0 1/1\n1 -1/2\n2 garbage\n", "malformed line"),
         ("0 1/1\n1 -1/2\n3 0/1\n", "non-contiguous index 3"),
+        # written as the single byte 0xff, which is not UTF-8
+        ("0 1/1\n1 -1/2\n2 \udcff/6\n", "malformed line"),
+        ("0 1/1\n1 -1/2\n2 1/6\n3 0/0\n", "B_3 must vanish, stored as 0/1"),
     ],
 )
 def test_malformed_cache_exit_two(capsys, tmp_path, body, problem):
+    """The last line of each body is the bad one."""
     path = tmp_path / "bad.cache"
-    path.write_text(body)
+    path.write_text(body, encoding="utf-8", errors="surrogateescape")
     code, out, err = run_capture(capsys, ["bernoulli", "4", "--cache", str(path)])
     assert code == 2 and out == ""
-    assert err.startswith(f"error: {path}:3: ") and problem in err
+    assert err.startswith(f"error: {path}:{body.count(chr(10))}: ") and problem in err
     assert len(err.splitlines()) == 1
 
 
@@ -117,6 +122,61 @@ def test_scan_ceiling_exit_two(capsys, tmp_path):
          "--cache", str(tmp_path / "c.cache")],
     )
     assert code == 2 and "ceiling" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # B_{13^4 * 12 - 2}
+        ["verify", "prop41", "--p", "13", "--n", "5"],
+        # resolving the tier reads B_4, then B_2516 for the irregular-pair test
+        ["verify", "thm-eecj", "--p", "2521", "--n", "1", "--i", "1"],
+    ],
+)
+def test_verify_ceiling_exit_two(capsys, tmp_path, argv):
+    """verify is checked against the ceiling before any Bernoulli number is computed."""
+    cache = tmp_path / "c.cache"
+    code, out, err = run_capture(capsys, argv + ["--cache", str(cache)])
+    assert code == 2 and out == "" and "needs Bernoulli index" in err
+    assert len(err.splitlines()) == 1
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "wolstenholme", "--p", "7", "--tier", "1"],
+        ["scan", "prop41", "--p-max", "11", "--p-min", "3", "--n", "1", "--tier", "1"],
+        ["verify", "prop41", "--p", "7", "--n", "5:3"],
+        ["scan", "prop42", "--p-min", "3", "--p-max", "11", "--n", "3", "--h", "2:1"],
+    ],
+)
+def test_grid_usage_errors_exit_two(capsys, argv):
+    """--tier without a tier ladder, and reversed ranges, are usage errors."""
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert ("tier" in err) if "--tier" in argv else ("empty range" in err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "cor-eecjj", "--p", "5", "--j-terms", "0:2"],
+        ["scan", "thm-eecj", "--p-min", "2", "--p-max", "5", "--n", "1", "--i", "1",
+         "--tier", "1"],
+    ],
+)
+def test_skipped_params_match_ok_params(capsys, argv):
+    """Skipped and evaluated records of one scan name their parameters alike."""
+    _, out, _ = run_capture(capsys, argv)
+    records = [json.loads(line) for line in out.splitlines()]
+    statuses = {r["status"] for r in records}
+    assert statuses == {"ok", "skipped-hypothesis"}
+    assert len({tuple(r["params"]) for r in records}) == 1
+    # the skipped case sorts in its parameter order, not after the rest
+    if "--j-terms" in argv:
+        assert [r["params"]["J"] for r in records] == [0, 1, 2]
 
 
 def test_out_flag_writes_file(capsys, tmp_path):
@@ -215,7 +275,7 @@ _NEED_GRID = {"n": "0:2", "i": "0:2", "k": "1:3", "h": "1:2", "j_terms": "0:4"}
 
 @pytest.mark.parametrize(
     "theorem_id,tier",
-    [(t, None) for t in sorted(cli._REGISTRY)]
+    [(t, None) for t in sorted(cg.THEOREMS)]
     + [("thm-ee10bis", 1), ("thm-eecj", 1)],
 )
 def test_scan_bernoulli_need_covers_reads(capsys, tmp_path_factory, monkeypatch,
@@ -223,15 +283,14 @@ def test_scan_bernoulli_need_covers_reads(capsys, tmp_path_factory, monkeypatch,
     """The up-front ceiling check must bound every index a scan reads."""
     monkeypatch.setattr(cli, "BernoulliCache", _RecordingCache)
     monkeypatch.setattr(_RecordingCache, "largest", -1)
-    names = cli._REGISTRY[theorem_id][0]
+    theorem = cg.THEOREMS[theorem_id]
     argv = ["scan", theorem_id, "--p-min", "2", "--p-max", "23",
             "--cache", str(tmp_path_factory.getbasetemp() / "need.cache")]
-    for name in names:
+    for name in theorem.params:
         argv += [f"--{name.replace('_', '-')}", _NEED_GRID[name]]
     if tier is not None:
         argv += ["--tier", str(tier)]
     code, _, err = run_capture(capsys, argv)
     assert code in (0, 1), err
-    grids = {name: cli._parse_range(_NEED_GRID[name]) for name in names}
-    need = cli._max_bernoulli_index(theorem_id, 23, grids, tier)
-    assert _RecordingCache.largest <= need
+    grids = {name: cli._parse_range(_NEED_GRID[name]) for name in theorem.params}
+    assert _RecordingCache.largest <= theorem.bernoulli_need(23, grids, tier)
