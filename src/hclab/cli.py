@@ -2,7 +2,7 @@
 classification, and the hermetic self-test.
 
 Exit codes: 0 when every executed verdict passes, 1 when any fails,
-2 on usage or configuration errors.
+2 on usage or configuration errors, bad input and unwritable output.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import congruences as cg
 from .bernoulli import BernoulliCache, bernoulli, irregular_pairs
-from .errors import HclabError, HypothesisViolated, IndexCeilingExceeded
+from .errors import HclabError, HypothesisViolated
 from .exact import is_prime
 from .harmonic import harmonic
 from .primes import classify, primes_in
@@ -145,6 +145,13 @@ def _cmd_harmonic(args) -> int:
 
 def _cmd_irregular_pairs(args) -> int:
     cache = _cache_from(args)
+    # The scan reads up to B_{P-3}, P the largest prime <= --p-max; P is
+    # looked for only when --p-max itself could pass the ceiling.
+    if args.p_max - 3 > cache.ceiling:
+        need = next(p for p in range(args.p_max, 2, -1) if is_prime(p)) - 3
+        if need > cache.ceiling:
+            raise _UsageError(f"irregular-pairs needs Bernoulli index {need}, "
+                              f"beyond ceiling {cache.ceiling}")
     for p, two_k in irregular_pairs(args.p_max, cache):
         print(f"{p} {two_k}")
     return 0
@@ -152,8 +159,7 @@ def _cmd_irregular_pairs(args) -> int:
 
 def _cmd_classify_prime(args) -> int:
     if not is_prime(args.p) or args.p == 2:
-        print(f"{args.p} is not an odd prime", file=sys.stderr)
-        return 2
+        raise _UsageError(f"{args.p} is not an odd prime")
     info = classify(args.p)
     print(
         f"p={info.p} wieferich={str(info.is_wieferich).lower()} "
@@ -183,8 +189,7 @@ def _cmd_selftest(args) -> int:
             f"{params} v={record.achieved_valuation}"
         )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(emit(records, args.format))
+        _emit_records(records, args)
     return 0 if ok else 1
 
 
@@ -248,13 +253,12 @@ def run(argv) -> int:
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 2
-    except IndexCeilingExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except HypothesisViolated as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
         return 2
-    except HclabError as exc:
+    except (HclabError, ValueError, OSError) as exc:
+        # ValueError and OSError: bad input such as a negative index or a p
+        # past the primality limit, and an --out that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ from .bernoulli import BernoulliCache, bernoulli, is_irregular_pair
 from .errors import HypothesisViolated
 from .exact import binomial, vp
 from .harmonic import harmonic
-from .primes import fermat_quotient
+from .primes import fermat_quotient, q_series
 
 EXPANSION_IDS = ("e10ee", "e10eed", "e10eee", "e10eeeff")
 REMARK0_IDS = ("e10eeez", "e10eeezz", "e9a", "e10eeea", "e10eeee", "e10eeeb")
@@ -46,8 +46,13 @@ class Verdict:
     lower_tiers: tuple[tuple[int, bool], ...] | None = None
 
 
-def _verdict(theorem_id, p, lhs, exponent, tier=None, lower=None, **params) -> Verdict:
+def _verdict(theorem_id, p, lhs, exponent, tier=None, lowest_tier=1, **params) -> Verdict:
+    """A ladder verdict (``tier`` given) also judges every rung from
+    ``lowest_tier`` up to ``tier``, each at its own exponent."""
     v = vp(lhs, p)
+    lower = None if tier is None else tuple(
+        (m, v >= exponent - tier + m) for m in range(lowest_tier, tier + 1)
+    )
     return Verdict(
         case=CaseSpec.make(theorem_id, p, **params),
         required_exponent=exponent,
@@ -264,6 +269,19 @@ def _ee10bis_tier(p: int, n: int, i: int,
     return 1
 
 
+def _ee10bis_series(p: int, i: int, terms: int,
+                    cache: BernoulliCache | None) -> Fraction:
+    """sum(C(j+2i,2i) B_j H^(j+2i+1)_{p-1} (-p)^j, j < terms)."""
+    return sum(
+        (binomial(j + 2 * i, 2 * i)
+         * bernoulli(j, cache)
+         * harmonic(j + 2 * i + 1, p - 1)
+         * Fraction(-p) ** j
+         for j in range(terms)),
+        Fraction(0),
+    )
+
+
 def verify_thm_ee10bis(p: int, n: int, i: int, tier: int | None = None,
                        cache: BernoulliCache | None = None) -> Verdict:
     """sum(C(j+2i,2i) B_j H^(j+2i+1)_{p-1} (-p)^j, j=0..2n+1) mod p^(2n+m).
@@ -275,17 +293,8 @@ def verify_thm_ee10bis(p: int, n: int, i: int, tier: int | None = None,
     _require(p >= 2, "needs a prime")
     _require(n >= 0 and i >= 0, "needs n, i >= 0")
     m = _ee10bis_tier(p, n, i, cache) if tier is None else tier
-    lhs = sum(
-        (binomial(j + 2 * i, 2 * i)
-         * bernoulli(j, cache)
-         * harmonic(j + 2 * i + 1, p - 1)
-         * Fraction(-p) ** j
-         for j in range(2 * n + 2)),
-        Fraction(0),
-    )
-    v = vp(lhs, p)
-    lower = tuple((mm, v >= 2 * n + mm) for mm in range(1, m + 1))
-    return _verdict("thm-ee10bis", p, lhs, 2 * n + m, tier=m, lower=lower, n=n, i=i)
+    lhs = _ee10bis_series(p, i, 2 * n + 2, cache)
+    return _verdict("thm-ee10bis", p, lhs, 2 * n + m, tier=m, n=n, i=i)
 
 
 def verify_cor_ee10biss(p: int, i: int, k: int,
@@ -293,15 +302,7 @@ def verify_cor_ee10biss(p: int, i: int, k: int,
     """The same series truncated at j < k is divisible by p^k (odd p)."""
     _require(p % 2 == 1 and p >= 3, "needs odd p")
     _require(k >= 1, "needs k >= 1")
-    lhs = sum(
-        (binomial(j + 2 * i, 2 * i)
-         * bernoulli(j, cache)
-         * harmonic(j + 2 * i + 1, p - 1)
-         * Fraction(-p) ** j
-         for j in range(k)),
-        Fraction(0),
-    )
-    return _verdict("cor-ee10biss", p, lhs, k, i=i, k=k)
+    return _verdict("cor-ee10biss", p, _ee10bis_series(p, i, k, cache), k, i=i, k=k)
 
 
 # -- the half-index even-order ladder -----------------------------------------
@@ -345,9 +346,7 @@ def verify_thm_eecj(p: int, n: int, i: int, tier: int | None = None,
          for j in range(2 * n)),
         Fraction(0),
     )
-    v = vp(lhs, p)
-    lower = tuple((mm, v >= 2 * n + mm) for mm in range(m + 1))
-    return _verdict("thm-eecj", p, lhs, 2 * n + m, tier=m, lower=lower, n=n, i=i)
+    return _verdict("thm-eecj", p, lhs, 2 * n + m, tier=m, lowest_tier=0, n=n, i=i)
 
 
 def verify_cor_eecjj(p: int, J: int, cache: BernoulliCache | None = None) -> Verdict:
@@ -376,14 +375,6 @@ def verify_cor_eecjj(p: int, J: int, cache: BernoulliCache | None = None) -> Ver
 # -- the odd-order half-index results -----------------------------------------
 
 
-def _q_powers_sum(q: int, p: int, n: int) -> Fraction:
-    return sum(
-        (Fraction((-1) ** j * q ** (j + 1), j + 1) * Fraction(p) ** j
-         for j in range(n)),
-        Fraction(0),
-    )
-
-
 def verify_prop41(p: int, n: int, cache: BernoulliCache | None = None) -> Verdict:
     """H_{(p-1)/2} plus the Fermat-quotient series and the Bernoulli tail,
     modulo p^n, for p > (n+1)/2."""
@@ -391,7 +382,7 @@ def verify_prop41(p: int, n: int, cache: BernoulliCache | None = None) -> Verdic
     _require(n >= 1, "needs n >= 1")
     _require(2 * p > n + 1, "needs p > (n+1)/2")
     q = fermat_quotient(p)
-    lhs = harmonic(1, (p - 1) // 2) + 2 * _q_powers_sum(q, p, n)
+    lhs = harmonic(1, (p - 1) // 2) + 2 * q_series(q, p, n)
     if p == n + 1:
         lhs += 2 * q * p ** (n - 1)
     for i in range(1, n // 2 + 1):  # 1 <= i < (n+1)/2
@@ -444,7 +435,7 @@ def verify_thm_ee20(p: int, n: int, cache: BernoulliCache | None = None) -> Verd
          * Fraction(p) ** j
          for j in range(n)),
         Fraction(0),
-    ) + _q_powers_sum(q, p, n)
+    ) + q_series(q, p, n)
     return _verdict("thm-ee20", p, lhs, n, n=n)
 
 

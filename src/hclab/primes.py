@@ -108,36 +108,31 @@ def check_lemma_pB(
     return ok
 
 
-def check_fermat_expansion(
-    p: int, n: int, *, _q: int | None = None
-) -> bool:
+def q_series(q: int, p: int, n: int) -> Fraction:
+    """sum((-1)^j q^(j+1) p^j / (j+1), j < n), i.e. log(1 + p q) / p through
+    p^(n-1); with q = q_p, the series in check_fermat_expansion."""
+    return sum(
+        (Fraction((-1) ** j * q ** (j + 1), j + 1) * Fraction(p) ** j
+         for j in range(n)),
+        Fraction(0),
+    )
+
+
+def check_fermat_expansion(p: int, n: int) -> bool:
     """(2^(p^(n-1)(p-1)) - 1) / p^n against its mod-p^n series in p*q_p.
 
-    The Kronecker-delta correction enters exactly when p = n + 1.
-
-    The quotient is formed by exact integer division when 2^big fits in
-    memory.  Past ~10^6 bits that is hopeless, so the residue of the
-    quotient mod p^n is recovered from 2^big mod p^(2n) instead; the two
-    routes agree wherever both apply since the quotient mod p^n only
-    depends on 2^big mod p^(2n).
+    The Kronecker-delta correction enters exactly when p = n + 1.  The
+    quotient mod p^n depends only on 2^big mod p^(2n), so it is recovered
+    from that residue; 2^big itself is never formed.
     """
     if 2 * p <= n + 1:
         raise HypothesisViolated(f"needs p > (n+1)/2, got p={p}, n={n}")
-    q = fermat_quotient(p) if _q is None else _q
+    q = fermat_quotient(p)
     big = p ** (n - 1) * (p - 1)
-    if big <= 10**6:
-        num = 2**big - 1
-        quotient, r = divmod(num, p**n)
-        if r:
-            return False
-    else:
-        residue = pow(2, big, p ** (2 * n)) - 1
-        quotient, r = divmod(residue, p**n)
-        if r:
-            return False
-    rhs = sum(
-        Fraction((-1) ** j * q ** (j + 1) * p**j, j + 1) for j in range(n)
-    )
+    quotient, r = divmod(pow(2, big, p ** (2 * n)) - 1, p**n)
+    if r:
+        return False
+    rhs = q_series(q, p, n)
     if p == n + 1:
         rhs += q * p ** (n - 1)
     return vp(quotient - rhs, p) >= n

@@ -1,8 +1,10 @@
 """Line-oriented report records and their JSON/CSV serialization.
 
-Both formats round-trip losslessly: achieved_valuation serializes as an
-integer or the string "inf", params as a JSON object (embedded as a quoted
-JSON string in CSV cells), lhs as "num/den".
+The fields of `ReportRecord`, in declaration order, are the report's
+columns; the attribute ``passed`` is keyed ``"pass"``.  Both formats
+round-trip losslessly: an infinite achieved_valuation serializes as the
+string "inf" and lhs as "num/den".  A CSV cell holds params as a JSON
+object with sorted keys, None as an empty cell and booleans in lowercase.
 """
 
 from __future__ import annotations
@@ -11,21 +13,9 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-
-FIELDS = (
-    "theorem_id",
-    "p",
-    "params",
-    "status",
-    "required_exponent",
-    "achieved_valuation",
-    "tier",
-    "pass",
-    "lhs",
-    "elapsed_ms",
-)
+from operator import attrgetter
 
 
 @dataclass(frozen=True)
@@ -47,7 +37,6 @@ class ReportRecord:
             theorem_id=verdict.case.theorem_id,
             p=verdict.case.p,
             params=dict(verdict.case.params),
-            status="ok",
             required_exponent=verdict.required_exponent,
             achieved_valuation=verdict.achieved_valuation,
             tier=verdict.tier,
@@ -58,51 +47,52 @@ class ReportRecord:
 
     @staticmethod
     def skipped(theorem_id: str, p: int, params: dict, reason: str) -> "ReportRecord":
-        return ReportRecord(
-            theorem_id=theorem_id, p=p, params=params, status="skipped-hypothesis"
-        )
+        return ReportRecord(theorem_id, p, params, "skipped-hypothesis")
 
     def sort_key(self):
         return (self.theorem_id, self.p, tuple(sorted(self.params.items())))
 
     def to_dict(self) -> dict:
-        val = self.achieved_valuation
-        if val is not None and math.isinf(val):
-            val = "inf"
         return {
-            "theorem_id": self.theorem_id,
-            "p": self.p,
-            "params": self.params,
-            "status": self.status,
-            "required_exponent": self.required_exponent,
-            "achieved_valuation": val,
-            "tier": self.tier,
-            "pass": self.passed,
-            "lhs": self.lhs,
-            "elapsed_ms": self.elapsed_ms,
+            key: "inf" if value == math.inf else value
+            for key, value in zip(FIELDS, _values(self))
         }
 
     @staticmethod
     def from_dict(d: dict) -> "ReportRecord":
-        val = d["achieved_valuation"]
-        if val == "inf":
-            val = math.inf
-        return ReportRecord(
-            theorem_id=d["theorem_id"],
-            p=d["p"],
-            params=d["params"],
-            status=d["status"],
-            required_exponent=d["required_exponent"],
-            achieved_valuation=val,
-            tier=d["tier"],
-            passed=d["pass"],
-            lhs=d["lhs"],
-            elapsed_ms=d["elapsed_ms"],
-        )
+        return ReportRecord(*(math.inf if d[key] == "inf" else d[key] for key in FIELDS))
 
     def lhs_fraction(self) -> Fraction:
         num, den = self.lhs.split("/")
         return Fraction(int(num), int(den))
+
+
+# Computed once at import, not per record: emit of large scans is a hot path.
+_ATTRS = tuple(f.name for f in fields(ReportRecord))
+FIELDS = tuple("pass" if name == "passed" else name for name in _ATTRS)
+_values = attrgetter(*_ATTRS)
+
+# How a non-empty CSV cell decodes, for the columns that are not strings;
+# an empty cell is None.  "inf" is left for from_dict.
+_CSV_DECODE = {
+    "p": int,
+    "params": json.loads,
+    "required_exponent": int,
+    "achieved_valuation": lambda cell: cell if cell == "inf" else int(cell),
+    "tier": int,
+    "pass": {"true": True, "false": False}.__getitem__,
+    "elapsed_ms": float,
+}
+
+
+def _csv_cell(value):
+    if isinstance(value, dict):
+        return json.dumps(value, sort_keys=True)
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value
 
 
 def emit(records, fmt: str) -> str:
@@ -113,19 +103,7 @@ def emit(records, fmt: str) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, quoting=csv.QUOTE_ALL, lineterminator="\n")
         writer.writerow(FIELDS)
-        for r in records:
-            d = r.to_dict()
-            row = []
-            for f in FIELDS:
-                v = d[f]
-                if f == "params":
-                    v = json.dumps(v, sort_keys=True)
-                elif v is None:
-                    v = ""
-                elif isinstance(v, bool):
-                    v = str(v).lower()
-                row.append(v)
-            writer.writerow(row)
+        writer.writerows([_csv_cell(v) for v in r.to_dict().values()] for r in records)
         return buf.getvalue()
     raise ValueError(f"unknown format {fmt!r}")
 
@@ -135,31 +113,13 @@ def parse(text: str, fmt: str) -> list[ReportRecord]:
     if fmt == "json":
         return [ReportRecord.from_dict(json.loads(line)) for line in text.splitlines()]
     if fmt == "csv":
-        rows = list(csv.reader(io.StringIO(text)))
-        out = []
-        for row in rows[1:]:
-            d = dict(zip(rows[0], row))
-            out.append(
-                ReportRecord(
-                    theorem_id=d["theorem_id"],
-                    p=int(d["p"]),
-                    params=json.loads(d["params"]),
-                    status=d["status"],
-                    required_exponent=int(d["required_exponent"])
-                    if d["required_exponent"]
-                    else None,
-                    achieved_valuation=(
-                        math.inf
-                        if d["achieved_valuation"] == "inf"
-                        else int(d["achieved_valuation"])
-                        if d["achieved_valuation"]
-                        else None
-                    ),
-                    tier=int(d["tier"]) if d["tier"] else None,
-                    passed={"true": True, "false": False, "": None}[d["pass"]],
-                    lhs=d["lhs"] or None,
-                    elapsed_ms=float(d["elapsed_ms"]) if d["elapsed_ms"] else None,
-                )
-            )
-        return out
+        rows = csv.reader(io.StringIO(text))
+        header = next(rows, ())
+        return [
+            ReportRecord.from_dict({
+                col: _CSV_DECODE.get(col, str)(cell) if cell else None
+                for col, cell in zip(header, row)
+            })
+            for row in rows
+        ]
     raise ValueError(f"unknown format {fmt!r}")

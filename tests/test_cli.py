@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import hclab._kernels
 from hclab import cli
 from hclab import congruences as cg
 from hclab.bernoulli import BernoulliCache
@@ -85,6 +86,28 @@ def test_malformed_cache_exit_two(capsys, tmp_path, body, problem):
     assert code == 2 and out == ""
     assert err.startswith(f"error: {path}:{body.count(chr(10))}: ") and problem in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bernoulli", "-1"],
+        ["harmonic", "--m", "0", "--n", "5"],
+        ["harmonic", "--m", "1", "--n", "-1"],
+        # past the trial-division primality limit of 10^12
+        ["verify", "wolstenholme", "--p", "1000000000039"],
+        ["classify-prime", "--p", "1000000000039"],
+        ["scan", "wolstenholme", "--p-min", "5", "--p-max", "7",
+         "--out", "{tmp}/missing/x"],
+    ],
+)
+def test_bad_input_exit_two(capsys, tmp_path, argv):
+    """Bad input and an unwritable --out end in one line, never a traceback."""
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_unknown_subcommand(capsys):
@@ -180,13 +203,14 @@ def test_skipped_params_match_ok_params(capsys, argv):
 
 
 def test_out_flag_writes_file(capsys, tmp_path):
-    target = tmp_path / "report.json"
-    code, out, _ = run_capture(
-        capsys, ["verify", "eisenstein", "--p", "11", "--out", str(target)]
-    )
-    assert code == 0 and out == ""
-    rec = json.loads(target.read_text().splitlines()[0])
-    assert rec["theorem_id"] == "eisenstein"
+    for verb in ("verify", "scan"):
+        target = tmp_path / f"{verb}.json"
+        code, out, _ = run_capture(
+            capsys, [verb, "eisenstein", "--p", "11", "--out", str(target)]
+        )
+        assert code == 0 and out == ""
+        rec = json.loads(target.read_text().splitlines()[0])
+        assert rec["theorem_id"] == "eisenstein"
 
 
 def test_bernoulli_and_harmonic_verbs(capsys, tmp_path):
@@ -220,12 +244,33 @@ def test_irregular_pairs_verb(capsys):
                      (131, 22), (149, 130)]
 
 
+class _KernelCalled(Exception):
+    pass
+
+
+def _no_kernel(*args):
+    raise _KernelCalled
+
+
+def test_irregular_pairs_ceiling_up_front(capsys, tmp_path, monkeypatch):
+    """--p-max 2520 reads B_2500 (P = 2503); 2521 is prime and would read B_2518."""
+    monkeypatch.setattr(hclab._kernels, "bernoulli_extend", _no_kernel)
+    cache = ["--cache", str(tmp_path / "c.cache")]
+    code, out, err = run_capture(capsys, ["irregular-pairs", "--p-max", "2521"] + cache)
+    assert code == 2 and out == "" and "ceiling" in err
+    assert len(err.splitlines()) == 1
+    with pytest.raises(_KernelCalled):
+        run(["irregular-pairs", "--p-max", "2520"] + cache)
+
+
 def test_classify_prime_verb(capsys):
     code, out, _ = run_capture(capsys, ["classify-prime", "--p", "1093"])
     assert code == 0 and "wieferich=true" in out and "mersenne=false" in out
     code, out, _ = run_capture(capsys, ["classify-prime", "--p", "31"])
     assert "mersenne=true" in out
-    assert run_capture(capsys, ["classify-prime", "--p", "10"])[0] == 2
+    assert run_capture(capsys, ["classify-prime", "--p", "10"]) == (
+        2, "", "10 is not an odd prime\n"
+    )
 
 
 def test_selftest(capsys, tmp_path):
@@ -235,6 +280,13 @@ def test_selftest(capsys, tmp_path):
     assert code == 0
     lines = [l for l in out.splitlines() if l]
     assert len(lines) == 4 and all(l.startswith("PASS") for l in lines)
+    report = tmp_path / "r.csv"
+    code, out, _ = run_capture(
+        capsys, ["selftest", "--cache", str(tmp_path / "s.cache"),
+                 "--out", str(report), "--format", "csv"]
+    )
+    assert code == 0 and len(out.splitlines()) == 4
+    assert len(parse(report.read_text(), "csv")) == 4
 
 
 def test_selftest_deterministic(capsys, tmp_path):
