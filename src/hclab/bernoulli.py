@@ -13,9 +13,15 @@ from fractions import Fraction
 
 from . import _kernels
 from .errors import CacheFileCorrupt, HypothesisViolated, IndexCeilingExceeded
-from .exact import PrimePower, binomial, is_prime, vp
+from .exact import binomial, is_prime, vp
 
-DEFAULT_CEILING = 2500
+CEILING = 2500
+
+
+def check_ceiling(n: int) -> None:
+    """Reject an index past CEILING before anything is computed."""
+    if n > CEILING:
+        raise IndexCeilingExceeded(f"needs Bernoulli index {n}, beyond ceiling {CEILING}")
 
 
 def von_staudt_denominator(two_j: int) -> int:
@@ -37,11 +43,10 @@ class BernoulliCache:
     Readers are free-threaded; extension holds a single writer lock.
     """
 
-    def __init__(self, path=None, ceiling: int = DEFAULT_CEILING):
+    def __init__(self, path=None):
         self._nums: list[int] = []
         self._dens: list[int] = []
         self._path = path
-        self._ceiling = ceiling
         self._lock = threading.Lock()
         if path is not None:
             self._load()
@@ -50,10 +55,6 @@ class BernoulliCache:
     def high_water(self) -> int:
         """Largest contiguous index stored; -1 when empty."""
         return len(self._nums) - 1
-
-    @property
-    def ceiling(self) -> int:
-        return self._ceiling
 
     def _load(self):
         try:
@@ -95,10 +96,7 @@ class BernoulliCache:
         self._dens.append(den)
 
     def extend_to(self, n: int):
-        if n > self._ceiling:
-            raise IndexCeilingExceeded(
-                f"Bernoulli index {n} exceeds ceiling {self._ceiling}"
-            )
+        check_ceiling(n)
         if n <= self.high_water:
             return
         with self._lock:
@@ -197,21 +195,25 @@ def check_lemma_tangent_identity(k: int, cache: BernoulliCache | None = None) ->
 
 
 def is_irregular_pair(p: int, two_k: int, cache: BernoulliCache | None = None) -> bool:
-    """True iff p >= two_k + 3 and p divides the numerator of B_{two_k}."""
-    if two_k % 2 or two_k < 2:
+    """True iff two_k is even, 2 <= two_k <= p - 3 and p divides the numerator
+    of B_{two_k}; as p - 1 > two_k, p never divides its denominator."""
+    if two_k % 2 or not 2 <= two_k <= p - 3:
         return False
-    if p < two_k + 3:
-        return False
-    return vp(bernoulli(two_k, cache), p) >= 1
+    return bernoulli(two_k, cache).numerator % p == 0
 
 
 def irregular_pairs(p_max: int, cache: BernoulliCache | None = None):
-    """All irregular pairs (p, 2k) with p <= p_max, ascending."""
+    """All irregular pairs (p, 2k) with p <= p_max, sorted; each B_2k is read
+    once and tested against every prime p >= 2k + 3."""
     from .primes import primes_in
 
+    # The largest prime P <= p_max sets the top read, B_{P-3}; it is looked
+    # for only when p_max itself could pass the ceiling.
+    if p_max - 3 > CEILING:
+        check_ceiling(next(p for p in range(p_max, 2, -1) if is_prime(p)) - 3)
+    primes = primes_in(5, p_max)
     out = []
-    for p in primes_in(3, p_max):
-        for two_k in range(2, p - 2, 2):
-            if is_irregular_pair(p, two_k, cache):
-                out.append((p, two_k))
-    return out
+    for two_k in range(2, max(primes, default=0) - 2, 2):
+        num = bernoulli(two_k, cache).numerator
+        out += [(p, two_k) for p in primes if p >= two_k + 3 and num % p == 0]
+    return sorted(out)

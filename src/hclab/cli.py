@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 from . import congruences as cg
-from .bernoulli import BernoulliCache, bernoulli, irregular_pairs
+from .bernoulli import BernoulliCache, bernoulli, check_ceiling, irregular_pairs
 from .errors import HclabError, HypothesisViolated
 from .exact import is_prime
 from .harmonic import harmonic
@@ -66,6 +66,8 @@ def _record_for(theorem_id: str, p: int, params: dict, cache) -> ReportRecord:
 
 def _prime_bounds(args) -> tuple[int, int]:
     """`verify` takes one prime --p; `scan` takes --p or --p-min/--p-max."""
+    if args.p is not None and (args.p_min is not None or args.p_max is not None):
+        raise _UsageError("--p excludes --p-min/--p-max")
     if args.command == "verify":
         if args.p is None:
             raise _UsageError("verify requires --p")
@@ -102,12 +104,8 @@ def _cmd_grid(args) -> int:
         grids[name] = values
     if args.tier is not None and not theorem.tiered:
         raise _UsageError(f"{args.id} has no tier ladder; --tier does not apply")
+    check_ceiling(theorem.bernoulli_need(p_hi, grids, args.tier))
     cache = _cache_from(args)
-    need = theorem.bernoulli_need(p_hi, grids, args.tier)
-    if need > cache.ceiling:
-        raise _UsageError(
-            f"{args.id} needs Bernoulli index {need}, beyond ceiling {cache.ceiling}"
-        )
     records = []
     for p in primes_in(p_lo, p_hi) if scan else [p_lo]:
         for combo in itertools.product(*grids.values()):
@@ -144,15 +142,7 @@ def _cmd_harmonic(args) -> int:
 
 
 def _cmd_irregular_pairs(args) -> int:
-    cache = _cache_from(args)
-    # The scan reads up to B_{P-3}, P the largest prime <= --p-max; P is
-    # looked for only when --p-max itself could pass the ceiling.
-    if args.p_max - 3 > cache.ceiling:
-        need = next(p for p in range(args.p_max, 2, -1) if is_prime(p)) - 3
-        if need > cache.ceiling:
-            raise _UsageError(f"irregular-pairs needs Bernoulli index {need}, "
-                              f"beyond ceiling {cache.ceiling}")
-    for p, two_k in irregular_pairs(args.p_max, cache):
+    for p, two_k in irregular_pairs(args.p_max, _cache_from(args)):
         print(f"{p} {two_k}")
     return 0
 
@@ -209,8 +199,8 @@ def _build_parser() -> argparse.ArgumentParser:
     grid.add_argument("id")
     for flag in ("--p", "--p-min", "--p-max", "--tier"):
         grid.add_argument(flag, type=int)
-    for flag in ("--n", "--k", "--i", "--h", "--j-terms"):
-        grid.add_argument(flag, type=_parse_range)
+    for name in sorted({n for t in cg.THEOREMS.values() for n in t.params}):
+        grid.add_argument("--" + name.replace("_", "-"), type=_parse_range)
     for verb, text in (("verify", "run one congruence check"),
                        ("scan", "run a check over a parameter grid")):
         sub.add_parser(verb, parents=[common, grid], help=text).set_defaults(fn=_cmd_grid)
@@ -260,6 +250,9 @@ def run(argv) -> int:
         # ValueError and OSError: bad input such as a negative index or a p
         # past the primality limit, and an --out that cannot be written
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -257,8 +257,7 @@ def verify_thm_prop3(which: str, k: int, p: int,
 
 def _ee10bis_tier(p: int, n: int, i: int,
                   cache: BernoulliCache | None = None) -> int:
-    two_k = p - 2 * n - 2 * i - 5
-    if two_k >= 2 and two_k % 2 == 0 and is_irregular_pair(p, two_k, cache):
+    if is_irregular_pair(p, p - 2 * n - 2 * i - 5, cache):
         return 5
     if p >= 2 * n + 2 * i + 7:
         return 4
@@ -316,10 +315,9 @@ def _eecj_tier(p: int, n: int, i: int, cache: BernoulliCache | None) -> int:
         * harmonic(2 * n + 2 * i + 1, half)
         * ((2 * n + 3) * bernoulli(2 * n + 2, cache) + Fraction(n, 2))
     )
-    two_k = p - 2 * n - 2 * i - 1
     shortcut = (
         (i >= 2 and p == 2 * n + 3)
-        or (two_k >= 2 and two_k % 2 == 0 and is_irregular_pair(p, two_k, cache))
+        or is_irregular_pair(p, p - 2 * n - 2 * i - 1, cache)
         or p == 2 ** (2 * n + 2 * i + 1) - 1
         or (p == 2 * n + 2 * i + 1 and fermat_quotient(p) % p == 0)
     )

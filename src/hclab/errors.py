@@ -14,7 +14,7 @@ class HypothesisViolated(HclabError):
 
 
 class IndexCeilingExceeded(HclabError):
-    """Raised when a Bernoulli index beyond the configured ceiling is requested."""
+    """Raised when a Bernoulli index beyond ``bernoulli.CEILING`` is requested."""
 
 
 class UpperIndexNotBelowP(HclabError):

@@ -6,25 +6,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .bernoulli import BernoulliCache, bernoulli
 from .errors import HypothesisViolated
-from .exact import PrimePower, vp, vp_int
+from .exact import vp
 from .harmonic import harmonic
 
 
 def primes_in(lo: int, hi: int) -> list[int]:
-    """All primes in [lo, hi], ascending, by sieve."""
-    if hi < 2 or hi < lo:
+    """All primes in [lo, hi], ascending: a sieve of that window alone by the
+    primes up to isqrt(hi), so memory is O(hi - lo + sqrt(hi))."""
+    lo = max(lo, 2)
+    if hi < lo:
         return []
-    sieve = bytearray([1]) * (hi + 1)
-    sieve[0:2] = b"\x00\x00"
-    p = 2
-    while p * p <= hi:
-        if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
-        p += 1
-    return [n for n in range(max(lo, 2), hi + 1) if sieve[n]]
+    # composite[i] is set when lo + i is composite.  Zero-filled bytearray(n),
+    # not bytearray([1]) * n: when that repeat runs out of memory, CPython 3.11
+    # also prints a spurious SystemError line.
+    composite = bytearray(hi - lo + 1)
+    for q in primes_in(2, isqrt(hi)):
+        first = max(q * q, -(-lo // q) * q) - lo  # first multiple of q to strike
+        composite[first::q] = b"\x01" * len(range(first, len(composite), q))
+    return [n for n, c in zip(range(lo, hi + 1), composite) if not c]
 
 
 def fermat_quotient(p: int) -> int:

@@ -10,6 +10,7 @@ import pytest
 
 from hclab import congruences as cg
 from hclab.bernoulli import (
+    CEILING,
     BernoulliCache,
     check_lemma_binomial_sums,
     check_lemma_tangent_identity,
@@ -210,7 +211,7 @@ def test_criterion_12_odd_order_results(cache, report):
     ok = True
     for p in primes_in(3, 13):
         for n in range(1, 4):
-            if 2 * p <= n + 1 or p ** (n - 1) * (p - 1) > cache.ceiling:
+            if 2 * p <= n + 1 or p ** (n - 1) * (p - 1) > CEILING:
                 continue
             ok = ok and cg.verify_prop41(p, n, cache).passed
             for h in range(1, (n + 2) // 2):  # 2h < n+1

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+import hclab._kernels
 from hclab.bernoulli import (
+    CEILING,
     BernoulliCache,
     bernoulli,
     check_kummer,
@@ -19,6 +21,8 @@ from hclab.bernoulli import (
     von_staudt_denominator,
 )
 from hclab.errors import HypothesisViolated, IndexCeilingExceeded
+from hclab.exact import vp
+from hclab.primes import primes_in
 
 
 def triangle_bernoulli(n: int) -> Fraction:
@@ -97,6 +101,39 @@ def test_irregular_pairs_to_150(cache):
     assert is_irregular_pair(691, 12, cache)
     assert not is_irregular_pair(37, 30, cache)
     assert not is_irregular_pair(5, 4, cache)  # p < 2k+3
+    assert not is_irregular_pair(37, 31, cache)  # odd: B_31 = 0
+    assert not is_irregular_pair(37, 0, cache)
+    assert not is_irregular_pair(13, 10, cache)  # p = 2k+3, B_10 = 5/66
+
+
+def test_irregular_pairs_match_valuation_oracle(cache):
+    """The old definition, v_p(B_2k) >= 1, over every prime p <= 300; this
+    range includes p = 157, irregular at two indices (62 and 110)."""
+    expected = [
+        (p, two_k)
+        for p in primes_in(3, 300)
+        for two_k in range(2, p - 2, 2)
+        if vp(bernoulli(two_k, cache), p) >= 1
+    ]
+    assert (157, 62) in expected and (157, 110) in expected
+    assert irregular_pairs(300, cache) == expected
+
+
+class _CountingCache(BernoulliCache):
+    def __init__(self):
+        super().__init__()
+        self.reads = {}
+
+    def get(self, n):
+        self.reads[n] = self.reads.get(n, 0) + 1
+        return super().get(n)
+
+
+def test_irregular_pairs_read_each_index_once():
+    c = _CountingCache()
+    irregular_pairs(300, c)
+    assert set(c.reads) == set(range(2, 291, 2))  # up to B_{293-3}
+    assert max(c.reads.values()) == 1
 
 
 def test_cache_file_roundtrip(tmp_path):
@@ -126,8 +163,22 @@ def test_cache_rejects_corruption(tmp_path):
         BernoulliCache(path=str(path))
 
 
-def test_ceiling():
-    c = BernoulliCache(ceiling=10)
-    assert c.get(10) == Fraction(5, 66)
-    with pytest.raises(IndexCeilingExceeded):
-        c.get(11)
+class _KernelCalled(Exception):
+    pass
+
+
+def _no_kernel(*args):
+    raise _KernelCalled
+
+
+def test_ceiling(monkeypatch):
+    """Past CEILING, get raises before the kernel is called; at CEILING it
+    reaches the kernel.  The ceiling is a constant, not an option."""
+    monkeypatch.setattr(hclab._kernels, "bernoulli_extend", _no_kernel)
+    c = BernoulliCache()
+    with pytest.raises(IndexCeilingExceeded, match=f"needs Bernoulli index {CEILING + 1}"):
+        c.get(CEILING + 1)
+    with pytest.raises(_KernelCalled):
+        c.get(CEILING)
+    with pytest.raises(TypeError):
+        BernoulliCache(ceiling=10)

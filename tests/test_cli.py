@@ -202,6 +202,41 @@ def test_skipped_params_match_ok_params(capsys, argv):
         assert [r["params"]["J"] for r in records] == [0, 1, 2]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "wolstenholme", "--p", "7", "--p-max", "100"],
+        ["scan", "wolstenholme", "--p", "7", "--p-min", "5", "--p-max", "30"],
+        ["scan", "wolstenholme", "--p", "7", "--p-min", "5"],
+    ],
+)
+def test_conflicting_prime_flags_exit_two(capsys, argv):
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["--p excludes --p-min/--p-max"]
+
+
+def test_grid_flags_come_from_theorem_table(capsys, monkeypatch):
+    """A theorem with a new parameter name needs no CLI edit."""
+    fake = cg.Theorem(("q",), lambda p, a, c: cg._verdict("fake", p, a["q"] * p, 1, q=a["q"]))
+    monkeypatch.setitem(cg.THEOREMS, "fake", fake)
+    code, out, err = run_capture(capsys, ["verify", "fake", "--p", "7", "--q", "3"])
+    assert code == 0, err
+    assert json.loads(out)["params"] == {"q": 3}
+
+
+def test_out_of_memory_exit_two(capsys, monkeypatch):
+    def no_memory(lo, hi):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "primes_in", no_memory)
+    code, out, err = run_capture(
+        capsys, ["scan", "wolstenholme", "--p-min", "5", "--p-max", "1000000000"]
+    )
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: out of memory"]
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     for verb in ("verify", "scan"):
         target = tmp_path / f"{verb}.json"

@@ -3,6 +3,7 @@
 import pytest
 
 from hclab.errors import HypothesisViolated
+from hclab.exact import is_prime
 from hclab.primes import (
     check_fermat_expansion,
     check_lemma_binom,
@@ -18,6 +19,22 @@ def test_primes_in():
     assert primes_in(10, 20) == [11, 13, 17, 19]
     assert primes_in(20, 10) == []
     assert primes_in(-5, 1) == []
+
+
+@pytest.mark.parametrize(
+    "lo,hi",
+    [(5, 4), (-3, 0), (0, 2), (2, 3), (3, 3), (0, 50), (2, 121), (90, 121),
+     (121, 121), (113, 169), (1000, 1369), (9000, 9400)],
+)
+def test_primes_in_window_matches_filter(lo, hi):
+    """Window edges: lo > hi, lo <= 2, hi < 4 and perfect-square hi."""
+    assert primes_in(lo, hi) == [n for n in range(lo, hi + 1) if is_prime(n)]
+
+
+def test_primes_in_window_near_primality_limit():
+    """Only the window is sieved, so a window just below 10^12 is cheap."""
+    lo, hi = 10**12 - 120, 10**12 - 1
+    assert primes_in(lo, hi) == [n for n in range(lo, hi + 1) if is_prime(n)]
 
 
 def test_fermat_quotient_values():
