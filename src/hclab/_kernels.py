@@ -1,4 +1,5 @@
-"""The Bernoulli recurrence, the package's one hot exact-arithmetic loop.
+"""Bernoulli numbers from tangent numbers, the package's one hot
+exact-arithmetic loop.
 
 It lives in its own module, and bernoulli.py calls it as
 ``_kernels.bernoulli_extend(...)`` looked up at call time, so that a
@@ -8,48 +9,49 @@ IMPLEMENTATION names the kernel in benchmark environment reports.
 
 from __future__ import annotations
 
-from math import gcd
+from math import factorial, gcd
 
 IMPLEMENTATION = "pure"
 
 
-def bernoulli_extend(nums: list[int], dens: list[int], upto: int) -> None:
-    """Extend reduced Bernoulli fractions B_0..B_len-1 in place up to index `upto`.
+def tangent_numbers(n: int) -> list[int]:
+    """T_0..T_n, with T_k the k-th tangent number (T_0 = 0, 1, 2, 16, 272, ...).
 
-    Uses the classical recurrence sum(C(m+1, k) * B_k, k=0..m) = 0 for even
-    m >= 2, accumulating the sum over a running common denominator so that
-    only one big gcd is paid per new index.
+    Brent and Harvey's integer triangle (arXiv:1108.0286, Algorithm
+    TangentNumbers): O(n^2) additions and multiplications by small integers,
+    with no division and no fraction.
+    """
+    t = [0] + [factorial(k - 1) for k in range(1, n + 1)]
+    for k in range(2, n + 1):
+        prev = t[k - 1]
+        for i in range(n - k + 1):
+            prev = t[k + i] = i * prev + (i + 2) * t[k + i]
+    return t
+
+
+def bernoulli_extend(nums: list[int], dens: list[int], upto: int) -> None:
+    """Append reduced Bernoulli fractions B_len..B_upto to nums and dens in place.
+
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).  The tangent triangle does not
+    resume from a prefix, so each call rebuilds it up to T_{upto/2}; callers
+    ask once for everything they need.
     """
     start = len(nums)
-    if start == 0:
-        nums.append(1)
-        dens.append(1)
-        start = 1
-    if start == 1 and upto >= 1:
-        nums.append(-1)
-        dens.append(2)
-        start = 2
+    if upto < start:
+        return
+    t = tangent_numbers(upto // 2)
     for m in range(start, upto + 1):
-        if m % 2 == 1:
-            nums.append(0)
-            dens.append(1)
-            continue
-        # c walks C(m+1, k); only k = 0, 1 and even k < m contribute.
-        c = 1
-        acc_n, acc_d = 0, 1
-        for k in range(m):
-            if k > 0:
-                c = c * (m + 2 - k) // k
-            if nums[k] == 0:
-                continue
-            t_n = c * nums[k]
-            t_d = dens[k]
-            g = gcd(acc_d, t_d)
-            acc_n = acc_n * (t_d // g) + t_n * (acc_d // g)
-            acc_d = acc_d // g * t_d
-        # B_m = -acc / (m + 1)
-        b_n = -acc_n
-        b_d = acc_d * (m + 1)
-        g = gcd(b_n, b_d)
-        nums.append(b_n // g)
-        dens.append(b_d // g)
+        k, odd = divmod(m, 2)
+        if m == 0:
+            num, den = 1, 1
+        elif m == 1:
+            num, den = -1, 2
+        elif odd:
+            num, den = 0, 1
+        else:
+            num = m * t[k]
+            den = (1 << m) * ((1 << m) - 1)
+            g = gcd(num, den)
+            num, den = (num if k % 2 else -num) // g, den // g
+        nums.append(num)
+        dens.append(den)

@@ -1,14 +1,17 @@
 """Exact Bernoulli numbers, a persistent cache, and the classical identities.
 
 Every verifier in the package funnels its Bernoulli needs through a
-BernoulliCache so the O(n^2) recurrence is paid once per index.  The cache
-checks each even-index denominator against the Von Staudt-Clausen product on
-insert: a wrong denominator would silently poison every downstream verdict.
+BernoulliCache, filled from the tangent-number kernel in as few calls as
+possible: the kernel rebuilds its triangle from B_0 on every call.  The cache
+checks the sign and the Von Staudt-Clausen denominator of each even-index
+value it loads or computes: a wrong value would silently poison every
+downstream verdict.
 """
 
 from __future__ import annotations
 
-import threading
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import _kernels
@@ -35,19 +38,49 @@ def von_staudt_denominator(two_j: int) -> int:
     return d
 
 
+def _check_value(n: int, num: int, den: int) -> None:
+    """Raise ValueError unless num/den can be B_n, checked cheaply."""
+    if n == 0 and (num, den) != (1, 1):
+        raise ValueError("B_0 must be 1")
+    if n == 1 and (num, den) != (-1, 2):
+        raise ValueError("B_1 must be -1/2")
+    if n >= 3 and n % 2 == 1 and (num, den) != (0, 1):
+        raise ValueError(f"B_{n} must vanish, stored as 0/1")
+    if n >= 2 and n % 2 == 0:
+        # B_2k has the sign (-1)^(k+1)
+        if n % 4 == 2 and num <= 0 or n % 4 == 0 and num >= 0:
+            raise ValueError(f"B_{n} must be {'positive' if n % 4 == 2 else 'negative'}")
+        if den != von_staudt_denominator(n):
+            raise ValueError(f"B_{n} denominator fails the Von Staudt-Clausen check")
+
+
+@contextmanager
+def _any_digits():
+    """Lift the int<->str digit limit (Python 3.10.7+) for cache file I/O:
+    numerators near CEILING have about 5,400 decimal digits."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 class BernoulliCache:
     """Append-only store of exact B_n, optionally mirrored to a text file.
 
     File format: one record per line, ``<index> <num>/<den>``, indices
     strictly increasing and contiguous from 0 (odd indices stored as 0/1).
-    Readers are free-threaded; extension holds a single writer lock.
+    ``extend_to(n)`` fills exactly to n; ``get(n)`` past the stored run grows
+    it geometrically, so single-index readers make few kernel calls.
     """
 
     def __init__(self, path=None):
         self._nums: list[int] = []
         self._dens: list[int] = []
         self._path = path
-        self._lock = threading.Lock()
         if path is not None:
             self._load()
 
@@ -61,7 +94,7 @@ class BernoulliCache:
             fh = open(self._path, "rb")
         except FileNotFoundError:
             return
-        with fh:
+        with fh, _any_digits():
             for lineno, raw in enumerate(fh, start=1):
                 where = f"{self._path}:{lineno}"
                 try:
@@ -78,45 +111,37 @@ class BernoulliCache:
                 if idx != len(self._nums):
                     raise CacheFileCorrupt(f"{where}: non-contiguous index {idx}")
                 try:
-                    self._append_checked(num, den)
+                    _check_value(idx, num, den)
                 except ValueError as exc:
                     raise CacheFileCorrupt(f"{where}: {exc}") from None
-
-    def _append_checked(self, num: int, den: int):
-        n = len(self._nums)
-        if n == 0 and (num, den) != (1, 1):
-            raise ValueError("B_0 must be 1")
-        if n == 1 and (num, den) != (-1, 2):
-            raise ValueError("B_1 must be -1/2")
-        if n >= 3 and n % 2 == 1 and (num, den) != (0, 1):
-            raise ValueError(f"B_{n} must vanish, stored as 0/1")
-        if n >= 2 and n % 2 == 0 and den != von_staudt_denominator(n):
-            raise ValueError(f"B_{n} denominator fails the Von Staudt-Clausen check")
-        self._nums.append(num)
-        self._dens.append(den)
+                self._nums.append(num)
+                self._dens.append(den)
 
     def extend_to(self, n: int):
+        """Store B_0..B_n, computing and appending to the file what is missing."""
         check_ceiling(n)
-        if n <= self.high_water:
+        old = len(self._nums)
+        if n < old:
             return
-        with self._lock:
-            if n <= self.high_water:
-                return
-            old = len(self._nums)
-            nums = list(self._nums)
-            dens = list(self._dens)
-            _kernels.bernoulli_extend(nums, dens, n)
-            for i in range(old, len(nums)):
-                self._append_checked(nums[i], dens[i])
-            if self._path is not None:
-                with open(self._path, "a", encoding="utf-8") as fh:
-                    for i in range(old, len(self._nums)):
-                        fh.write(f"{i} {self._nums[i]}/{self._dens[i]}\n")
+        _kernels.bernoulli_extend(self._nums, self._dens, n)
+        try:
+            for i in range(old, n + 1):
+                _check_value(i, self._nums[i], self._dens[i])
+        except ValueError:
+            del self._nums[old:], self._dens[old:]
+            raise
+        if self._path is not None:
+            with open(self._path, "a", encoding="utf-8") as fh, _any_digits():
+                for i in range(old, n + 1):
+                    fh.write(f"{i} {self._nums[i]}/{self._dens[i]}\n")
 
     def get(self, n: int) -> Fraction:
         if n < 0:
             raise ValueError("index must be non-negative")
-        self.extend_to(n)
+        if n > self.high_water:
+            # at least double the stored run, up to CEILING: a reader walking
+            # up one index at a time then costs O(log n) kernel calls
+            self.extend_to(max(n, min(2 * self.high_water, CEILING)))
         return Fraction(self._nums[n], self._dens[n])
 
 
@@ -212,8 +237,10 @@ def irregular_pairs(p_max: int, cache: BernoulliCache | None = None):
     if p_max - 3 > CEILING:
         check_ceiling(next(p for p in range(p_max, 2, -1) if is_prime(p)) - 3)
     primes = primes_in(5, p_max)
+    top = max(primes, default=2) - 3
+    (cache or _default_cache).extend_to(top)  # one kernel call for every read
     out = []
-    for two_k in range(2, max(primes, default=0) - 2, 2):
+    for two_k in range(2, top + 1, 2):
         num = bernoulli(two_k, cache).numerator
         out += [(p, two_k) for p in primes if p >= two_k + 3 and num % p == 0]
     return sorted(out)

@@ -106,8 +106,13 @@ def _cmd_grid(args) -> int:
         raise _UsageError(f"{args.id} has no tier ladder; --tier does not apply")
     check_ceiling(theorem.bernoulli_need(p_hi, grids, args.tier))
     cache = _cache_from(args)
+    primes = primes_in(p_lo, p_hi) if scan else [p_lo]
+    if primes:
+        # One kernel call fills the grid's need, taken at the largest prime
+        # in the grid rather than at --p-max.
+        cache.extend_to(theorem.bernoulli_need(max(primes), grids, args.tier))
     records = []
-    for p in primes_in(p_lo, p_hi) if scan else [p_lo]:
+    for p in primes:
         for combo in itertools.product(*grids.values()):
             params = dict(zip(theorem.params, combo))
             if args.tier is not None:

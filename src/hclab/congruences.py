@@ -483,12 +483,13 @@ class Theorem:
     cache)`` is the verdict on one case (``args`` also holds a pinned ``tier``)
     and calls its verifier by module-level name, so a profiler can wrap it.
     ``bernoulli_need(p_hi, grids, tier)`` bounds every Bernoulli index that
-    cases with p <= p_hi read.  Scans skip cases failing ``hypothesis``.
+    cases with p <= p_hi read (-1 for none); ``verify`` and ``scan`` fill the
+    cache to it before the first case.  Scans skip cases failing ``hypothesis``.
     """
 
     params: tuple[str, ...]
     run: Callable[[int, dict, BernoulliCache | None], Verdict]
-    bernoulli_need: Callable[[int, dict, int | None], int] = lambda p_hi, g, tier: 0
+    bernoulli_need: Callable[[int, dict, int | None], int] = lambda p_hi, g, tier: -1
     hypothesis: Callable[[int, dict], bool] = lambda p, a: True
     tiered: bool = False
 

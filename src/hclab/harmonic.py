@@ -8,13 +8,11 @@ reduce_mod; that agreement is a standing property test.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 
 from .errors import UpperIndexNotBelowP
 from .exact import PrimePower
 
-_lock = threading.Lock()
 _prefix: dict[int, list[Fraction]] = {}
 
 
@@ -26,10 +24,9 @@ def harmonic(order: int, upto: int) -> Fraction:
         raise ValueError("upper index must be >= 0")
     row = _prefix.get(order)
     if row is None or len(row) <= upto:
-        with _lock:
-            row = _prefix.setdefault(order, [Fraction(0)])
-            for j in range(len(row), upto + 1):
-                row.append(row[j - 1] + Fraction(1, j**order))
+        row = _prefix.setdefault(order, [Fraction(0)])
+        for j in range(len(row), upto + 1):
+            row.append(row[j - 1] + Fraction(1, j**order))
     return row[upto]
 
 

@@ -1,6 +1,8 @@
 """Bernoulli values against an independent triangle-scheme oracle, the cache
 file contract, and the exact identity lemmas."""
 
+import importlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,9 @@ from hclab.bernoulli import (
 from hclab.errors import HypothesisViolated, IndexCeilingExceeded
 from hclab.exact import vp
 from hclab.primes import primes_in
+
+# hclab re-exports the function bernoulli under the module's own name
+bernoulli_mod = importlib.import_module("hclab.bernoulli")
 
 
 def triangle_bernoulli(n: int) -> Fraction:
@@ -134,6 +139,7 @@ def test_irregular_pairs_read_each_index_once():
     irregular_pairs(300, c)
     assert set(c.reads) == set(range(2, 291, 2))  # up to B_{293-3}
     assert max(c.reads.values()) == 1
+    assert c.high_water == 290  # filled once, to the top read, not past it
 
 
 def test_cache_file_roundtrip(tmp_path):
@@ -182,3 +188,75 @@ def test_ceiling(monkeypatch):
         c.get(CEILING)
     with pytest.raises(TypeError):
         BernoulliCache(ceiling=10)
+
+
+def test_get_grows_geometrically(kernel_calls):
+    """A reader walking up one index at a time makes O(log n) kernel calls."""
+    c = BernoulliCache()
+    for n in range(601):
+        c.get(n)
+    assert len(kernel_calls) <= 12
+
+
+def test_get_fills_exactly_n_when_empty_and_stops_at_ceiling(monkeypatch):
+    c = BernoulliCache()
+    c.get(10)
+    assert c.high_water == 10
+    monkeypatch.setattr(bernoulli_mod, "CEILING", 30)
+    c.get(11)  # doubles the stored run
+    assert c.high_water == 20
+    c.get(21)  # doubling would pass the ceiling
+    assert c.high_water == 30
+    with pytest.raises(IndexCeilingExceeded):
+        c.get(31)
+    assert c.high_water == 30
+
+
+def test_computed_values_are_checked(monkeypatch):
+    """A kernel that gets a sign wrong is caught, and nothing is stored."""
+    kernel = hclab._kernels.bernoulli_extend
+
+    def flip_b4(nums, dens, upto):
+        kernel(nums, dens, upto)
+        nums[4] = -nums[4]
+
+    c = BernoulliCache()
+    c.extend_to(2)
+    monkeypatch.setattr(hclab._kernels, "bernoulli_extend", flip_b4)
+    with pytest.raises(ValueError, match="B_4 must be negative"):
+        c.extend_to(6)
+    assert c.high_water == 2
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Python's default 4300-digit int<->str limit, whatever ran before."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int<->str digit limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+def test_cache_file_past_int_str_digit_limit(tmp_path, cache, monkeypatch,
+                                             default_digit_limit):
+    """Numerators from B_2064 on have more than 4300 digits; the cache file
+    still writes and reloads them.  The kernel replays the shared cache, so
+    only the file I/O is new work."""
+
+    def replay(nums, dens, upto):
+        for i in range(len(nums), upto + 1):
+            b = cache.get(i)
+            nums.append(b.numerator)
+            dens.append(b.denominator)
+
+    cache.extend_to(2100)
+    monkeypatch.setattr(hclab._kernels, "bernoulli_extend", replay)
+    path = tmp_path / "big.cache"
+    BernoulliCache(path=str(path)).extend_to(2100)
+    reloaded = BernoulliCache(path=str(path))
+    assert reloaded.high_water == 2100
+    assert abs(reloaded.get(2064).numerator) > 10**4300
+    assert all(reloaded.get(n) == cache.get(n) for n in range(2050, 2101))
+    assert sys.get_int_max_str_digits() == 4300

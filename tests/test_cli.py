@@ -76,6 +76,8 @@ def test_verify_past_int_str_digit_limit(capsys):
         # written as the single byte 0xff, which is not UTF-8
         ("0 1/1\n1 -1/2\n2 \udcff/6\n", "malformed line"),
         ("0 1/1\n1 -1/2\n2 1/6\n3 0/0\n", "B_3 must vanish, stored as 0/1"),
+        # the right denominator, the wrong sign: B_4 = -1/30
+        ("0 1/1\n1 -1/2\n2 1/6\n3 0/1\n4 1/30\n", "B_4 must be negative"),
     ],
 )
 def test_malformed_cache_exit_two(capsys, tmp_path, body, problem):
@@ -355,6 +357,29 @@ class _RecordingCache(BernoulliCache):
     def get(self, n):
         _RecordingCache.largest = max(_RecordingCache.largest, n)
         return super().get(n)
+
+
+def test_scan_fills_cache_in_one_kernel_call(capsys, tmp_path, kernel_calls):
+    """The fill is sized by the largest prime in the grid (37, reading
+    B_34), not by --p-max."""
+    path = tmp_path / "c.cache"
+    path.write_text("")
+    code, _, err = run_capture(
+        capsys, ["scan", "sun", "--p-min", "5", "--p-max", "40", "--cache", str(path)]
+    )
+    assert code == 0, err
+    assert kernel_calls == [34]
+    assert BernoulliCache(path=str(path)).high_water == 34
+
+
+def test_scan_reading_no_bernoulli_leaves_cache_empty(capsys, tmp_path):
+    path = tmp_path / "c.cache"
+    path.write_text("")
+    code, _, _ = run_capture(
+        capsys, ["scan", "wolstenholme", "--p-min", "5", "--p-max", "40",
+                 "--cache", str(path)]
+    )
+    assert code == 0 and path.read_text() == ""
 
 
 _NEED_GRID = {"n": "0:2", "i": "0:2", "k": "1:3", "h": "1:2", "j_terms": "0:4"}

@@ -1,12 +1,57 @@
-"""The Bernoulli recurrence kernel."""
+"""The tangent-number Bernoulli kernel, against the classical recurrence."""
 
 from fractions import Fraction
+from math import gcd
+
+import pytest
 
 from hclab import _kernels
 
 
+def recurrence_extend(nums: list[int], dens: list[int], upto: int) -> None:
+    """Oracle: the classical recurrence sum(C(m+1, k) * B_k, k=0..m) = 0,
+    in reduced fractions, resuming from whatever prefix is stored."""
+    if upto >= 0 and not nums:
+        nums.append(1)
+        dens.append(1)
+    if upto >= 1 and len(nums) == 1:
+        nums.append(-1)
+        dens.append(2)
+    for m in range(len(nums), upto + 1):
+        if m % 2 == 1:
+            nums.append(0)
+            dens.append(1)
+            continue
+        c = 1  # walks C(m+1, k)
+        acc_n, acc_d = 0, 1
+        for k in range(m):
+            if k > 0:
+                c = c * (m + 2 - k) // k
+            if nums[k] == 0:
+                continue
+            t_d = dens[k]
+            g = gcd(acc_d, t_d)
+            acc_n = acc_n * (t_d // g) + c * nums[k] * (acc_d // g)
+            acc_d = acc_d // g * t_d
+        g = gcd(acc_n, acc_d * (m + 1))
+        nums.append(-acc_n // g)
+        dens.append(acc_d * (m + 1) // g)
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    nums, dens = [], []
+    recurrence_extend(nums, dens, 400)
+    return nums, dens
+
+
 def test_selected_implementation_is_known():
     assert _kernels.IMPLEMENTATION == "pure"
+
+
+def test_tangent_numbers():
+    assert _kernels.tangent_numbers(6) == [0, 1, 2, 16, 272, 7936, 353792]
+    assert _kernels.tangent_numbers(0) == [0]
 
 
 def test_bernoulli_extend_agreement():
@@ -15,10 +60,26 @@ def test_bernoulli_extend_agreement():
     assert Fraction(nums[12], dens[12]) == Fraction(-691, 2730)
 
 
+def test_matches_recurrence_in_one_call(oracle):
+    nums, dens = [], []
+    _kernels.bernoulli_extend(nums, dens, 400)
+    assert (nums, dens) == oracle
+
+
+def test_matches_recurrence_resumed_from_prefix(oracle):
+    nums, dens = [], []
+    _kernels.bernoulli_extend(nums, dens, 10)
+    assert (nums, dens) == (oracle[0][:11], oracle[1][:11])
+    _kernels.bernoulli_extend(nums, dens, 400)
+    assert (nums, dens) == oracle
+
+
 def test_bernoulli_extend_resumes_in_place():
     nums, dens = [], []
     _kernels.bernoulli_extend(nums, dens, 10)
     _kernels.bernoulli_extend(nums, dens, 30)
     fresh_n, fresh_d = [], []
     _kernels.bernoulli_extend(fresh_n, fresh_d, 30)
+    assert nums == fresh_n and dens == fresh_d
+    _kernels.bernoulli_extend(nums, dens, 20)  # already stored: a no-op
     assert nums == fresh_n and dens == fresh_d
