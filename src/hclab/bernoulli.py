@@ -55,9 +55,10 @@ def _check_value(n: int, num: int, den: int) -> None:
 
 
 @contextmanager
-def _any_digits():
-    """Lift the int<->str digit limit (Python 3.10.7+) for cache file I/O:
-    numerators near CEILING have about 5,400 decimal digits."""
+def any_digits():
+    """Lift the int<->str digit limit (Python 3.10.7+) inside the block and
+    restore the caller's after it: numerators near CEILING have about 5,400
+    decimal digits, and verdict left-hand sides can have more."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
@@ -94,7 +95,7 @@ class BernoulliCache:
             fh = open(self._path, "rb")
         except FileNotFoundError:
             return
-        with fh, _any_digits():
+        with fh, any_digits():
             for lineno, raw in enumerate(fh, start=1):
                 where = f"{self._path}:{lineno}"
                 try:
@@ -131,7 +132,7 @@ class BernoulliCache:
             del self._nums[old:], self._dens[old:]
             raise
         if self._path is not None:
-            with open(self._path, "a", encoding="utf-8") as fh, _any_digits():
+            with open(self._path, "a", encoding="utf-8") as fh, any_digits():
                 for i in range(old, n + 1):
                     fh.write(f"{i} {self._nums[i]}/{self._dens[i]}\n")
 

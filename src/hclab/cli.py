@@ -15,7 +15,9 @@ import time
 from fractions import Fraction
 
 from . import congruences as cg
-from .bernoulli import BernoulliCache, bernoulli, check_ceiling, irregular_pairs
+from .bernoulli import (
+    BernoulliCache, any_digits, bernoulli, check_ceiling, irregular_pairs,
+)
 from .errors import HclabError, HypothesisViolated
 from .exact import is_prime
 from .harmonic import harmonic
@@ -60,21 +62,20 @@ def _emit_records(records, args) -> None:
 
 def _record_for(theorem_id: str, p: int, params: dict, cache) -> ReportRecord:
     t0 = time.perf_counter()
-    verdict = cg.THEOREMS[theorem_id].run(p, params, cache)
-    return ReportRecord.from_verdict(verdict, (time.perf_counter() - t0) * 1000.0)
+    record = cg.THEOREMS[theorem_id].run(p, params, cache)
+    return ReportRecord.from_verdict(record, (time.perf_counter() - t0) * 1000.0)
 
 
 def _prime_bounds(args) -> tuple[int, int]:
     """`verify` takes one prime --p; `scan` takes --p or --p-min/--p-max."""
     if args.p is not None and (args.p_min is not None or args.p_max is not None):
         raise _UsageError("--p excludes --p-min/--p-max")
-    if args.command == "verify":
-        if args.p is None:
-            raise _UsageError("verify requires --p")
+    if args.p is not None:
         if not is_prime(args.p):
             raise _UsageError(f"{args.p} is not prime")
-    if args.p is not None:
         return args.p, args.p
+    if args.command == "verify":
+        raise _UsageError("verify requires --p")
     if args.p_min is None or args.p_max is None:
         raise _UsageError("scan requires --p or --p-min/--p-max")
     return args.p_min, args.p_max
@@ -124,9 +125,8 @@ def _cmd_grid(args) -> int:
             except HypothesisViolated:
                 if not scan:
                     raise
-                case = theorem.case(args.id, p, params)
                 records.append(
-                    ReportRecord.skipped(args.id, p, dict(case.params), "hypothesis")
+                    ReportRecord.skipped(args.id, p, theorem.case(params), "hypothesis")
                 )
     records.sort(key=ReportRecord.sort_key)
     _emit_records(records, args)
@@ -135,6 +135,7 @@ def _cmd_grid(args) -> int:
 
 def _cmd_bernoulli(args) -> int:
     cache = _cache_from(args)
+    cache.extend_to(args.index)  # exactly, where a bare read would grow geometrically
     b = bernoulli(args.index, cache)
     print(f"{b.numerator}/{b.denominator}")
     return 0
@@ -171,7 +172,7 @@ def _cmd_selftest(args) -> int:
         p = case["p"]
         params = {k: v for k, v in case.items() if k != "p"}
         record = _record_for(theorem_id, p, params, cache)
-        lhs = record.lhs_fraction()
+        lhs = record.lhs
         if isinstance(expected, Fraction):
             good = lhs == expected
         else:
@@ -233,18 +234,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    # Bernoulli numerators near the index ceiling and the left-hand sides of
-    # high-order verdicts run past Python's default 4300-digit int<->str
-    # limit (added in 3.10.7), both in the cache file and in reports.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.fn(args)
+        # The left-hand sides of high-order verdicts and the Bernoulli numbers
+        # printed run past Python's 4300-digit int<->str limit.
+        with any_digits():
+            return args.fn(args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 2

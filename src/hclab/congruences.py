@@ -18,50 +18,17 @@ from .errors import HypothesisViolated
 from .exact import binomial, vp
 from .harmonic import harmonic
 from .primes import fermat_quotient, q_series
+from .report import ReportRecord
 
 EXPANSION_IDS = ("e10ee", "e10eed", "e10eee", "e10eeeff")
 REMARK0_IDS = ("e10eeez", "e10eeezz", "e9a", "e10eeea", "e10eeee", "e10eeeb")
 PROP3_IDS = ("e8bbf", "e10eeeb1", "e9bb", "e9bbs")
 
 
-@dataclass(frozen=True)
-class CaseSpec:
-    theorem_id: str
-    p: int
-    params: tuple[tuple[str, int], ...] = ()
-
-    @staticmethod
-    def make(theorem_id: str, p: int, **params: int) -> "CaseSpec":
-        return CaseSpec(theorem_id, p, tuple(sorted(params.items())))
-
-
-@dataclass(frozen=True)
-class Verdict:
-    case: CaseSpec
-    required_exponent: int
-    achieved_valuation: int | float
-    passed: bool
-    lhs: Fraction
-    tier: int | None = None
-    lower_tiers: tuple[tuple[int, bool], ...] | None = None
-
-
-def _verdict(theorem_id, p, lhs, exponent, tier=None, lowest_tier=1, **params) -> Verdict:
-    """A ladder verdict (``tier`` given) also judges every rung from
-    ``lowest_tier`` up to ``tier``, each at its own exponent."""
+def _verdict(theorem_id, p, lhs, exponent, tier=None, **params) -> ReportRecord:
     v = vp(lhs, p)
-    lower = None if tier is None else tuple(
-        (m, v >= exponent - tier + m) for m in range(lowest_tier, tier + 1)
-    )
-    return Verdict(
-        case=CaseSpec.make(theorem_id, p, **params),
-        required_exponent=exponent,
-        achieved_valuation=v,
-        passed=v >= exponent,
-        lhs=lhs,
-        tier=tier,
-        lower_tiers=lower,
-    )
+    return ReportRecord(theorem_id, p, params, required_exponent=exponent,
+                        achieved_valuation=v, tier=tier, passed=v >= exponent, lhs=lhs)
 
 
 def _require(cond: bool, msg: str):
@@ -96,27 +63,27 @@ def coeff_z(p: int, n: int, h: int, cache: BernoulliCache | None = None) -> Frac
 # -- classical congruences ----------------------------------------------------
 
 
-def verify_wolstenholme(p: int) -> Verdict:
+def verify_wolstenholme(p: int) -> ReportRecord:
     """H_{p-1} == 0 (mod p^2) for p >= 5."""
     _require(p >= 5, "needs p >= 5")
     return _verdict("wolstenholme", p, harmonic(1, p - 1), 2)
 
 
-def verify_wolstenholme_refined(p: int) -> Verdict:
+def verify_wolstenholme_refined(p: int) -> ReportRecord:
     """H_{p-1} + (p/2) H^(2)_{p-1} == 0 (mod p^4) for p >= 7."""
     _require(p >= 7, "needs p >= 7")
     lhs = harmonic(1, p - 1) + Fraction(p, 2) * harmonic(2, p - 1)
     return _verdict("wolstenholme-refined", p, lhs, 4)
 
 
-def verify_eisenstein(p: int) -> Verdict:
+def verify_eisenstein(p: int) -> ReportRecord:
     """H_{(p-1)/2} + 2 q_p == 0 (mod p) for odd p."""
     _require(p >= 3, "needs an odd prime")
     lhs = harmonic(1, (p - 1) // 2) + 2 * fermat_quotient(p)
     return _verdict("eisenstein", p, lhs, 1)
 
 
-def verify_lehmer(p: int) -> Verdict:
+def verify_lehmer(p: int) -> ReportRecord:
     """H_{(p-1)/2} + 2 q_p - p q_p^2 == 0 (mod p^2) for odd p."""
     _require(p >= 3, "needs an odd prime")
     q = fermat_quotient(p)
@@ -127,7 +94,7 @@ def verify_lehmer(p: int) -> Verdict:
 # -- p-adic expansions of the harmonic numbers --------------------------------
 
 
-def verify_expansion_truncation(which: str, k: int, p: int, J: int) -> Verdict:
+def verify_expansion_truncation(which: str, k: int, p: int, J: int) -> ReportRecord:
     """Truncation of one of the four harmonic expansions at j < J.
 
     The left-hand side is (truncated series) - (target value); every omitted
@@ -183,7 +150,7 @@ def verify_expansion_truncation(which: str, k: int, p: int, J: int) -> Verdict:
     return _verdict(f"expansion-{which}", p, lhs, J, k=k, J=J)
 
 
-def verify_cor_remark0(which: str, k: int, p: int) -> Verdict:
+def verify_cor_remark0(which: str, k: int, p: int) -> ReportRecord:
     """The six two-term congruences read off from the expansions (odd p)."""
     _require(p % 2 == 1 and p >= 3, "needs odd p")
     _require(k >= 1, "needs k >= 1")
@@ -224,7 +191,7 @@ def verify_cor_remark0(which: str, k: int, p: int) -> Verdict:
 
 
 def verify_thm_prop3(which: str, k: int, p: int,
-                     cache: BernoulliCache | None = None) -> Verdict:
+                     cache: BernoulliCache | None = None) -> ReportRecord:
     """The four congruences expressing harmonic numbers through B_{p-1-2k}."""
     _require(k >= 1, "needs k >= 1")
     if which == "e9bbs":
@@ -282,12 +249,12 @@ def _ee10bis_series(p: int, i: int, terms: int,
 
 
 def verify_thm_ee10bis(p: int, n: int, i: int, tier: int | None = None,
-                       cache: BernoulliCache | None = None) -> Verdict:
+                       cache: BernoulliCache | None = None) -> ReportRecord:
     """sum(C(j+2i,2i) B_j H^(j+2i+1)_{p-1} (-p)^j, j=0..2n+1) mod p^(2n+m).
 
     The tier m is resolved to the largest value whose condition holds unless
-    the caller pins one.  The verdict also records pass/fail at every lower
-    tier exponent.
+    the caller pins one.  The ladder starts at m = 1: rung m' <= m holds iff
+    the achieved valuation is at least 2n + m'.
     """
     _require(p >= 2, "needs a prime")
     _require(n >= 0 and i >= 0, "needs n, i >= 0")
@@ -297,7 +264,7 @@ def verify_thm_ee10bis(p: int, n: int, i: int, tier: int | None = None,
 
 
 def verify_cor_ee10biss(p: int, i: int, k: int,
-                        cache: BernoulliCache | None = None) -> Verdict:
+                        cache: BernoulliCache | None = None) -> ReportRecord:
     """The same series truncated at j < k is divisible by p^k (odd p)."""
     _require(p % 2 == 1 and p >= 3, "needs odd p")
     _require(k >= 1, "needs k >= 1")
@@ -328,27 +295,37 @@ def _eecj_tier(p: int, n: int, i: int, cache: BernoulliCache | None) -> int:
     return 0
 
 
-def verify_thm_eecj(p: int, n: int, i: int, tier: int | None = None,
-                    cache: BernoulliCache | None = None) -> Verdict:
-    """sum(C(j+2i-1,j+1) (2^(j+2i)-1)/2^j C_j H^(j+2i)_{(p-1)/2} p^j) mod p^(2n+m)."""
-    _require(p >= 3, "needs odd p")
-    _require(n >= 1 and i >= 1, "needs n, i >= 1")
+def _eecj_series(p: int, i: int, terms: int,
+                 cache: BernoulliCache | None) -> Fraction:
+    """sum(C(j+2i-1,j+1) (2^(j+2i)-1)/2^j C_j H^(j+2i)_{(p-1)/2} p^j, j < terms)."""
     half = (p - 1) // 2
-    m = _eecj_tier(p, n, i, cache) if tier is None else tier
-    lhs = sum(
+    return sum(
         (binomial(j + 2 * i - 1, j + 1)
          * Fraction(2 ** (j + 2 * i) - 1, 2**j)
          * coeff_c(j, cache)
          * harmonic(j + 2 * i, half)
          * Fraction(p) ** j
-         for j in range(2 * n)),
+         for j in range(terms)),
         Fraction(0),
     )
-    return _verdict("thm-eecj", p, lhs, 2 * n + m, tier=m, lowest_tier=0, n=n, i=i)
 
 
-def verify_cor_eecjj(p: int, J: int, cache: BernoulliCache | None = None) -> Verdict:
-    """The i=1 converging series truncated at j < J is divisible by p^J (odd p).
+def verify_thm_eecj(p: int, n: int, i: int, tier: int | None = None,
+                    cache: BernoulliCache | None = None) -> ReportRecord:
+    """sum(C(j+2i-1,j+1) (2^(j+2i)-1)/2^j C_j H^(j+2i)_{(p-1)/2} p^j) mod p^(2n+m).
+
+    The sum runs over j < 2n.  The ladder starts at m = 0: rung m' <= m holds
+    iff the achieved valuation is at least 2n + m'.
+    """
+    _require(p >= 3, "needs odd p")
+    _require(n >= 1 and i >= 1, "needs n, i >= 1")
+    m = _eecj_tier(p, n, i, cache) if tier is None else tier
+    return _verdict("thm-eecj", p, _eecj_series(p, i, 2 * n, cache), 2 * n + m,
+                    tier=m, n=n, i=i)
+
+
+def verify_cor_eecjj(p: int, J: int, cache: BernoulliCache | None = None) -> ReportRecord:
+    """The i=1 series truncated at j < J is divisible by p^J (odd p).
 
     One exception: the first omitted term carries B_{J+1}, whose denominator
     contains p exactly when J is odd and (p-1) | (J+1); the 2^(J+2)-1 factor
@@ -358,22 +335,13 @@ def verify_cor_eecjj(p: int, J: int, cache: BernoulliCache | None = None) -> Ver
     _require(p % 2 == 1 and p >= 3, "needs odd p")
     _require(J >= 1, "needs J >= 1")
     exponent = J - 1 if (J % 2 == 1 and (J + 1) % (p - 1) == 0) else J
-    half = (p - 1) // 2
-    lhs = sum(
-        (coeff_c(j, cache)
-         * (2 ** (j + 2) - 1)
-         * harmonic(j + 2, half)
-         * (Fraction(p, 2)) ** j
-         for j in range(J)),
-        Fraction(0),
-    )
-    return _verdict("cor-eecjj", p, lhs, exponent, J=J)
+    return _verdict("cor-eecjj", p, _eecj_series(p, 1, J, cache), exponent, J=J)
 
 
 # -- the odd-order half-index results -----------------------------------------
 
 
-def verify_prop41(p: int, n: int, cache: BernoulliCache | None = None) -> Verdict:
+def verify_prop41(p: int, n: int, cache: BernoulliCache | None = None) -> ReportRecord:
     """H_{(p-1)/2} plus the Fermat-quotient series and the Bernoulli tail,
     modulo p^n, for p > (n+1)/2."""
     _require(p % 2 == 1 and p >= 3, "needs odd p")
@@ -393,7 +361,7 @@ def verify_prop41(p: int, n: int, cache: BernoulliCache | None = None) -> Verdic
 
 
 def verify_prop42(p: int, n: int, h: int,
-                  cache: BernoulliCache | None = None) -> Verdict:
+                  cache: BernoulliCache | None = None) -> ReportRecord:
     """H^(2h+1)_{(p-1)/2} against its Bernoulli expansion, modulo p^(n-1)."""
     _require(p % 2 == 1 and p >= 3, "needs odd p")
     _require(h >= 1, "needs h >= 1")
@@ -412,7 +380,7 @@ def verify_prop42(p: int, n: int, h: int,
     return _verdict("prop42", p, lhs, n - 1, n=n, h=h)
 
 
-def verify_thm_ee20(p: int, n: int, cache: BernoulliCache | None = None) -> Verdict:
+def verify_thm_ee20(p: int, n: int, cache: BernoulliCache | None = None) -> ReportRecord:
     """The final theorem: the B/H series plus the q_p series, modulo p^n.
 
     The sum is well-defined for any odd p, so the p > (n+1)/2 hypothesis is
@@ -438,7 +406,7 @@ def verify_thm_ee20(p: int, n: int, cache: BernoulliCache | None = None) -> Verd
 
 
 def verify_intermediate_47(p: int, n: int,
-                           cache: BernoulliCache | None = None) -> Verdict:
+                           cache: BernoulliCache | None = None) -> ReportRecord:
     """The delta/Z/A bookkeeping congruence from the final proof (n even)."""
     _require(p % 2 == 1 and p >= 3, "needs odd p")
     _require(n >= 2 and n % 2 == 0, "needs even n >= 2")
@@ -460,7 +428,7 @@ def verify_intermediate_47(p: int, n: int,
     return _verdict("eq47", p, left - right, n, n=n)
 
 
-def sun_congruence(p: int, cache: BernoulliCache | None = None) -> Verdict:
+def sun_congruence(p: int, cache: BernoulliCache | None = None) -> ReportRecord:
     """H_{(p-1)/2} + (7/12) B_{p-3} p^2 + 2(q - q^2 p/2 + q^3 p^2/3) mod p^3."""
     _require(p >= 5, "needs p >= 5")
     q = fermat_quotient(p)
@@ -488,16 +456,14 @@ class Theorem:
     """
 
     params: tuple[str, ...]
-    run: Callable[[int, dict, BernoulliCache | None], Verdict]
+    run: Callable[[int, dict, BernoulliCache | None], ReportRecord]
     bernoulli_need: Callable[[int, dict, int | None], int] = lambda p_hi, g, tier: -1
     hypothesis: Callable[[int, dict], bool] = lambda p, a: True
     tiered: bool = False
 
-    def case(self, theorem_id: str, p: int, args: dict) -> CaseSpec:
-        """The case a verdict on these arguments names (``j_terms`` as J)."""
-        return CaseSpec.make(
-            theorem_id, p, **{"J" if n == "j_terms" else n: args[n] for n in self.params}
-        )
+    def case(self, args: dict) -> dict:
+        """The params a record on these arguments names (``j_terms`` as J)."""
+        return {"J" if n == "j_terms" else n: args[n] for n in self.params}
 
 
 def _ladder_need(offset: int):

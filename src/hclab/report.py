@@ -3,8 +3,9 @@
 The fields of `ReportRecord`, in declaration order, are the report's
 columns; the attribute ``passed`` is keyed ``"pass"``.  Both formats
 round-trip losslessly: an infinite achieved_valuation serializes as the
-string "inf" and lhs as "num/den".  A CSV cell holds params as a JSON
-object with sorted keys, None as an empty cell and booleans in lowercase.
+string "inf", the exact Fraction lhs as "num/den", and params with sorted
+keys.  A CSV cell holds params as a JSON object, None as an empty cell
+and booleans in lowercase.
 """
 
 from __future__ import annotations
@@ -13,13 +14,15 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from operator import attrgetter
 
 
 @dataclass(frozen=True)
 class ReportRecord:
+    """One verdict: what every verifier returns and every report line holds."""
+
     theorem_id: str
     p: int
     params: dict
@@ -28,22 +31,13 @@ class ReportRecord:
     achieved_valuation: int | float | None = None
     tier: int | None = None
     passed: bool | None = None
-    lhs: str | None = None
+    lhs: Fraction | None = None
     elapsed_ms: float | None = None
 
     @staticmethod
-    def from_verdict(verdict, elapsed_ms: float) -> "ReportRecord":
-        return ReportRecord(
-            theorem_id=verdict.case.theorem_id,
-            p=verdict.case.p,
-            params=dict(verdict.case.params),
-            required_exponent=verdict.required_exponent,
-            achieved_valuation=verdict.achieved_valuation,
-            tier=verdict.tier,
-            passed=verdict.passed,
-            lhs=f"{verdict.lhs.numerator}/{verdict.lhs.denominator}",
-            elapsed_ms=round(elapsed_ms, 3),
-        )
+    def from_verdict(record: "ReportRecord", elapsed_ms: float) -> "ReportRecord":
+        """The verifier's record, timed."""
+        return replace(record, elapsed_ms=round(elapsed_ms, 3))
 
     @staticmethod
     def skipped(theorem_id: str, p: int, params: dict, reason: str) -> "ReportRecord":
@@ -53,18 +47,23 @@ class ReportRecord:
         return (self.theorem_id, self.p, tuple(sorted(self.params.items())))
 
     def to_dict(self) -> dict:
-        return {
-            key: "inf" if value == math.inf else value
-            for key, value in zip(FIELDS, _values(self))
-        }
+        d = dict(zip(FIELDS, _values(self)))
+        d["params"] = dict(sorted(self.params.items()))
+        if self.achieved_valuation == math.inf:
+            d["achieved_valuation"] = "inf"
+        if self.lhs is not None:
+            d["lhs"] = f"{self.lhs.numerator}/{self.lhs.denominator}"
+        return d
 
     @staticmethod
     def from_dict(d: dict) -> "ReportRecord":
-        return ReportRecord(*(math.inf if d[key] == "inf" else d[key] for key in FIELDS))
-
-    def lhs_fraction(self) -> Fraction:
-        num, den = self.lhs.split("/")
-        return Fraction(int(num), int(den))
+        """Inverse of to_dict; a CSV row must first pass through _CSV_DECODE."""
+        d = dict(d)
+        if d["achieved_valuation"] == "inf":
+            d["achieved_valuation"] = math.inf
+        if d["lhs"] is not None:
+            d["lhs"] = Fraction(d["lhs"])
+        return ReportRecord(*(d[key] for key in FIELDS))
 
 
 # Computed once at import, not per record: emit of large scans is a hot path.
@@ -87,7 +86,7 @@ _CSV_DECODE = {
 
 def _csv_cell(value):
     if isinstance(value, dict):
-        return json.dumps(value, sort_keys=True)
+        return json.dumps(value)
     if value is None:
         return ""
     if isinstance(value, bool):

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from hclab import _kernels
@@ -23,3 +25,14 @@ def kernel_calls(monkeypatch):
 
     monkeypatch.setattr(_kernels, "bernoulli_extend", counting)
     return calls
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Python's default 4300-digit int<->str limit, whatever ran before."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int<->str digit limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)

@@ -228,17 +228,6 @@ def test_computed_values_are_checked(monkeypatch):
     assert c.high_water == 2
 
 
-@pytest.fixture
-def default_digit_limit():
-    """Python's default 4300-digit int<->str limit, whatever ran before."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this Python has no int<->str digit limit")
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield
-    sys.set_int_max_str_digits(saved)
-
-
 def test_cache_file_past_int_str_digit_limit(tmp_path, cache, monkeypatch,
                                              default_digit_limit):
     """Numerators from B_2064 on have more than 4300 digits; the cache file

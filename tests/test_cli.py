@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, output formats, config precedence."""
 
 import json
+import sys
 
 import pytest
 
@@ -53,11 +54,12 @@ def test_verify_usage_errors(capsys):
 @pytest.mark.parametrize("theorem_id,p", [("wolstenholme", "9"), ("lehmer", "341")])
 def test_verify_composite_p_exit_two(capsys, theorem_id, p):
     # 341 = 11 * 31 is a base-2 pseudoprime
-    code, out, err = run_capture(capsys, ["verify", theorem_id, "--p", p])
-    assert code == 2 and out == "" and err == f"{p} is not prime\n"
+    for verb in ("verify", "scan"):
+        code, out, err = run_capture(capsys, [verb, theorem_id, "--p", p])
+        assert code == 2 and out == "" and err == f"{p} is not prime\n", verb
 
 
-def test_verify_past_int_str_digit_limit(capsys):
+def test_verify_past_int_str_digit_limit(capsys, default_digit_limit):
     # the exact left-hand side has more than 4300 decimal digits
     code, out, err = run_capture(
         capsys, ["verify", "thm-ee20", "--p", "1487", "--n", "6"]
@@ -65,6 +67,8 @@ def test_verify_past_int_str_digit_limit(capsys):
     assert code == 0 and err == ""
     rec = json.loads(out.splitlines()[0])
     assert rec["pass"] is True and rec["achieved_valuation"] == 6
+    # the command lifted the limit for itself only
+    assert sys.get_int_max_str_digits() == 4300
 
 
 @pytest.mark.parametrize(
@@ -257,6 +261,17 @@ def test_bernoulli_and_harmonic_verbs(capsys, tmp_path):
     assert code == 0 and out.strip() == "-691/2730"
     code, out, _ = run_capture(capsys, ["harmonic", "--m", "2", "--n", "3"])
     assert code == 0 and out.strip() == "49/36"
+
+
+def test_bernoulli_verb_fills_cache_exactly(capsys, tmp_path, kernel_calls):
+    """`bernoulli N` stores B_0..B_N, not the geometric growth of a bare read."""
+    path = tmp_path / "c.cache"
+    BernoulliCache(path=str(path)).extend_to(20)
+    kernel_calls.clear()
+    code, out, _ = run_capture(capsys, ["bernoulli", "21", "--cache", str(path)])
+    assert code == 0 and out == "0/1\n"
+    assert kernel_calls == [21]
+    assert len(path.read_text().splitlines()) == 22
 
 
 def test_cache_file_created_and_env_precedence(capsys, tmp_path, monkeypatch):

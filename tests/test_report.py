@@ -1,6 +1,7 @@
 """Report record serialization round-trips."""
 
 import math
+from fractions import Fraction
 
 from hclab import congruences as cg
 from hclab.report import ReportRecord, emit, parse
@@ -82,4 +83,6 @@ def test_skipped_record_shape():
 
 def test_lhs_fraction(cache):
     r = _records(cache)[1]
-    assert r.lhs_fraction() == cg.verify_thm_eecj(5, 1, 2, cache=cache).lhs
+    assert r.lhs == Fraction(5625, 32)
+    for fmt in ("json", "csv"):
+        assert parse(emit([r], fmt), fmt)[0].lhs == Fraction(5625, 32)
