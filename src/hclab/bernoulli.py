@@ -2,17 +2,26 @@
 
 Every verifier in the package funnels its Bernoulli needs through a
 BernoulliCache, filled from the tangent-number kernel in as few calls as
-possible: the kernel rebuilds its triangle from B_0 on every call.  The cache
-checks the sign and the Von Staudt-Clausen denominator of each even-index
-value it loads or computes: a wrong value would silently poison every
-downstream verdict.
+possible: the kernel rebuilds its triangle from B_0 on every call.  A wrong
+value would silently poison every downstream verdict, so the cache puts each
+even-index value B_2k it loads or computes through four checks:
+
+- sign: B_2k has the sign (-1)^(k+1);
+- denominator: it is the product of the primes p with (p-1) | 2k;
+- full Von Staudt-Clausen: B_2k plus the sum of those 1/p is an integer;
+- magnitude: log|B_2k| is log 2 + log (2k)! - 2k log 2pi to within 1.
+
+The last three read one table, sieved once per process up to CEILING (or
+further, if a larger index is asked for), so each check is O(1) per index.
 """
 
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd, lgamma, log, pi
 
 from . import _kernels
 from .errors import CacheFileCorrupt, HypothesisViolated, IndexCeilingExceeded
@@ -27,15 +36,42 @@ def check_ceiling(n: int) -> None:
         raise IndexCeilingExceeded(f"needs Bernoulli index {n}, beyond ceiling {CEILING}")
 
 
+# Von Staudt-Clausen data by index, filled for even indices only: the
+# denominator of B_n, the product of the primes p with (p-1) | n, and the sum
+# of den/p over those primes.  Built by _von_staudt_table, once per process.
+_vsc_dens: list[int] = []
+_vsc_sums: list[int] = []
+
+
+def _von_staudt_table(n: int) -> None:
+    """Sieve the Von Staudt-Clausen data up to max(n, CEILING), unless the
+    table already reaches n."""
+    global _vsc_dens, _vsc_sums
+    if n < len(_vsc_dens):
+        return
+    from .primes import primes_in
+
+    top = max(n, CEILING)
+    primes = primes_in(2, top + 1)
+    # p - 1 is even for odd p; p = 2 divides the denominator at every even index
+    steps = [(p, max(p - 1, 2)) for p in primes]
+    dens = [1] * (top + 1)
+    for p, step in steps:
+        for i in range(step, top + 1, step):
+            dens[i] *= p
+    sums = [0] * (top + 1)
+    for p, step in steps:
+        for i in range(step, top + 1, step):
+            sums[i] += dens[i] // p
+    _vsc_dens, _vsc_sums = dens, sums
+
+
 def von_staudt_denominator(two_j: int) -> int:
     """Product of the primes p with (p-1) | two_j; the denominator of B_{two_j}."""
     if two_j < 2 or two_j % 2:
         raise ValueError("index must be a positive even integer")
-    d = 1
-    for div in range(1, two_j + 1):
-        if two_j % div == 0 and is_prime(div + 1):
-            d *= div + 1
-    return d
+    _von_staudt_table(two_j)
+    return _vsc_dens[two_j]
 
 
 def _check_value(n: int, num: int, den: int) -> None:
@@ -52,6 +88,13 @@ def _check_value(n: int, num: int, den: int) -> None:
             raise ValueError(f"B_{n} must be {'positive' if n % 4 == 2 else 'negative'}")
         if den != von_staudt_denominator(n):
             raise ValueError(f"B_{n} denominator fails the Von Staudt-Clausen check")
+        # B_n + sum(1/p) is an integer; the table reaches n after the lookup
+        if (num + _vsc_sums[n]) % den:
+            raise ValueError(f"B_{n} numerator fails the full Von Staudt-Clausen check")
+        # |B_n| = 2 n! zeta(n) / (2 pi)^n, and 0 < log zeta(n) <= log(pi^2/6) < 0.5
+        log_magnitude = log(2) + lgamma(n + 1) - n * log(2 * pi)
+        if abs(log(abs(num)) - log(den) - log_magnitude) > 1:
+            raise ValueError(f"B_{n} magnitude is off from 2 n! / (2 pi)^n")
 
 
 @contextmanager
@@ -230,7 +273,8 @@ def is_irregular_pair(p: int, two_k: int, cache: BernoulliCache | None = None) -
 
 def irregular_pairs(p_max: int, cache: BernoulliCache | None = None):
     """All irregular pairs (p, 2k) with p <= p_max, sorted; each B_2k is read
-    once and tested against every prime p >= 2k + 3."""
+    once, and one gcd with the product of the primes p >= 2k + 3 picks out
+    the primes to test."""
     from .primes import primes_in
 
     # The largest prime P <= p_max sets the top read, B_{P-3}; it is looked
@@ -240,8 +284,14 @@ def irregular_pairs(p_max: int, cache: BernoulliCache | None = None):
     primes = primes_in(5, p_max)
     top = max(primes, default=2) - 3
     (cache or _default_cache).extend_to(top)  # one kernel call for every read
+    # suffix[i] is the product of primes[i:]
+    suffix = [1] * (len(primes) + 1)
+    for i in range(len(primes) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] * primes[i]
     out = []
     for two_k in range(2, top + 1, 2):
-        num = bernoulli(two_k, cache).numerator
-        out += [(p, two_k) for p in primes if p >= two_k + 3 and num % p == 0]
+        first = bisect_left(primes, two_k + 3)
+        g = gcd(bernoulli(two_k, cache).numerator, suffix[first])
+        if g > 1:
+            out += [(p, two_k) for p in primes[first:] if g % p == 0]
     return sorted(out)

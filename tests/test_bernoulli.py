@@ -23,7 +23,7 @@ from hclab.bernoulli import (
     von_staudt_denominator,
 )
 from hclab.errors import HypothesisViolated, IndexCeilingExceeded
-from hclab.exact import vp
+from hclab.exact import is_prime, vp
 from hclab.primes import primes_in
 
 # hclab re-exports the function bernoulli under the module's own name
@@ -38,6 +38,16 @@ def triangle_bernoulli(n: int) -> Fraction:
     for i in range(1, n + 1):
         row = [(j + 1) * (row[j] - row[j + 1]) for j in range(n + 1 - i)]
     return row[0]
+
+
+def divisor_walk_denominator(n: int) -> int:
+    """Independent oracle: the product of the primes p with (p-1) | n, found
+    by walking every divisor of n."""
+    d = 1
+    for div in range(1, n + 1):
+        if n % div == 0 and is_prime(div + 1):
+            d *= div + 1
+    return d
 
 
 def test_values_match_triangle_oracle(cache):
@@ -62,8 +72,16 @@ def test_von_staudt_denominators(cache):
     assert von_staudt_denominator(12) == 2730
     for n in range(2, 601, 2):
         assert bernoulli(n, cache).denominator == von_staudt_denominator(n)
-    with pytest.raises(ValueError):
-        von_staudt_denominator(3)
+    for n in (3, 0, -2):
+        with pytest.raises(ValueError):
+            von_staudt_denominator(n)
+
+
+def test_von_staudt_sieve_matches_divisor_walk():
+    """The sieved table against the divisor walk, at every even index up to
+    CEILING and at a few past it, where the table has to grow."""
+    for n in [*range(2, CEILING + 1, 2), 2502, 5000]:
+        assert von_staudt_denominator(n) == divisor_walk_denominator(n), n
 
 
 def test_recurrence_full_range(cache):
@@ -109,6 +127,20 @@ def test_irregular_pairs_to_150(cache):
     assert not is_irregular_pair(37, 31, cache)  # odd: B_31 = 0
     assert not is_irregular_pair(37, 0, cache)
     assert not is_irregular_pair(13, 10, cache)  # p = 2k+3, B_10 = 5/66
+
+
+def test_irregular_pairs_match_plain_remainder_loop(cache):
+    """The gcd filter finds exactly the pairs that testing num % p for every
+    prime p >= 2k + 3 finds, at every bound up to 400."""
+    nums = {two_k: bernoulli(two_k, cache).numerator for two_k in range(2, 398, 2)}
+    for p_max in range(401):
+        expected = sorted(
+            (p, two_k)
+            for p in primes_in(5, p_max)
+            for two_k in range(2, p - 2, 2)
+            if nums[two_k] % p == 0
+        )
+        assert irregular_pairs(p_max, cache) == expected, p_max
 
 
 def test_irregular_pairs_match_valuation_oracle(cache):
@@ -226,6 +258,35 @@ def test_computed_values_are_checked(monkeypatch):
     with pytest.raises(ValueError, match="B_4 must be negative"):
         c.extend_to(6)
     assert c.high_water == 2
+
+
+def test_computed_numerator_is_checked(monkeypatch):
+    """A kernel that gets B_6 = 1/42 off by one in its numerator, with the
+    right sign and denominator, is caught, and nothing is stored."""
+    kernel = hclab._kernels.bernoulli_extend
+
+    def bump_b6(nums, dens, upto):
+        kernel(nums, dens, upto)
+        nums[6] += 1
+
+    c = BernoulliCache()
+    c.extend_to(2)
+    monkeypatch.setattr(hclab._kernels, "bernoulli_extend", bump_b6)
+    with pytest.raises(ValueError, match="B_6 numerator fails the full Von Staudt-Clausen"):
+        c.extend_to(8)
+    assert c.high_water == 2
+
+
+def test_cache_file_reaches_ceiling(tmp_path, kernel_calls):
+    """The documented limit is reachable under every check: one kernel call
+    fills a file to CEILING, and reloading it checks every index again."""
+    path = tmp_path / "ceiling.cache"
+    filled = BernoulliCache(path=str(path))
+    filled.extend_to(CEILING)
+    assert kernel_calls == [CEILING]
+    reloaded = BernoulliCache(path=str(path))
+    assert reloaded.high_water == CEILING
+    assert reloaded.get(CEILING) == filled.get(CEILING)
 
 
 def test_cache_file_past_int_str_digit_limit(tmp_path, cache, monkeypatch,

@@ -82,6 +82,10 @@ def test_verify_past_int_str_digit_limit(capsys, default_digit_limit):
         ("0 1/1\n1 -1/2\n2 1/6\n3 0/0\n", "B_3 must vanish, stored as 0/1"),
         # the right denominator, the wrong sign: B_4 = -1/30
         ("0 1/1\n1 -1/2\n2 1/6\n3 0/1\n4 1/30\n", "B_4 must be negative"),
+        # the right sign and denominator, but 5/6 + 1/2 + 1/3 is no integer
+        ("0 1/1\n1 -1/2\n2 5/6\n", "B_2 numerator fails the full Von Staudt-Clausen"),
+        # passes full Von Staudt-Clausen too, but is 10^9 times too large
+        ("0 1/1\n1 -1/2\n2 1/6\n3 0/1\n4 -30000000001/30\n", "B_4 magnitude"),
     ],
 )
 def test_malformed_cache_exit_two(capsys, tmp_path, body, problem):
