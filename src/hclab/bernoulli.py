@@ -17,9 +17,10 @@ further, if a larger index is asked for), so each check is O(1) per index.
 
 from __future__ import annotations
 
+import os
 import sys
 from bisect import bisect_left
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from fractions import Fraction
 from math import gcd, lgamma, log, pi
 
@@ -113,10 +114,11 @@ def any_digits():
 
 
 class BernoulliCache:
-    """Append-only store of exact B_n, optionally mirrored to a text file.
+    """Growing store of exact B_n, optionally mirrored to a text file.
 
     File format: one record per line, ``<index> <num>/<den>``, indices
     strictly increasing and contiguous from 0 (odd indices stored as 0/1).
+    Each fill rewrites the whole file and replaces the old one atomically.
     ``extend_to(n)`` fills exactly to n; ``get(n)`` past the stored run grows
     it geometrically, so single-index readers make few kernel calls.
     """
@@ -162,7 +164,7 @@ class BernoulliCache:
                 self._dens.append(den)
 
     def extend_to(self, n: int):
-        """Store B_0..B_n, computing and appending to the file what is missing."""
+        """Store B_0..B_n, computing what is missing and rewriting the file."""
         check_ceiling(n)
         old = len(self._nums)
         if n < old:
@@ -175,9 +177,22 @@ class BernoulliCache:
             del self._nums[old:], self._dens[old:]
             raise
         if self._path is not None:
-            with open(self._path, "a", encoding="utf-8") as fh, any_digits():
-                for i in range(old, n + 1):
-                    fh.write(f"{i} {self._nums[i]}/{self._dens[i]}\n")
+            self._store()
+
+    def _store(self):
+        """Rewrite the file with every stored value, through a temporary file
+        in its directory that then replaces it: a write cut short leaves the
+        old file whole."""
+        tmp = f"{self._path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh, any_digits():
+                for i, (num, den) in enumerate(zip(self._nums, self._dens)):
+                    fh.write(f"{i} {num}/{den}\n")
+            os.replace(tmp, self._path)
+        except BaseException:
+            with suppress(FileNotFoundError):
+                os.remove(tmp)
+            raise
 
     def get(self, n: int) -> Fraction:
         if n < 0:

@@ -11,7 +11,6 @@ import argparse
 import itertools
 import os
 import sys
-import time
 from fractions import Fraction
 
 from . import congruences as cg
@@ -20,6 +19,7 @@ from .bernoulli import (
 )
 from .errors import HclabError, HypothesisViolated
 from .exact import is_prime
+from .harmonic import check_ceiling as check_harmonic_ceiling
 from .harmonic import harmonic
 from .primes import classify, primes_in
 from .report import ReportRecord, emit
@@ -60,10 +60,23 @@ def _emit_records(records, args) -> None:
         sys.stdout.write(text)
 
 
-def _record_for(theorem_id: str, p: int, params: dict, cache) -> ReportRecord:
-    t0 = time.perf_counter()
-    record = cg.THEOREMS[theorem_id].run(p, params, cache)
-    return ReportRecord.from_verdict(record, (time.perf_counter() - t0) * 1000.0)
+def _judge(theorem_id: str, p: int, group: list[dict], scan: bool,
+           cache) -> list[ReportRecord]:
+    """The timed records on one group of cases.  A scan skips the cases that
+    fail the theorem's hypothesis, and the whole group if its verifier finds
+    a hypothesis violated; `verify` ends with that violation instead."""
+    theorem = cg.THEOREMS[theorem_id]
+    held = [a for a in group if not scan or theorem.hypothesis(p, a)]
+    try:
+        timed = theorem.judge(p, held, cache) if held else []
+    except HypothesisViolated:
+        if not scan:
+            raise
+        held, timed = [], []
+    return [ReportRecord.from_verdict(record, ms) for record, ms in timed] + [
+        ReportRecord.skipped(theorem_id, p, theorem.case(a), "hypothesis")
+        for a in group if a not in held
+    ]
 
 
 def _prime_bounds(args) -> tuple[int, int]:
@@ -109,25 +122,25 @@ def _cmd_grid(args) -> int:
     cache = _cache_from(args)
     primes = primes_in(p_lo, p_hi) if scan else [p_lo]
     if primes:
+        # Every theorem reads harmonic numbers H_n with n <= p - 1.
+        check_harmonic_ceiling(max(primes) - 1)
         # One kernel call fills the grid's need, taken at the largest prime
         # in the grid rather than at --p-max.
         cache.extend_to(theorem.bernoulli_need(max(primes), grids, args.tier))
+    # A theorem with a walk judges all values of its last param as one group.
+    fixed = theorem.params[:-1] if theorem.walk else theorem.params
     records = []
     for p in primes:
-        for combo in itertools.product(*grids.values()):
-            params = dict(zip(theorem.params, combo))
+        for combo in itertools.product(*(grids[name] for name in fixed)):
+            params = dict(zip(fixed, combo))
             if args.tier is not None:
                 params["tier"] = args.tier
-            try:
-                if scan and not theorem.hypothesis(p, params):
-                    raise HypothesisViolated
-                records.append(_record_for(args.id, p, params, cache))
-            except HypothesisViolated:
-                if not scan:
-                    raise
-                records.append(
-                    ReportRecord.skipped(args.id, p, theorem.case(params), "hypothesis")
-                )
+            if theorem.walk:
+                last = theorem.params[-1]
+                group = [{**params, last: length} for length in grids[last]]
+            else:
+                group = [params]
+            records += _judge(args.id, p, group, scan, cache)
     records.sort(key=ReportRecord.sort_key)
     _emit_records(records, args)
     return 1 if any(r.passed is False for r in records) else 0
@@ -171,7 +184,8 @@ def _cmd_selftest(args) -> int:
     for theorem_id, case, expected, expected_valuation in GOLD_VECTORS:
         p = case["p"]
         params = {k: v for k, v in case.items() if k != "p"}
-        record = _record_for(theorem_id, p, params, cache)
+        [(record, ms)] = cg.THEOREMS[theorem_id].judge(p, [params], cache)
+        record = ReportRecord.from_verdict(record, ms)
         lhs = record.lhs
         if isinstance(expected, Fraction):
             good = lhs == expected

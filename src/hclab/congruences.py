@@ -4,20 +4,23 @@ Every verifier computes its left-hand side exactly, takes the p-adic
 valuation, and compares against the claimed modulus exponent.  Theorems whose
 strength depends on side conditions (the tier ladders) resolve the largest
 provable tier first, then judge the congruence at that tier; callers may pin
-a tier instead to probe the ladder rung by rung.
+a tier instead to probe the ladder rung by rung.  Theorems that truncate one
+series judge every length of a grid in one pass over its terms.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import time
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, count, islice
 
 from .bernoulli import BernoulliCache, bernoulli, is_irregular_pair
 from .errors import HypothesisViolated
 from .exact import binomial, vp
 from .harmonic import harmonic
-from .primes import fermat_quotient, q_series
+from .primes import fermat_quotient, q_series, q_terms
 from .report import ReportRecord
 
 EXPANSION_IDS = ("e10ee", "e10eed", "e10eee", "e10eeeff")
@@ -34,6 +37,30 @@ def _verdict(theorem_id, p, lhs, exponent, tier=None, **params) -> ReportRecord:
 def _require(cond: bool, msg: str):
     if not cond:
         raise HypothesisViolated(msg)
+
+
+def _walk(lengths: Sequence[int], series: Iterator[Fraction],
+          judge: Callable[[int, Fraction], ReportRecord]) -> list[tuple[ReportRecord, float]]:
+    """Judge a truncated series at every length in ascending ``lengths``, in
+    one pass.
+
+    ``series`` yields the left-hand side at length 0, then the terms j = 0,
+    1, ..., each added once to a running left-hand side; ``judge(L, lhs)``
+    makes the record at length L.  Each record is paired with the ms spent
+    on it: extending the sum from the previous length, then judging it.  So
+    the times of one pass add up to the pass.
+    """
+    timed = []
+    t0 = time.perf_counter()
+    lhs, done = next(series), 0
+    for length in lengths:
+        lhs = sum(islice(series, length - done), lhs)
+        done = length
+        record = judge(length, lhs)
+        t1 = time.perf_counter()
+        timed.append((record, (t1 - t0) * 1000.0))
+        t0 = t1
+    return timed
 
 
 # -- coefficient families -----------------------------------------------------
@@ -94,8 +121,41 @@ def verify_lehmer(p: int) -> ReportRecord:
 # -- p-adic expansions of the harmonic numbers --------------------------------
 
 
-def verify_expansion_truncation(which: str, k: int, p: int, J: int) -> ReportRecord:
-    """Truncation of one of the four harmonic expansions at j < J.
+def _expansion_series(which: str, k: int, p: int) -> Iterator[Fraction]:
+    """The left-hand side of one of the four expansions at J = 0, then its
+    terms j = 0, 1, ...
+
+    Each term multiplies one harmonic number by a rational coefficient formed
+    from integers first, so it costs one multiplication of large fractions.
+    """
+    half = (p - 1) // 2
+    if which == "e10ee":
+        yield -harmonic(k, p - 1)
+        for j in count():
+            yield (-1) ** k * binomial(j + k - 1, j) * p**j * harmonic(k + j, p - 1)
+    elif which == "e10eed":
+        yield -harmonic(2 * k, p - 1)
+        yield 2 * harmonic(2 * k, half)
+        for j in count(1):
+            yield binomial(j + 2 * k - 1, j) * p**j * harmonic(2 * k + j, half)
+    elif which == "e10eee":
+        yield -harmonic(k, p - 1)
+        yield Fraction(1 + (-1) ** k, 2**k) * harmonic(k, half)
+        for j in count(1):
+            yield (Fraction((-1) ** k * binomial(j + k - 1, j) * p**j, 2 ** (j + k))
+                   * harmonic(k + j, half))
+    else:  # e10eeeff
+        yield 2 * (2 ** (2 * k) - 1) * harmonic(2 * k, half)
+        yield Fraction(0)
+        for j in count(1):
+            yield (Fraction(binomial(j + 2 * k - 1, j) * (2 ** (2 * k + j) - 1) * p**j, 2**j)
+                   * harmonic(2 * k + j, half))
+
+
+def verify_expansion_truncations(which: str, k: int, p: int,
+                                 Js: Sequence[int]) -> list[tuple[ReportRecord, float]]:
+    """Truncations of one of the four harmonic expansions at j < J, for each
+    J in ascending ``Js``, in one pass.
 
     The left-hand side is (truncated series) - (target value); every omitted
     term carries p^j with j >= J times a p-integral cofactor, so the claimed
@@ -104,50 +164,16 @@ def verify_expansion_truncation(which: str, k: int, p: int, J: int) -> ReportRec
     if which not in EXPANSION_IDS:
         raise ValueError(f"unknown expansion {which!r}")
     _require(k >= 1, "needs k >= 1")
-    _require(J >= 0, "needs J >= 0")
-    half = (p - 1) // 2
-    if which == "e10ee":
-        series = (-1) ** k * sum(
-            (binomial(j + k - 1, j) * harmonic(k + j, p - 1) * Fraction(p) ** j
-             for j in range(J)),
-            Fraction(0),
-        )
-        lhs = series - harmonic(k, p - 1)
-    elif which == "e10eed":
+    _require(all(J >= 0 for J in Js), "needs J >= 0")
+    if which != "e10ee":
         _require(p % 2 == 1, "needs odd p")
-        series = sum(
-            (binomial(j + 2 * k - 1, j) * harmonic(2 * k + j, half) * Fraction(p) ** j
-             for j in range(1, J)),
-            Fraction(0),
-        )
-        head = 2 * harmonic(2 * k, half) if J >= 1 else Fraction(0)
-        lhs = head + series - harmonic(2 * k, p - 1)
-    elif which == "e10eee":
-        _require(p % 2 == 1, "needs odd p")
-        series = (-1) ** k * sum(
-            (binomial(j + k - 1, j)
-             * Fraction(1, 2 ** (j + k))
-             * harmonic(k + j, half)
-             * Fraction(p) ** j
-             for j in range(1, J)),
-            Fraction(0),
-        )
-        head = (
-            Fraction(1 + (-1) ** k, 2**k) * harmonic(k, half) if J >= 1 else Fraction(0)
-        )
-        lhs = head + series - harmonic(k, p - 1)
-    else:  # e10eeeff
-        _require(p % 2 == 1, "needs odd p")
-        series = sum(
-            (binomial(j + 2 * k - 1, j)
-             * Fraction(2 ** (2 * k + j) - 1, 2**j)
-             * harmonic(2 * k + j, half)
-             * Fraction(p) ** j
-             for j in range(1, J)),
-            Fraction(0),
-        )
-        lhs = 2 * (2 ** (2 * k) - 1) * harmonic(2 * k, half) + series
-    return _verdict(f"expansion-{which}", p, lhs, J, k=k, J=J)
+    return _walk(Js, _expansion_series(which, k, p),
+                 lambda J, lhs: _verdict(f"expansion-{which}", p, lhs, J, k=k, J=J))
+
+
+def verify_expansion_truncation(which: str, k: int, p: int, J: int) -> ReportRecord:
+    """The truncation at j < J alone; see verify_expansion_truncations."""
+    return verify_expansion_truncations(which, k, p, [J])[0][0]
 
 
 def verify_cor_remark0(which: str, k: int, p: int) -> ReportRecord:
@@ -235,17 +261,11 @@ def _ee10bis_tier(p: int, n: int, i: int,
     return 1
 
 
-def _ee10bis_series(p: int, i: int, terms: int,
-                    cache: BernoulliCache | None) -> Fraction:
-    """sum(C(j+2i,2i) B_j H^(j+2i+1)_{p-1} (-p)^j, j < terms)."""
-    return sum(
-        (binomial(j + 2 * i, 2 * i)
-         * bernoulli(j, cache)
-         * harmonic(j + 2 * i + 1, p - 1)
-         * Fraction(-p) ** j
-         for j in range(terms)),
-        Fraction(0),
-    )
+def _ee10bis_terms(p: int, i: int, cache: BernoulliCache | None) -> Iterator[Fraction]:
+    """C(j+2i,2i) B_j H^(j+2i+1)_{p-1} (-p)^j for j = 0, 1, ..."""
+    for j in count():
+        yield (binomial(j + 2 * i, 2 * i) * (-p) ** j * bernoulli(j, cache)
+               * harmonic(j + 2 * i + 1, p - 1))
 
 
 def verify_thm_ee10bis(p: int, n: int, i: int, tier: int | None = None,
@@ -259,16 +279,25 @@ def verify_thm_ee10bis(p: int, n: int, i: int, tier: int | None = None,
     _require(p >= 2, "needs a prime")
     _require(n >= 0 and i >= 0, "needs n, i >= 0")
     m = _ee10bis_tier(p, n, i, cache) if tier is None else tier
-    lhs = _ee10bis_series(p, i, 2 * n + 2, cache)
+    lhs = sum(islice(_ee10bis_terms(p, i, cache), 2 * n + 2), Fraction(0))
     return _verdict("thm-ee10bis", p, lhs, 2 * n + m, tier=m, n=n, i=i)
+
+
+def verify_cor_ee10biss_truncations(p: int, i: int, ks: Sequence[int],
+                                    cache: BernoulliCache | None = None
+                                    ) -> list[tuple[ReportRecord, float]]:
+    """The same series truncated at j < k is divisible by p^k (odd p), for
+    each k in ascending ``ks``, in one pass."""
+    _require(p % 2 == 1 and p >= 3, "needs odd p")
+    _require(all(k >= 1 for k in ks), "needs k >= 1")
+    return _walk(ks, chain([Fraction(0)], _ee10bis_terms(p, i, cache)),
+                 lambda k, lhs: _verdict("cor-ee10biss", p, lhs, k, i=i, k=k))
 
 
 def verify_cor_ee10biss(p: int, i: int, k: int,
                         cache: BernoulliCache | None = None) -> ReportRecord:
-    """The same series truncated at j < k is divisible by p^k (odd p)."""
-    _require(p % 2 == 1 and p >= 3, "needs odd p")
-    _require(k >= 1, "needs k >= 1")
-    return _verdict("cor-ee10biss", p, _ee10bis_series(p, i, k, cache), k, i=i, k=k)
+    """The truncation at j < k alone; see verify_cor_ee10biss_truncations."""
+    return verify_cor_ee10biss_truncations(p, i, [k], cache)[0][0]
 
 
 # -- the half-index even-order ladder -----------------------------------------
@@ -295,19 +324,12 @@ def _eecj_tier(p: int, n: int, i: int, cache: BernoulliCache | None) -> int:
     return 0
 
 
-def _eecj_series(p: int, i: int, terms: int,
-                 cache: BernoulliCache | None) -> Fraction:
-    """sum(C(j+2i-1,j+1) (2^(j+2i)-1)/2^j C_j H^(j+2i)_{(p-1)/2} p^j, j < terms)."""
+def _eecj_terms(p: int, i: int, cache: BernoulliCache | None) -> Iterator[Fraction]:
+    """C(j+2i-1,j+1) (2^(j+2i)-1)/2^j C_j H^(j+2i)_{(p-1)/2} p^j for j = 0, 1, ..."""
     half = (p - 1) // 2
-    return sum(
-        (binomial(j + 2 * i - 1, j + 1)
-         * Fraction(2 ** (j + 2 * i) - 1, 2**j)
-         * coeff_c(j, cache)
-         * harmonic(j + 2 * i, half)
-         * Fraction(p) ** j
-         for j in range(terms)),
-        Fraction(0),
-    )
+    for j in count():
+        yield (Fraction(binomial(j + 2 * i - 1, j + 1) * (2 ** (j + 2 * i) - 1) * p**j, 2**j)
+               * coeff_c(j, cache) * harmonic(j + 2 * i, half))
 
 
 def verify_thm_eecj(p: int, n: int, i: int, tier: int | None = None,
@@ -320,22 +342,35 @@ def verify_thm_eecj(p: int, n: int, i: int, tier: int | None = None,
     _require(p >= 3, "needs odd p")
     _require(n >= 1 and i >= 1, "needs n, i >= 1")
     m = _eecj_tier(p, n, i, cache) if tier is None else tier
-    return _verdict("thm-eecj", p, _eecj_series(p, i, 2 * n, cache), 2 * n + m,
-                    tier=m, n=n, i=i)
+    lhs = sum(islice(_eecj_terms(p, i, cache), 2 * n), Fraction(0))
+    return _verdict("thm-eecj", p, lhs, 2 * n + m, tier=m, n=n, i=i)
+
+
+def _eecjj_exponent(p: int, J: int) -> int:
+    """J, less one when J is odd and (p-1) | (J+1).
+
+    The first omitted term carries B_{J+1}, whose denominator contains p
+    exactly then; the 2^(J+2)-1 factor protects B_{J+2} but not B_{J+1}, so
+    that term only contributes p^(J-1).
+    """
+    return J - 1 if (J % 2 == 1 and (J + 1) % (p - 1) == 0) else J
+
+
+def verify_cor_eecjj_truncations(p: int, Js: Sequence[int],
+                                 cache: BernoulliCache | None = None
+                                 ) -> list[tuple[ReportRecord, float]]:
+    """The i=1 series truncated at j < J is divisible by p^J, or by p^(J-1)
+    where _eecjj_exponent drops it (odd p), for each J in ascending ``Js``,
+    in one pass."""
+    _require(p % 2 == 1 and p >= 3, "needs odd p")
+    _require(all(J >= 1 for J in Js), "needs J >= 1")
+    return _walk(Js, chain([Fraction(0)], _eecj_terms(p, 1, cache)),
+                 lambda J, lhs: _verdict("cor-eecjj", p, lhs, _eecjj_exponent(p, J), J=J))
 
 
 def verify_cor_eecjj(p: int, J: int, cache: BernoulliCache | None = None) -> ReportRecord:
-    """The i=1 series truncated at j < J is divisible by p^J (odd p).
-
-    One exception: the first omitted term carries B_{J+1}, whose denominator
-    contains p exactly when J is odd and (p-1) | (J+1); the 2^(J+2)-1 factor
-    protects B_{J+2} but not B_{J+1}, so that term only contributes p^(J-1)
-    and the claimed exponent drops by one.
-    """
-    _require(p % 2 == 1 and p >= 3, "needs odd p")
-    _require(J >= 1, "needs J >= 1")
-    exponent = J - 1 if (J % 2 == 1 and (J + 1) % (p - 1) == 0) else J
-    return _verdict("cor-eecjj", p, _eecj_series(p, 1, J, cache), exponent, J=J)
+    """The truncation at j < J alone; see verify_cor_eecjj_truncations."""
+    return verify_cor_eecjj_truncations(p, [J], cache)[0][0]
 
 
 # -- the odd-order half-index results -----------------------------------------
@@ -380,8 +415,22 @@ def verify_prop42(p: int, n: int, h: int,
     return _verdict("prop42", p, lhs, n - 1, n=n, h=h)
 
 
-def verify_thm_ee20(p: int, n: int, cache: BernoulliCache | None = None) -> ReportRecord:
-    """The final theorem: the B/H series plus the q_p series, modulo p^n.
+def _ee20_series(p: int, cache: BernoulliCache | None) -> Iterator[Fraction]:
+    """0, then the terms j = 0, 1, ... of the B/H series plus the q_p series."""
+    yield Fraction(0)
+    half = (p - 1) // 2
+    q = q_terms(fermat_quotient(p), p)
+    for j in count():
+        coeff = Fraction((2 ** (j + 1) - 1) * (2 ** (j + 2) - 1) * 2 * p**j,
+                         (j + 1) * (j + 2) * 2**j)
+        yield coeff * bernoulli(j + 2, cache) * harmonic(j + 1, half) + next(q)
+
+
+def verify_thm_ee20_truncations(p: int, ns: Sequence[int],
+                                cache: BernoulliCache | None = None
+                                ) -> list[tuple[ReportRecord, float]]:
+    """The final theorem: the B/H series plus the q_p series, modulo p^n, for
+    each n in ascending ``ns``, in one pass.
 
     The sum is well-defined for any odd p, so the p > (n+1)/2 hypothesis is
     deliberately not enforced here: evaluating just outside it is how the
@@ -389,20 +438,13 @@ def verify_thm_ee20(p: int, n: int, cache: BernoulliCache | None = None) -> Repo
     Grid scans apply the hypothesis as a skip filter instead.
     """
     _require(p % 2 == 1 and p >= 3, "needs odd p")
-    _require(n >= 1, "needs n >= 1")
-    half = (p - 1) // 2
-    q = fermat_quotient(p)
-    lhs = sum(
-        (Fraction(2 ** (j + 1) - 1, j + 1)
-         * Fraction(2 ** (j + 2) - 1, j + 2)
-         * bernoulli(j + 2, cache)
-         * Fraction(2) ** (1 - j)
-         * harmonic(j + 1, half)
-         * Fraction(p) ** j
-         for j in range(n)),
-        Fraction(0),
-    ) + q_series(q, p, n)
-    return _verdict("thm-ee20", p, lhs, n, n=n)
+    _require(all(n >= 1 for n in ns), "needs n >= 1")
+    return _walk(ns, _ee20_series(p, cache), lambda n, lhs: _verdict("thm-ee20", p, lhs, n, n=n))
+
+
+def verify_thm_ee20(p: int, n: int, cache: BernoulliCache | None = None) -> ReportRecord:
+    """The truncation at j < n alone; see verify_thm_ee20_truncations."""
+    return verify_thm_ee20_truncations(p, [n], cache)[0][0]
 
 
 def verify_intermediate_47(p: int, n: int,
@@ -448,22 +490,43 @@ class Theorem:
     """What `verify` and `scan` know of one theorem id.
 
     ``params`` name the grid parameters as their CLI flags do.  ``run(p, args,
-    cache)`` is the verdict on one case (``args`` also holds a pinned ``tier``)
-    and calls its verifier by module-level name, so a profiler can wrap it.
-    ``bernoulli_need(p_hi, grids, tier)`` bounds every Bernoulli index that
-    cases with p <= p_hi read (-1 for none); ``verify`` and ``scan`` fill the
-    cache to it before the first case.  Scans skip cases failing ``hypothesis``.
+    cache)`` is the verdict on one case (``args`` also holds a pinned ``tier``).
+    A theorem that truncates one series at its last param has a ``walk(p,
+    args, lengths, cache)`` instead, which judges every length in ascending
+    ``lengths`` in one pass and pairs each record with its time, as `_walk`
+    does.  Both call their verifier by module-level name, so a profiler can
+    wrap it.  ``bernoulli_need(p_hi, grids, tier)`` bounds every Bernoulli
+    index that cases with p <= p_hi read (-1 for none); ``verify`` and
+    ``scan`` fill the cache to it before the first case.  Scans skip cases
+    failing ``hypothesis``; with a ``walk``, it states every condition its
+    verifier puts on the last param, so that a scan walks only lengths the
+    verifier accepts.
     """
 
     params: tuple[str, ...]
-    run: Callable[[int, dict, BernoulliCache | None], ReportRecord]
+    run: Callable[[int, dict, BernoulliCache | None], ReportRecord] | None = None
     bernoulli_need: Callable[[int, dict, int | None], int] = lambda p_hi, g, tier: -1
     hypothesis: Callable[[int, dict], bool] = lambda p, a: True
     tiered: bool = False
+    walk: Callable[[int, dict, list[int], BernoulliCache | None],
+                   list[tuple[ReportRecord, float]]] | None = None
 
     def case(self, args: dict) -> dict:
         """The params a record on these arguments names (``j_terms`` as J)."""
         return {"J" if n == "j_terms" else n: args[n] for n in self.params}
+
+    def judge(self, p: int, cases: list[dict],
+              cache: BernoulliCache | None) -> list[tuple[ReportRecord, float]]:
+        """The record on each case, paired with the ms spent on it.  With a
+        ``walk``, the cases differ only in the last param, which ascends."""
+        if self.walk is not None:
+            return self.walk(p, cases[0], [a[self.params[-1]] for a in cases], cache)
+        timed = []
+        for args in cases:
+            t0 = time.perf_counter()
+            record = self.run(p, args, cache)
+            timed.append((record, (time.perf_counter() - t0) * 1000.0))
+        return timed
 
 
 def _ladder_need(offset: int):
@@ -490,8 +553,8 @@ THEOREMS: dict[str, Theorem] = {
     "eisenstein": Theorem((), lambda p, a, c: verify_eisenstein(p)),
     "lehmer": Theorem((), lambda p, a, c: verify_lehmer(p)),
     **{f"expansion-{w}": Theorem(
-        ("k", "j_terms"),
-        lambda p, a, c, w=w: verify_expansion_truncation(w, a["k"], p, a["j_terms"]),
+        ("k", "j_terms"), hypothesis=lambda p, a: a["j_terms"] >= 0,
+        walk=lambda p, a, Js, c, w=w: verify_expansion_truncations(w, a["k"], p, Js),
     ) for w in EXPANSION_IDS},
     **{f"cor-remark0-{idx}": Theorem(
         ("k",), lambda p, a, c, w=w: verify_cor_remark0(w, a["k"], p),
@@ -505,22 +568,25 @@ THEOREMS: dict[str, Theorem] = {
         _ladder_need(5), tiered=True,
     ),
     "cor-ee10biss": Theorem(
-        ("i", "k"), lambda p, a, c: verify_cor_ee10biss(p, a["i"], a["k"], c),
-        lambda p_hi, g, tier: max(g["k"]) - 1,
+        ("i", "k"), bernoulli_need=lambda p_hi, g, tier: max(g["k"]) - 1,
+        hypothesis=lambda p, a: a["k"] >= 1,
+        walk=lambda p, a, ks, c: verify_cor_ee10biss_truncations(p, a["i"], ks, c),
     ),
     "thm-eecj": Theorem(
         ("n", "i"), lambda p, a, c: verify_thm_eecj(p, a["n"], a["i"], a.get("tier"), c),
         _ladder_need(1), tiered=True,
     ),
     "cor-eecjj": Theorem(
-        ("j_terms",), lambda p, a, c: verify_cor_eecjj(p, a["j_terms"], c),
-        lambda p_hi, g, tier: max(g["j_terms"]) + 1,
+        ("j_terms",), bernoulli_need=lambda p_hi, g, tier: max(g["j_terms"]) + 1,
+        hypothesis=lambda p, a: a["j_terms"] >= 1,
+        walk=lambda p, a, Js, c: verify_cor_eecjj_truncations(p, Js, c),
     ),
     "prop41": Theorem(("n",), lambda p, a, c: verify_prop41(p, a["n"], c), _z_need),
     "prop42": Theorem(("n", "h"), lambda p, a, c: verify_prop42(p, a["n"], a["h"], c), _z_need),
     "thm-ee20": Theorem(
-        ("n",), lambda p, a, c: verify_thm_ee20(p, a["n"], c),
-        lambda p_hi, g, tier: max(g["n"]) + 1, hypothesis=lambda p, a: 2 * p > a["n"] + 1,
+        ("n",), bernoulli_need=lambda p_hi, g, tier: max(g["n"]) + 1,
+        hypothesis=lambda p, a: a["n"] >= 1 and 2 * p > a["n"] + 1,
+        walk=lambda p, a, ns, c: verify_thm_ee20_truncations(p, ns, c),
     ),
     "eq47": Theorem(("n",), lambda p, a, c: verify_intermediate_47(p, a["n"], c), _z_need),
     "sun": Theorem((), lambda p, a, c: sun_congruence(p, c), lambda p_hi, g, tier: p_hi - 3),

@@ -14,7 +14,8 @@ class HypothesisViolated(HclabError):
 
 
 class IndexCeilingExceeded(HclabError):
-    """Raised when a Bernoulli index beyond ``bernoulli.CEILING`` is requested."""
+    """Raised when a Bernoulli index beyond ``bernoulli.CEILING``, or a harmonic
+    upper index beyond ``harmonic.CEILING``, is requested."""
 
 
 class UpperIndexNotBelowP(HclabError):

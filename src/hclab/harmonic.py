@@ -10,10 +10,23 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import UpperIndexNotBelowP
+from .errors import IndexCeilingExceeded, UpperIndexNotBelowP
 from .exact import PrimePower
 
+# The memo keeps every prefix of an order, about 0.19 m n^2 bytes up to
+# H^(m)_n (measured: 169 MB at m = 1, n = 30000, and linear in m), so that
+# H_70000 alone takes about 0.9 GB.
+CEILING = 70_000
+
 _prefix: dict[int, list[Fraction]] = {}
+
+
+def check_ceiling(upto: int) -> None:
+    """Reject an upper index past CEILING before anything is summed."""
+    if upto > CEILING:
+        raise IndexCeilingExceeded(
+            f"needs harmonic upper index {upto}, beyond ceiling {CEILING}"
+        )
 
 
 def harmonic(order: int, upto: int) -> Fraction:
@@ -24,6 +37,7 @@ def harmonic(order: int, upto: int) -> Fraction:
         raise ValueError("upper index must be >= 0")
     row = _prefix.get(order)
     if row is None or len(row) <= upto:
+        check_ceiling(upto)
         row = _prefix.setdefault(order, [Fraction(0)])
         for j in range(len(row), upto + 1):
             row.append(row[j - 1] + Fraction(1, j**order))

@@ -4,8 +4,10 @@ bernoulli.py)."""
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 from math import isqrt
 
 from .bernoulli import BernoulliCache, bernoulli
@@ -111,14 +113,17 @@ def check_lemma_pB(
     return ok
 
 
+def q_terms(q: int, p: int) -> Iterator[Fraction]:
+    """(-1)^j q^(j+1) p^j / (j+1) for j = 0, 1, ...: the terms of
+    log(1 + p q) / p."""
+    for j in count():
+        yield Fraction((-1) ** j * q ** (j + 1) * p**j, j + 1)
+
+
 def q_series(q: int, p: int, n: int) -> Fraction:
-    """sum((-1)^j q^(j+1) p^j / (j+1), j < n), i.e. log(1 + p q) / p through
+    """The sum of the first n of q_terms(q, p), i.e. log(1 + p q) / p through
     p^(n-1); with q = q_p, the series in check_fermat_expansion."""
-    return sum(
-        (Fraction((-1) ** j * q ** (j + 1), j + 1) * Fraction(p) ** j
-         for j in range(n)),
-        Fraction(0),
-    )
+    return sum(islice(q_terms(q, p), n), Fraction(0))
 
 
 def check_fermat_expansion(p: int, n: int) -> bool:

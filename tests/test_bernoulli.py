@@ -191,6 +191,46 @@ def test_cache_file_roundtrip(tmp_path):
     assert len(path.read_text().splitlines()) == 21
 
 
+class _WriteFailsPartway:
+    """A text file that takes three writes, then fails as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 3:
+            raise OSError(28, "No space left on device")
+        self.fh.write(text)
+        self.fh.flush()
+
+
+def test_interrupted_fill_leaves_old_file(tmp_path, monkeypatch):
+    """A fill whose write fails partway leaves the old file byte for byte, still
+    loading, and no temporary file behind."""
+    path = tmp_path / "bern.cache"
+    BernoulliCache(path=str(path)).extend_to(10)
+    before = path.read_bytes()
+
+    def failing_open(file, mode="r", **kwargs):
+        fh = open(file, mode, **kwargs)
+        return _WriteFailsPartway(fh) if "w" in mode or "a" in mode else fh
+
+    monkeypatch.setattr(bernoulli_mod, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        BernoulliCache(path=str(path)).extend_to(20)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == [path.name]
+    assert BernoulliCache(path=str(path)).high_water == 10
+
+
 def test_cache_rejects_corruption(tmp_path):
     path = tmp_path / "bad.cache"
     path.write_text("0 1/1\n1 -1/2\n2 1/5\n")

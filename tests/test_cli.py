@@ -10,6 +10,7 @@ from hclab import cli
 from hclab import congruences as cg
 from hclab.bernoulli import BernoulliCache
 from hclab.cli import run
+from hclab.harmonic import harmonic
 from hclab.report import parse
 
 
@@ -172,6 +173,31 @@ def test_verify_ceiling_exit_two(capsys, tmp_path, argv):
     code, out, err = run_capture(capsys, argv + ["--cache", str(cache)])
     assert code == 2 and out == "" and "needs Bernoulli index" in err
     assert len(err.splitlines()) == 1
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,upto",
+    [
+        (["harmonic", "--m", "1", "--n", "70001"], 70001),
+        (["verify", "wolstenholme", "--p", "1000000007"], 1000000006),
+        # 70001 - 1 is at the ceiling; the largest prime in the range, 70999, is past it
+        (["scan", "lehmer", "--p-min", "69997", "--p-max", "71000"], 70998),
+        (["verify", "thm-ee20", "--p", "70003", "--n", "2"], 70002),
+    ],
+)
+def test_harmonic_ceiling_exit_two(capsys, tmp_path, monkeypatch, argv, upto):
+    """Harmonic work that cannot fit is refused before any of it is done."""
+    def no_work(*args):
+        raise AssertionError("harmonic work started")
+
+    monkeypatch.setattr(cg, "harmonic", no_work)
+    cache = tmp_path / "c.cache"
+    code, out, err = run_capture(capsys, argv + ["--cache", str(cache)])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        f"error: needs harmonic upper index {upto}, beyond ceiling 70000"
+    ]
     assert not cache.exists()
 
 
@@ -425,3 +451,30 @@ def test_scan_bernoulli_need_covers_reads(capsys, tmp_path_factory, monkeypatch,
     assert code in (0, 1), err
     grids = {name: cli._parse_range(_NEED_GRID[name]) for name in theorem.params}
     assert _RecordingCache.largest <= theorem.bernoulli_need(23, grids, tier)
+
+
+@pytest.mark.parametrize("theorem_id", sorted(cg.THEOREMS))
+def test_harmonic_reads_stay_below_p(capsys, tmp_path, monkeypatch, theorem_id):
+    """Every theorem reads H_n only with n <= p - 1, the bound the harmonic
+    ceiling is checked against."""
+    judge = cg.Theorem.judge
+    judged, reads = [], []
+
+    def recording_judge(self, p, cases, cache):
+        judged.append(p)
+        return judge(self, p, cases, cache)
+
+    def recording_harmonic(order, upto):
+        reads.append((judged[-1], upto))
+        return harmonic(order, upto)
+
+    monkeypatch.setattr(cg.Theorem, "judge", recording_judge)
+    monkeypatch.setattr(cg, "harmonic", recording_harmonic)
+    theorem = cg.THEOREMS[theorem_id]
+    argv = ["scan", theorem_id, "--p-min", "2", "--p-max", "23",
+            "--cache", str(tmp_path / "c.cache")]
+    for name in theorem.params:
+        argv += [f"--{name.replace('_', '-')}", _NEED_GRID[name]]
+    code, _, err = run_capture(capsys, argv)
+    assert code in (0, 1), err
+    assert all(upto <= p - 1 for p, upto in reads)

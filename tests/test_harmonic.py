@@ -1,13 +1,17 @@
 """Exact harmonic prefix sums and their modular twin."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
 
-from hclab.errors import UpperIndexNotBelowP
+from hclab.errors import IndexCeilingExceeded, UpperIndexNotBelowP
 from hclab.exact import PrimePower, reduce_mod, vp
-from hclab.harmonic import harmonic, harmonic_mod
+from hclab.harmonic import CEILING, check_ceiling, harmonic, harmonic_mod
 from hclab.primes import primes_in
+
+# hclab re-exports the function harmonic under the module's own name
+harmonic_module = importlib.import_module("hclab.harmonic")
 
 
 def test_small_values():
@@ -61,3 +65,17 @@ def test_argument_validation():
         harmonic(0, 3)
     with pytest.raises(ValueError):
         harmonic(1, -1)
+
+
+def test_ceiling():
+    """Past CEILING nothing is summed; the benchmark's largest p - 1, 2999,
+    sits far below it."""
+    assert CEILING > 10 * 2999
+    check_ceiling(CEILING)
+    with pytest.raises(IndexCeilingExceeded, match=f"upper index {CEILING + 1}, beyond"):
+        check_ceiling(CEILING + 1)
+    before = {order: len(row) for order, row in harmonic_module._prefix.items()}
+    with pytest.raises(IndexCeilingExceeded):
+        harmonic(1, CEILING + 1)
+    after = {order: len(row) for order, row in harmonic_module._prefix.items()}
+    assert after == before
