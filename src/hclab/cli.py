@@ -8,6 +8,7 @@ Exit codes: 0 when every executed verdict passes, 1 when any fails,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import os
 import sys
@@ -19,12 +20,16 @@ from .bernoulli import (
 )
 from .errors import HclabError, HypothesisViolated
 from .exact import is_prime
+from .harmonic import CEILING as HARMONIC_CEILING
 from .harmonic import check_ceiling as check_harmonic_ceiling
 from .harmonic import harmonic
 from .primes import classify, primes_in
 from .report import ReportRecord, emit
 
 DEFAULT_CACHE_FILE = "./bernoulli.cache"
+
+# Records serialized per write: a report is never held as one string.
+EMIT_BATCH = 100
 
 # The four worked examples reproduced by `selftest`: theorem id, arguments,
 # exact expected (numerator, valuation) or full value.
@@ -52,12 +57,14 @@ def _cache_from(args) -> BernoulliCache:
 
 
 def _emit_records(records, args) -> None:
-    text = emit(records, args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write the report in batches of EMIT_BATCH records; a CSV header,
+    exactly emit([], "csv"), is written once."""
+    header = emit([], args.format)
+    with (open(args.out, "w", encoding="utf-8") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.write(header)
+        for start in range(0, len(records), EMIT_BATCH):
+            fh.write(emit(records[start:start + EMIT_BATCH], args.format)[len(header):])
 
 
 def _judge(theorem_id: str, p: int, group: list[dict], scan: bool,
@@ -119,11 +126,15 @@ def _cmd_grid(args) -> int:
     if args.tier is not None and not theorem.tiered:
         raise _UsageError(f"{args.id} has no tier ladder; --tier does not apply")
     check_ceiling(theorem.bernoulli_need(p_hi, grids, args.tier))
+    if p_hi - 1 > HARMONIC_CEILING:
+        # Every theorem reads harmonic numbers H_n with n <= p - 1; refuse the
+        # largest prime in the grid before sieving a window that cannot fit.
+        top = next((q for q in range(p_hi, p_lo - 1, -1) if is_prime(q)), None)
+        if top is not None:
+            check_harmonic_ceiling(top - 1)
     cache = _cache_from(args)
     primes = primes_in(p_lo, p_hi) if scan else [p_lo]
     if primes:
-        # Every theorem reads harmonic numbers H_n with n <= p - 1.
-        check_harmonic_ceiling(max(primes) - 1)
         # One kernel call fills the grid's need, taken at the largest prime
         # in the grid rather than at --p-max.
         cache.extend_to(theorem.bernoulli_need(max(primes), grids, args.tier))

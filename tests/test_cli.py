@@ -11,7 +11,7 @@ from hclab import congruences as cg
 from hclab.bernoulli import BernoulliCache
 from hclab.cli import run
 from hclab.harmonic import harmonic
-from hclab.report import parse
+from hclab.report import emit, parse
 
 
 @pytest.fixture(autouse=True)
@@ -267,10 +267,57 @@ def test_out_of_memory_exit_two(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "primes_in", no_memory)
     code, out, err = run_capture(
-        capsys, ["scan", "wolstenholme", "--p-min", "5", "--p-max", "1000000000"]
+        capsys, ["scan", "wolstenholme", "--p-min", "5", "--p-max", "60000"]
     )
     assert code == 2 and out == ""
     assert err.splitlines() == ["error: out of memory"]
+
+
+def test_harmonic_ceiling_before_sieve(capsys, monkeypatch):
+    """A range past the harmonic ceiling is refused at its largest prime,
+    found by walking down from --p-max, before any window is sieved."""
+    def no_sieve(lo, hi):
+        raise AssertionError("primes_in called")
+
+    monkeypatch.setattr(cli, "primes_in", no_sieve)
+    code, out, err = run_capture(
+        capsys, ["scan", "wolstenholme", "--p-min", "5", "--p-max", "1000000000"]
+    )
+    assert code == 2 and out == ""
+    # 999999937 is the largest prime below 10^9
+    assert err.splitlines() == [
+        "error: needs harmonic upper index 999999936, beyond ceiling 70000"
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_report_written_in_batches(capsys, tmp_path, monkeypatch, fmt):
+    """A report of several batches is byte-identical to one emit of its
+    records, with the CSV header once, on stdout and through --out."""
+    monkeypatch.setattr(cg.time, "perf_counter", lambda: 0.0)  # equal timings
+    argv = ["scan", "thm-ee20", "--p-min", "3", "--p-max", "200", "--n", "1:6",
+            "--format", fmt]
+    code, out, _ = run_capture(capsys, argv)
+    assert code == 0
+    records = parse(out, fmt)
+    assert len(records) > 2 * cli.EMIT_BATCH
+    assert out == emit(records, fmt)
+    assert out.count(emit([], "csv")) == (fmt == "csv")
+    target = tmp_path / f"report.{fmt}"
+    code, piped, _ = run_capture(capsys, argv + ["--out", str(target)])
+    assert code == 0 and piped == ""
+    assert target.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("fmt,expected", [("json", ""), ("csv", emit([], "csv"))])
+def test_empty_grid_report(capsys, tmp_path, fmt, expected):
+    """A grid without primes prints nothing in JSON and only the CSV header."""
+    argv = ["scan", "wolstenholme", "--p-min", "24", "--p-max", "28", "--format", fmt]
+    code, out, _ = run_capture(capsys, argv)
+    assert code == 0 and out == expected
+    target = tmp_path / f"empty.{fmt}"
+    assert run_capture(capsys, argv + ["--out", str(target)])[:2] == (0, "")
+    assert target.read_text(encoding="utf-8") == expected
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

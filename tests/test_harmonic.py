@@ -1,6 +1,8 @@
 """Exact harmonic prefix sums and their modular twin."""
 
+import gc
 import importlib
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -74,8 +76,69 @@ def test_ceiling():
     check_ceiling(CEILING)
     with pytest.raises(IndexCeilingExceeded, match=f"upper index {CEILING + 1}, beyond"):
         check_ceiling(CEILING + 1)
-    before = {order: len(row) for order, row in harmonic_module._prefix.items()}
+    harmonic(1, 10)
+    before = {order: dict(row) for order, row in harmonic_module._cursors.items()}
     with pytest.raises(IndexCeilingExceeded):
         harmonic(1, CEILING + 1)
-    after = {order: len(row) for order, row in harmonic_module._prefix.items()}
-    assert after == before
+    assert harmonic_module._cursors == before
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    monkeypatch.setattr(harmonic_module, "_cursors", {})
+    return harmonic_module._cursors
+
+
+def _oracle(order, upto):
+    return sum((Fraction(1, j**order) for j in range(1, upto + 1)), Fraction(0))
+
+
+_PRIMES = primes_in(3, 200)
+_READ_PATTERNS = {
+    # what a scan asks: p - 1 and (p - 1)/2 for ascending p, in either order
+    "ascending pairs": [n for p in _PRIMES for n in (p - 1, (p - 1) // 2)],
+    "ascending pairs, half first": [n for p in _PRIMES for n in ((p - 1) // 2, p - 1)],
+    "descending": [n for p in reversed(_PRIMES) for n in (p - 1, (p - 1) // 2)],
+    "repeated": [0, 0, 7, 7, 7, 3, 3, 7, 0],
+    # 60 and 40 hold the two cursors; 20 is below both
+    "below both cursors": [60, 40, 20, 60, 40, 10, 5, 0, 100],
+}
+
+
+@pytest.mark.parametrize("pattern", sorted(_READ_PATTERNS))
+def test_cursor_reads_match_oracle(empty_memo, pattern):
+    reads = _READ_PATTERNS[pattern]
+    oracle = {(order, n): _oracle(order, n) for order in range(1, 5) for n in set(reads)}
+    for order in range(1, 5):
+        for n in reads:
+            assert harmonic(order, n) == oracle[order, n]
+            assert len(empty_memo[order]) <= 2
+    assert set(empty_memo) == {1, 2, 3, 4}
+
+
+def test_scan_cursors_hold_two_values(empty_memo):
+    """Each of a scan's two read streams rides its own cursor."""
+    for p in _PRIMES:
+        harmonic(2, p - 1)
+        harmonic(2, (p - 1) // 2)
+        assert empty_memo[2] == {p - 1: _oracle(2, p - 1),
+                                 (p - 1) // 2: _oracle(2, (p - 1) // 2)}
+
+
+def test_read_below_both_cursors_restarts_the_lower(empty_memo):
+    for n in (60, 40, 20):
+        harmonic(1, n)
+    assert empty_memo[1] == {20: _oracle(1, 20), 60: _oracle(1, 60)}
+
+
+def test_memo_stays_small(empty_memo):
+    """After H^(3)_3000 the memo retains one value, not every prefix."""
+    tracemalloc.start()
+    try:
+        harmonic(3, 3000)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024
+    assert list(empty_memo[3]) == [3000]
