@@ -26,7 +26,7 @@ from math import gcd, lgamma, log, pi
 
 from . import _kernels
 from .errors import CacheFileCorrupt, HypothesisViolated, IndexCeilingExceeded
-from .exact import binomial, is_prime, vp
+from .exact import binomial, vp
 
 CEILING = 2500
 
@@ -198,7 +198,7 @@ class BernoulliCache:
         if n < 0:
             raise ValueError("index must be non-negative")
         if n > self.high_water:
-            # at least double the stored run, up to CEILING: a reader walking
+            # at least double the stored run, up to CEILING: a reader stepping
             # up one index at a time then costs O(log n) kernel calls
             self.extend_to(max(n, min(2 * self.high_water, CEILING)))
         return Fraction(self._nums[n], self._dens[n])
@@ -290,12 +290,12 @@ def irregular_pairs(p_max: int, cache: BernoulliCache | None = None):
     """All irregular pairs (p, 2k) with p <= p_max, sorted; each B_2k is read
     once, and one gcd with the product of the primes p >= 2k + 3 picks out
     the primes to test."""
-    from .primes import primes_in
+    from .primes import largest_prime, primes_in
 
     # The largest prime P <= p_max sets the top read, B_{P-3}; it is looked
     # for only when p_max itself could pass the ceiling.
     if p_max - 3 > CEILING:
-        check_ceiling(next(p for p in range(p_max, 2, -1) if is_prime(p)) - 3)
+        check_ceiling(largest_prime(3, p_max) - 3)
     primes = primes_in(5, p_max)
     top = max(primes, default=2) - 3
     (cache or _default_cache).extend_to(top)  # one kernel call for every read

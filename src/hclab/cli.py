@@ -12,6 +12,7 @@ import contextlib
 import itertools
 import os
 import sys
+import time
 from fractions import Fraction
 
 from . import congruences as cg
@@ -20,10 +21,9 @@ from .bernoulli import (
 )
 from .errors import HclabError, HypothesisViolated
 from .exact import is_prime
-from .harmonic import CEILING as HARMONIC_CEILING
 from .harmonic import check_ceiling as check_harmonic_ceiling
 from .harmonic import harmonic
-from .primes import classify, primes_in
+from .primes import classify, largest_prime, primes_in
 from .report import ReportRecord, emit
 
 DEFAULT_CACHE_FILE = "./bernoulli.cache"
@@ -67,23 +67,20 @@ def _emit_records(records, args) -> None:
             fh.write(emit(records[start:start + EMIT_BATCH], args.format)[len(header):])
 
 
-def _judge(theorem_id: str, p: int, group: list[dict], scan: bool,
-           cache) -> list[ReportRecord]:
-    """The timed records on one group of cases.  A scan skips the cases that
-    fail the theorem's hypothesis, and the whole group if its verifier finds
-    a hypothesis violated; `verify` ends with that violation instead."""
+def _judge(theorem_id: str, p: int, args: dict, scan: bool, cache) -> ReportRecord:
+    """The timed record on one case.  A scan skips a case that fails the
+    theorem's hypothesis or whose verifier finds one violated; `verify` ends
+    with that violation instead."""
     theorem = cg.THEOREMS[theorem_id]
-    held = [a for a in group if not scan or theorem.hypothesis(p, a)]
+    t0 = time.perf_counter()
     try:
-        timed = theorem.judge(p, held, cache) if held else []
+        if not scan or theorem.hypothesis(p, args):
+            record = theorem.run(p, args, cache)
+            return ReportRecord.from_verdict(record, (time.perf_counter() - t0) * 1000.0)
     except HypothesisViolated:
         if not scan:
             raise
-        held, timed = [], []
-    return [ReportRecord.from_verdict(record, ms) for record, ms in timed] + [
-        ReportRecord.skipped(theorem_id, p, theorem.case(a), "hypothesis")
-        for a in group if a not in held
-    ]
+    return ReportRecord.skipped(theorem_id, p, theorem.case(args), "hypothesis")
 
 
 def _prime_bounds(args) -> tuple[int, int]:
@@ -125,33 +122,24 @@ def _cmd_grid(args) -> int:
         grids[name] = values
     if args.tier is not None and not theorem.tiered:
         raise _UsageError(f"{args.id} has no tier ladder; --tier does not apply")
-    check_ceiling(theorem.bernoulli_need(p_hi, grids, args.tier))
-    if p_hi - 1 > HARMONIC_CEILING:
-        # Every theorem reads harmonic numbers H_n with n <= p - 1; refuse the
-        # largest prime in the grid before sieving a window that cannot fit.
-        top = next((q for q in range(p_hi, p_lo - 1, -1) if is_prime(q)), None)
-        if top is not None:
-            check_harmonic_ceiling(top - 1)
+    # Both ceilings are checked at the largest prime in the grid, before any
+    # window is sieved: every theorem reads harmonic numbers H_n with
+    # n <= p - 1, and one kernel call then fills the grid's Bernoulli need.
+    top = largest_prime(p_lo, p_hi)
+    need = -1 if top is None else theorem.bernoulli_need(top, grids, args.tier)
+    check_ceiling(need)
+    if top is not None:
+        check_harmonic_ceiling(top - 1)
     cache = _cache_from(args)
+    cache.extend_to(need)
     primes = primes_in(p_lo, p_hi) if scan else [p_lo]
-    if primes:
-        # One kernel call fills the grid's need, taken at the largest prime
-        # in the grid rather than at --p-max.
-        cache.extend_to(theorem.bernoulli_need(max(primes), grids, args.tier))
-    # A theorem with a walk judges all values of its last param as one group.
-    fixed = theorem.params[:-1] if theorem.walk else theorem.params
     records = []
     for p in primes:
-        for combo in itertools.product(*(grids[name] for name in fixed)):
-            params = dict(zip(fixed, combo))
+        for combo in itertools.product(*grids.values()):
+            case = dict(zip(theorem.params, combo))
             if args.tier is not None:
-                params["tier"] = args.tier
-            if theorem.walk:
-                last = theorem.params[-1]
-                group = [{**params, last: length} for length in grids[last]]
-            else:
-                group = [params]
-            records += _judge(args.id, p, group, scan, cache)
+                case["tier"] = args.tier
+            records.append(_judge(args.id, p, case, scan, cache))
     records.sort(key=ReportRecord.sort_key)
     _emit_records(records, args)
     return 1 if any(r.passed is False for r in records) else 0
@@ -195,8 +183,7 @@ def _cmd_selftest(args) -> int:
     for theorem_id, case, expected, expected_valuation in GOLD_VECTORS:
         p = case["p"]
         params = {k: v for k, v in case.items() if k != "p"}
-        [(record, ms)] = cg.THEOREMS[theorem_id].judge(p, [params], cache)
-        record = ReportRecord.from_verdict(record, ms)
+        record = _judge(theorem_id, p, params, False, cache)
         lhs = record.lhs
         if isinstance(expected, Fraction):
             good = lhs == expected

@@ -12,7 +12,7 @@ from math import isqrt
 
 from .bernoulli import BernoulliCache, bernoulli
 from .errors import HypothesisViolated
-from .exact import vp
+from .exact import is_prime, vp
 from .harmonic import harmonic
 
 
@@ -30,6 +30,12 @@ def primes_in(lo: int, hi: int) -> list[int]:
         first = max(q * q, -(-lo // q) * q) - lo  # first multiple of q to strike
         composite[first::q] = b"\x01" * len(range(first, len(composite), q))
     return [n for n, c in zip(range(lo, hi + 1), composite) if not c]
+
+
+def largest_prime(lo: int, hi: int) -> int | None:
+    """The largest prime in [lo, hi], None if there is none; found stepping
+    down from hi, so no window is sieved."""
+    return next((n for n in range(hi, max(lo, 2) - 1, -1) if is_prime(n)), None)
 
 
 def fermat_quotient(p: int) -> int:

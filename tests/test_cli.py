@@ -149,6 +149,18 @@ def test_scan_csv_and_skipped(capsys):
     assert all(r.passed for r in records if r.status == "ok")
 
 
+def test_scan_ceiling_at_largest_prime(capsys, tmp_path, monkeypatch):
+    """The ceiling is checked at the grid's largest prime, not at --p-max: with
+    the ceiling at 20, p = 23 reads B_20 and 24 is not prime."""
+    monkeypatch.setattr(sys.modules["hclab.bernoulli"], "CEILING", 20)
+    code, out, err = run_capture(
+        capsys,
+        ["scan", "sun", "--p-min", "23", "--p-max", "24", "--cache", str(tmp_path / "c.cache")],
+    )
+    assert code == 0, err
+    assert [json.loads(line)["p"] for line in out.splitlines()] == [23]
+
+
 def test_scan_ceiling_exit_two(capsys, tmp_path):
     code, _, err = run_capture(
         capsys,
@@ -294,7 +306,7 @@ def test_harmonic_ceiling_before_sieve(capsys, monkeypatch):
 def test_report_written_in_batches(capsys, tmp_path, monkeypatch, fmt):
     """A report of several batches is byte-identical to one emit of its
     records, with the CSV header once, on stdout and through --out."""
-    monkeypatch.setattr(cg.time, "perf_counter", lambda: 0.0)  # equal timings
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: 0.0)  # equal timings
     argv = ["scan", "thm-ee20", "--p-min", "3", "--p-max", "200", "--n", "1:6",
             "--format", fmt]
     code, out, _ = run_capture(capsys, argv)
@@ -504,18 +516,18 @@ def test_scan_bernoulli_need_covers_reads(capsys, tmp_path_factory, monkeypatch,
 def test_harmonic_reads_stay_below_p(capsys, tmp_path, monkeypatch, theorem_id):
     """Every theorem reads H_n only with n <= p - 1, the bound the harmonic
     ceiling is checked against."""
-    judge = cg.Theorem.judge
+    judge = cli._judge
     judged, reads = [], []
 
-    def recording_judge(self, p, cases, cache):
+    def recording_judge(theorem_id, p, args, scan, cache):
         judged.append(p)
-        return judge(self, p, cases, cache)
+        return judge(theorem_id, p, args, scan, cache)
 
     def recording_harmonic(order, upto):
         reads.append((judged[-1], upto))
         return harmonic(order, upto)
 
-    monkeypatch.setattr(cg.Theorem, "judge", recording_judge)
+    monkeypatch.setattr(cli, "_judge", recording_judge)
     monkeypatch.setattr(cg, "harmonic", recording_harmonic)
     theorem = cg.THEOREMS[theorem_id]
     argv = ["scan", theorem_id, "--p-min", "2", "--p-max", "23",

@@ -10,8 +10,12 @@ from hclab.primes import (
     check_lemma_pB,
     classify,
     fermat_quotient,
+    largest_prime,
     primes_in,
 )
+
+WINDOWS = [(5, 4), (-3, 0), (0, 2), (2, 3), (3, 3), (0, 50), (2, 121), (90, 121),
+           (121, 121), (113, 169), (1000, 1369), (9000, 9400)]
 
 
 def test_primes_in():
@@ -21,14 +25,15 @@ def test_primes_in():
     assert primes_in(-5, 1) == []
 
 
-@pytest.mark.parametrize(
-    "lo,hi",
-    [(5, 4), (-3, 0), (0, 2), (2, 3), (3, 3), (0, 50), (2, 121), (90, 121),
-     (121, 121), (113, 169), (1000, 1369), (9000, 9400)],
-)
+@pytest.mark.parametrize("lo,hi", WINDOWS)
 def test_primes_in_window_matches_filter(lo, hi):
     """Window edges: lo > hi, lo <= 2, hi < 4 and perfect-square hi."""
     assert primes_in(lo, hi) == [n for n in range(lo, hi + 1) if is_prime(n)]
+
+
+@pytest.mark.parametrize("lo,hi", WINDOWS + [(24, 28), (10**12 - 120, 10**12 - 1)])
+def test_largest_prime_is_the_window_maximum(lo, hi):
+    assert largest_prime(lo, hi) == max(primes_in(lo, hi), default=None)
 
 
 def test_primes_in_window_near_primality_limit():

@@ -1,18 +1,22 @@
-"""The one-pass truncation verifiers against the per-length sums they replaced.
+"""The truncation verifiers, which read their series through one running sum,
+against sums taken afresh.
 
-Each oracle below sums its series from j = 0 for a single length, as the
-verifiers did before a grid of lengths was walked in one pass; the pass must
-give the identical left-hand side, exponent and valuation at every length.
+Each oracle below sums its series from j = 0 for a single length.  The running
+sum must give the identical left-hand side, exponent and valuation at every
+length, whichever order the lengths come in, so it is checked in ascending,
+descending and shuffled order: the last two make it restart.
 """
 
 import json
-import time
+import random
 from fractions import Fraction
 from itertools import count
 
 import pytest
 
+from hclab import cli
 from hclab import congruences as cg
+from hclab.bernoulli import BernoulliCache
 from hclab.cli import run
 from hclab.errors import HypothesisViolated
 from hclab.exact import binomial, vp
@@ -72,9 +76,8 @@ def oracle_expansion(which, k, p, J):
     return lhs, J
 
 
-def oracle_cor_ee10biss(p, i, k, cache):
-    _require(k >= 1)
-    lhs = sum(
+def ee10bis_sum(p, i, k, cache):
+    return sum(
         (binomial(j + 2 * i, 2 * i)
          * cg.bernoulli(j, cache)
          * harmonic(j + 2 * i + 1, p - 1)
@@ -82,22 +85,29 @@ def oracle_cor_ee10biss(p, i, k, cache):
          for j in range(k)),
         Fraction(0),
     )
-    return lhs, k
 
 
-def oracle_cor_eecjj(p, J, cache):
-    _require(J >= 1)
+def oracle_cor_ee10biss(p, i, k, cache):
+    _require(k >= 1)
+    return ee10bis_sum(p, i, k, cache), k
+
+
+def eecj_sum(p, i, J, cache):
     half = (p - 1) // 2
-    lhs = sum(
-        (binomial(j + 1, j + 1)
-         * Fraction(2 ** (j + 2) - 1, 2**j)
+    return sum(
+        (binomial(j + 2 * i - 1, j + 1)
+         * Fraction(2 ** (j + 2 * i) - 1, 2**j)
          * cg.coeff_c(j, cache)
-         * harmonic(j + 2, half)
+         * harmonic(j + 2 * i, half)
          * Fraction(p) ** j
          for j in range(J)),
         Fraction(0),
     )
-    return lhs, J - 1 if (J % 2 == 1 and (J + 1) % (p - 1) == 0) else J
+
+
+def oracle_cor_eecjj(p, J, cache):
+    _require(J >= 1)
+    return eecj_sum(p, 1, J, cache), J - 1 if (J % 2 == 1 and (J + 1) % (p - 1) == 0) else J
 
 
 def oracle_thm_ee20(p, n, cache):
@@ -116,43 +126,41 @@ def oracle_thm_ee20(p, n, cache):
     return lhs, n
 
 
-def check_pass(walk, single, oracle, lengths, p, params):
-    """One pass over ``lengths`` against the oracle and the single-length
-    verifier at each of them; a length the oracle refuses must be refused."""
-    good = [n for n in lengths if _accepts(oracle, n)]
-    for n in set(lengths) - set(good):
-        with pytest.raises(HypothesisViolated):
-            walk([n])
-        with pytest.raises(HypothesisViolated):
-            single(n)
-    timed = walk(good)
-    assert len(timed) == len(good)
-    for n, (record, ms) in zip(good, timed):
-        lhs, exponent = oracle(n)
-        where = (record.theorem_id, p, params, n)
-        assert record.lhs == lhs, where
-        assert record.required_exponent == exponent, where
-        assert record.achieved_valuation == vp(lhs, p), where
-        assert record.passed == (vp(lhs, p) >= exponent), where
-        assert record.elapsed_ms is None and ms >= 0
-        assert single(n) == record, where
-    return [record for record, _ in timed]
+def _orders(lengths, key=None):
+    """The lengths ascending, descending and shuffled (seeded)."""
+    shuffled = list(lengths)
+    random.Random(len(lengths)).shuffle(shuffled)
+    return [sorted(lengths, key=key), sorted(lengths, key=key, reverse=True), shuffled]
 
 
-def _accepts(oracle, n):
-    try:
-        oracle(n)
-    except HypothesisViolated:
-        return False
-    return True
+def check_lengths(single, oracle, lengths, p, params):
+    """The single-length verifier against the oracle at every length, in
+    each of _orders; a length the oracle refuses must be refused."""
+    records = {}
+    for order in _orders(lengths):
+        for n in order:
+            try:
+                lhs, exponent = oracle(n)
+            except HypothesisViolated:
+                with pytest.raises(HypothesisViolated):
+                    single(n)
+                continue
+            record = single(n)
+            where = (record.theorem_id, p, params, n)
+            assert record.lhs == lhs, where
+            assert record.required_exponent == exponent, where
+            assert record.achieved_valuation == vp(lhs, p), where
+            assert record.passed == (vp(lhs, p) >= exponent), where
+            assert record.elapsed_ms is None
+            assert records.setdefault(n, record) == record, where
+    return [records[n] for n in sorted(records)]
 
 
 @pytest.mark.parametrize("which", cg.EXPANSION_IDS)
 def test_expansion_pass_matches_per_length_sums(which):
     for p in ODD_PRIMES:
         for k in (1, 2, 3):
-            records = check_pass(
-                lambda Js: cg.verify_expansion_truncations(which, k, p, Js),
+            records = check_lengths(
                 lambda J: cg.verify_expansion_truncation(which, k, p, J),
                 lambda J: oracle_expansion(which, k, p, J),
                 LENGTHS, p, {"k": k},
@@ -164,8 +172,7 @@ def test_expansion_pass_matches_per_length_sums(which):
 def test_cor_ee10biss_pass_matches_per_length_sums(cache):
     for p in ODD_PRIMES:
         for i in (0, 1, 2, 3):
-            records = check_pass(
-                lambda ks: cg.verify_cor_ee10biss_truncations(p, i, ks, cache),
+            records = check_lengths(
                 lambda k: cg.verify_cor_ee10biss(p, i, k, cache),
                 lambda k: oracle_cor_ee10biss(p, i, k, cache),
                 LENGTHS, p, {"i": i},
@@ -176,8 +183,7 @@ def test_cor_ee10biss_pass_matches_per_length_sums(cache):
 def test_cor_eecjj_pass_matches_per_length_sums(cache):
     drops = 0
     for p in ODD_PRIMES:
-        records = check_pass(
-            lambda Js: cg.verify_cor_eecjj_truncations(p, Js, cache),
+        records = check_lengths(
             lambda J: cg.verify_cor_eecjj(p, J, cache),
             lambda J: oracle_cor_eecjj(p, J, cache),
             LENGTHS, p, {},
@@ -189,39 +195,109 @@ def test_cor_eecjj_pass_matches_per_length_sums(cache):
 
 def test_thm_ee20_pass_matches_per_length_sums(cache):
     for p in ODD_PRIMES:
-        check_pass(
-            lambda ns: cg.verify_thm_ee20_truncations(p, ns, cache),
+        check_lengths(
             lambda n: cg.verify_thm_ee20(p, n, cache),
             lambda n: oracle_thm_ee20(p, n, cache),
             LENGTHS, p, {},
         )
 
 
+def test_ladders_share_the_running_sum(cache):
+    """Each ladder and its corollary read one series.  Interleaved with each
+    other and with the other ladder, in each of _orders, every read gives
+    the sum taken afresh, at pinned and resolved tiers alike."""
+    i = 1  # cor-eecjj reads the thm-eecj series at i = 1
+    for p in ODD_PRIMES[:6]:
+        reads = [
+            *((2 * n + 2, ee10bis_sum, lambda n=n, t=t: cg.verify_thm_ee10bis(p, n, i, t, cache))
+              for n in range(4) for t in (None, 1)),
+            *((k, ee10bis_sum, lambda k=k: cg.verify_cor_ee10biss(p, i, k, cache))
+              for k in range(1, 8)),
+            *((2 * n, eecj_sum, lambda n=n, t=t: cg.verify_thm_eecj(p, n, i, t, cache))
+              for n in range(1, 4) for t in (None, 1)),
+            *((J, eecj_sum, lambda J=J: cg.verify_cor_eecjj(p, J, cache)) for J in range(1, 8)),
+        ]
+        for order in _orders(reads, key=lambda read: read[0]):
+            for length, series, verify in order:
+                assert verify().lhs == series(p, i, length, cache), (p, series, length)
+
+
 def test_group_hypothesis_refuses_whole_pass():
-    """An even p, or k = 0, fails every length of the pass at once."""
-    with pytest.raises(HypothesisViolated, match="needs odd p"):
-        cg.verify_expansion_truncations("e10eed", 1, 2, [0, 1, 2])
-    with pytest.raises(HypothesisViolated, match="needs k >= 1"):
-        cg.verify_expansion_truncations("e10ee", 0, 5, [0, 1, 2])
+    """An even p, or k = 0, is refused at every length."""
+    for J in (0, 1, 2):
+        with pytest.raises(HypothesisViolated, match="needs odd p"):
+            cg.verify_expansion_truncation("e10eed", 1, 2, J)
+        with pytest.raises(HypothesisViolated, match="needs k >= 1"):
+            cg.verify_expansion_truncation("e10ee", 0, 5, J)
 
 
-def test_pass_times_partition_the_pass(monkeypatch):
-    """On a clock that ticks one second per read, the records' times add up
-    to the whole span from the pass's first clock read to its last."""
+class _ShiftedCache(BernoulliCache):
+    """Every B_n off by one: a cache whose values differ from the true ones."""
+
+    def get(self, n):
+        return super().get(n) + 1
+
+
+def test_two_caches_do_not_share_a_sum(cache):
+    """Alternating between two caches, each read restarts the series from
+    its own cache's values, at lengths that would otherwise extend."""
+    shifted = _ShiftedCache()
+    p = 11
+    for n in range(1, 7):
+        for c in (cache, shifted):
+            assert cg.verify_thm_ee20(p, n, c).lhs == oracle_thm_ee20(p, n, c)[0], (n, c)
+    assert oracle_thm_ee20(p, 6, cache) != oracle_thm_ee20(p, 6, shifted)
+    for J in range(1, 7):
+        for c in (cache, shifted):
+            assert cg.verify_cor_eecjj(p, J, c).lhs == oracle_cor_eecjj(p, J, c)[0], (J, c)
+
+
+def test_sum_that_raises_leaves_nothing_stale(monkeypatch):
+    """A harmonic read that raises part way through extending a sum leaves
+    no running sum behind: the next read, which would have extended it,
+    still equals the oracle."""
+    p, k = 13, 2
+    lhs, _ = oracle_expansion("e10ee", k, p, 2)
+    assert cg.verify_expansion_truncation("e10ee", k, p, 2).lhs == lhs
+    reads = count()
+
+    def failing_harmonic(order, upto):
+        if next(reads) == 2:
+            raise MemoryError
+        return harmonic(order, upto)
+
+    monkeypatch.setattr(cg, "harmonic", failing_harmonic)
+    with pytest.raises(MemoryError):
+        cg.verify_expansion_truncation("e10ee", k, p, 6)
+    monkeypatch.setattr(cg, "harmonic", harmonic)
+    for J in (6, 7):
+        lhs, _ = oracle_expansion("e10ee", k, p, J)
+        assert cg.verify_expansion_truncation("e10ee", k, p, J).lhs == lhs, J
+
+
+def test_each_record_times_its_own_case(capsys, tmp_path, monkeypatch):
+    """On a clock that ticks one second per read, every ok record of a
+    truncation scan is charged exactly one second: the clock is read once
+    before and once after its own case, and nothing else is charged to it."""
     ticks = count()
-    monkeypatch.setattr(cg.time, "perf_counter", lambda: next(ticks))
-    timed = cg.verify_expansion_truncations("e10eed", 2, 7, [0, 1, 3, 6])
-    reads = next(ticks)
-    assert [ms > 0 for _, ms in timed] == [True] * 4
-    assert sum(ms for _, ms in timed) == 1000.0 * (reads - 1)
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: next(ticks))
+    argv = ["scan", "thm-ee20", "--p-min", "3", "--p-max", "13", "--n", "0:6",
+            "--cache", str(tmp_path / "c.cache")]
+    assert run(argv) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    ok = [r for r in records if r["status"] == "ok"]
+    assert len(ok) > 5 * 4
+    assert all(r["elapsed_ms"] == 1000.0 for r in ok)
+    assert all(r["elapsed_ms"] is None for r in records if r["status"] != "ok")
 
 
-# -- the CLI walks each group once ------------------------------------------
+# -- scans through the CLI ---------------------------------------------------
 
 _GRIDS = {
     "thm-ee20": ["--n", "0:7"],
     "cor-eecjj": ["--j-terms", "0:5"],
     "cor-ee10biss": ["--i", "0:1", "--k", "0:5"],
+    "thm-eecj": ["--i", "1:2", "--n", "0:3"],
     **{f"expansion-{w}": ["--k", "0:2", "--j-terms", "0:4"] for w in cg.EXPANSION_IDS},
 }
 
@@ -261,59 +337,43 @@ def test_scan_records_equal_verify_records(capsys, tmp_path, theorem_id):
     assert statuses == {"ok", "skipped-hypothesis"}
 
 
-_WALKS = [
-    # argv, walking verifier, groups, harmonic reads per group
-    *((["scan", f"expansion-{w}", "--p-min", "3", "--p-max", "13", "--k", "1:3",
-        "--j-terms", "0:6"], "verify_expansion_truncations", 5 * 3, 6 if w == "e10eeeff" else 7)
+_READS = [
+    # argv, groups of one (p, fixed params), harmonic reads per group
+    *(pytest.param(["scan", f"expansion-{w}", "--p-min", "3", "--p-max", "13", "--k", "1:3",
+                    "--j-terms", "0:6"], 5 * 3, 6 if w == "e10eeeff" else 7,
+                   id=f"expansion-{w}")
       for w in cg.EXPANSION_IDS),
-    (["scan", "thm-ee20", "--p-min", "5", "--p-max", "13", "--n", "1:6"],
-     "verify_thm_ee20_truncations", 4, 6),
-    (["scan", "cor-eecjj", "--p-min", "3", "--p-max", "13", "--j-terms", "0:6"],
-     "verify_cor_eecjj_truncations", 5, 6),
-    (["scan", "cor-ee10biss", "--p-min", "3", "--p-max", "13", "--i", "0:1", "--k", "0:6"],
-     "verify_cor_ee10biss_truncations", 5 * 2, 6),
+    pytest.param(["scan", "thm-ee20", "--p-min", "5", "--p-max", "13", "--n", "1:6"], 4, 6,
+                 id="thm-ee20"),
+    pytest.param(["scan", "cor-eecjj", "--p-min", "3", "--p-max", "13", "--j-terms", "0:6"],
+                 5, 6, id="cor-eecjj"),
+    pytest.param(["scan", "cor-ee10biss", "--p-min", "3", "--p-max", "13", "--i", "0:1",
+                  "--k", "0:6"], 5 * 2, 6, id="cor-ee10biss"),
+    # 2n + 2 terms at the largest n
+    pytest.param(["scan", "thm-ee10bis", "--p-min", "2", "--p-max", "13", "--n", "0:3",
+                  "--i", "0:1"], 6 * 2, 8, id="thm-ee10bis"),
+    # 2n terms at the largest n, and one read per n to resolve its tier
+    pytest.param(["scan", "thm-eecj", "--p-min", "3", "--p-max", "13", "--n", "1:3",
+                  "--i", "1:2"], 5 * 2, 6 + 3, id="thm-eecj"),
 ]
 
 
-@pytest.mark.parametrize("argv,verifier,groups,reads", _WALKS)
-def test_scan_walks_each_group_once(capsys, tmp_path, monkeypatch, argv, verifier,
-                                    groups, reads):
-    """The verifier runs once per group, not once per record; each series
-    term reads its harmonic number once; and the records of one pass carry
-    times that are >= 0 and add up to no more than the pass took."""
-    walk = getattr(cg, verifier)
-    passes = []
-
-    def timed_walk(*args, **kwargs):
-        t0 = time.perf_counter()
-        timed = walk(*args, **kwargs)
-        passes.append(((time.perf_counter() - t0) * 1000.0, len(timed)))
-        return timed
-
+@pytest.mark.parametrize("argv,groups,reads", _READS)
+def test_scan_reads_each_term_once(capsys, tmp_path, monkeypatch, argv, groups, reads):
+    """Each series term reads its harmonic number once per prime and values
+    of the params that do not cut the series, however many lengths a scan
+    judges there."""
     harmonic_reads = []
 
     def counting_harmonic(order, upto):
         harmonic_reads.append((order, upto))
         return harmonic(order, upto)
 
-    monkeypatch.setattr(cg, verifier, timed_walk)
     monkeypatch.setattr(cg, "harmonic", counting_harmonic)
     code = run(argv + ["--cache", str(tmp_path / "c.cache")])
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert code == 0
-    assert len(passes) == groups
     assert len(harmonic_reads) == groups * reads
     ok = [r for r in records if r["status"] == "ok"]
-    assert sum(n for _, n in passes) == len(ok) > groups
+    assert len(ok) > groups
     assert all(r["elapsed_ms"] >= 0 for r in ok)
-    # group the records as the passes ran: by p, then by the params not walked
-    theorem = cg.THEOREMS[argv[1]]
-    fixed = list(theorem.case(dict.fromkeys(theorem.params)))[:-1]
-    groups_seen = {}
-    for r in ok:
-        key = (r["p"], *(r["params"][name] for name in fixed))
-        groups_seen.setdefault(key, []).append(r["elapsed_ms"])
-    for (pass_ms, n), key in zip(passes, sorted(groups_seen)):
-        times = groups_seen[key]
-        # each record's time is rounded to the microsecond
-        assert len(times) == n and sum(times) <= pass_ms + 0.001 * n, key
