@@ -1,9 +1,10 @@
 """Generalized harmonic numbers by two independent routes.
 
 The exact route accumulates rational prefix sums (at most two running sums
-per order); the modular route works entirely in arithmetic mod p^e and exists
-as the cross-check oracle for the exact one.  The two must always agree through
-reduce_mod; that agreement is a standing property test.
+per order), adding the terms each read passes as one block summed over the
+integers by binary splitting; the modular route works entirely in arithmetic
+mod p^e and exists as the cross-check oracle for the exact one.  The two must
+always agree through reduce_mod; that agreement is a standing property test.
 """
 
 from __future__ import annotations
@@ -16,11 +17,15 @@ from .exact import PrimePower
 # Each order keeps at most two running cursors, {index: H^(order)_index}.
 # A scan reads every order at p - 1 and at (p - 1)/2 for ascending p, so each
 # read rides its own cursor forward and memory is linear in n.  Measured as
-# commands (Python 3.11.7): `hclab harmonic --m 1 --n 70000` takes 4.4 s and
-# 17 MB of RSS, `--m 6 --n 30000` 12.8 s and 17 MB, `--m 6 --n 70000` 71 s
-# and 18 MB; keeping every prefix took 186 MB for H_30000 alone.  The ceiling
-# now bounds the time of one sum, not its memory.
+# commands (Python 3.11.7, 2-core host): `hclab harmonic --m 1 --n 70000`
+# takes 1.6 s and 17 MB of RSS, `--m 6 --n 30000` 7.6 s and 19 MB,
+# `--m 6 --n 70000` 42 s and 22 MB; at --n 30000, 5.0 s of the 7.6 s reduce
+# the block's one fraction.  Keeping every prefix took 186 MB for H_30000
+# alone.  The ceiling bounds the time of one sum, not its memory.
 CEILING = 70_000
+
+# Terms a block sums one by one before it splits in two.
+_LEAF = 8
 
 _cursors: dict[int, dict[int, Fraction]] = {}
 
@@ -33,30 +38,53 @@ def check_ceiling(upto: int) -> None:
         )
 
 
+def _block(order: int, start: int, upto: int) -> tuple[int, int]:
+    """Unreduced (num, den) with num/den the sum of 1/j^order for start < j <= upto.
+
+    Binary splitting (Haible and Papanikolaou, 1998): the two halves are summed
+    over plain integers and joined by one cross-multiplication, so the operands
+    stay balanced in size and no gcd is taken.
+    """
+    if upto - start <= _LEAF:
+        num, den = 0, 1
+        for j in range(start + 1, upto + 1):
+            q = j**order
+            num = num * q + den
+            den *= q
+        return num, den
+    mid = (start + upto) // 2
+    left_num, left_den = _block(order, start, mid)
+    right_num, right_den = _block(order, mid, upto)
+    return left_num * right_den + right_num * left_den, left_den * right_den
+
+
 def harmonic(order: int, upto: int) -> Fraction:
     """Exact sum of 1/j^order for j = 1..upto; 0 for the empty sum.
 
     A read returns the cursor sitting at upto, or advances the cursor with
     the largest index below upto; when no cursor is below, it starts one
-    from 0, replacing the lower cursor if the order already has two.
+    from 0, replacing the lower cursor if the order already has two.  An
+    advance adds its terms as one binary-split block, so a read normalises
+    one Fraction however many terms it adds.  Nothing is stored until the
+    block is summed: a read that raises leaves every cursor as it was.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     if upto < 0:
         raise ValueError("upper index must be >= 0")
-    row = _cursors.setdefault(order, {})
+    row = _cursors.get(order, {})
     if upto in row:
         return row[upto]
     check_ceiling(upto)
     start = max((index for index in row if index < upto), default=None)
     value = Fraction(0) if start is None else row[start]
-    for j in range((start or 0) + 1, upto + 1):
-        value += Fraction(1, j**order)
+    value += Fraction(*_block(order, start or 0, upto))
     if start is not None:
         del row[start]
     elif len(row) == 2:
         del row[min(row)]
     row[upto] = value
+    _cursors[order] = row
     return value
 
 

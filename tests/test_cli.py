@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: exit codes, output formats, config precedence."""
 
 import json
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -537,3 +539,15 @@ def test_harmonic_reads_stay_below_p(capsys, tmp_path, monkeypatch, theorem_id):
     code, _, err = run_capture(capsys, argv)
     assert code in (0, 1), err
     assert all(upto <= p - 1 for p, upto in reads)
+
+
+def test_readme_ceiling_imports():
+    """The README's spelling of both index ceilings runs and names them."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    statements = re.findall(r"`(from hclab\.\w+ import CEILING)`", readme)
+    assert statements == ["from hclab.harmonic import CEILING",
+                          "from hclab.bernoulli import CEILING"]
+    for statement, expected in zip(statements, (70_000, 2500)):
+        namespace = {}
+        exec(statement, namespace)
+        assert namespace["CEILING"] == expected

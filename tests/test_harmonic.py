@@ -142,3 +142,41 @@ def test_memo_stays_small(empty_memo):
         tracemalloc.stop()
     assert retained < 64 * 1024
     assert list(empty_memo[3]) == [3000]
+
+
+_CURSOR_AT = 50
+
+
+@pytest.mark.parametrize("order", range(1, 8))
+def test_blocks_match_term_by_term_oracle(empty_memo, order):
+    """Every block of 0..40 terms, so every leaf size and the splits around
+    it, from 0 and from an existing cursor, read directly and through a
+    cursor advance."""
+    oracle = [_oracle(order, n) for n in range(_CURSOR_AT + 41)]
+    for start in (0, _CURSOR_AT):
+        for length in range(41):
+            num, den = harmonic_module._block(order, start, start + length)
+            assert Fraction(num, den) == oracle[start + length] - oracle[start]
+            empty_memo.clear()
+            if start:
+                harmonic(order, start)
+            assert harmonic(order, start + length) == oracle[start + length]
+            assert empty_memo[order] == {start + length: oracle[start + length]}
+
+
+@pytest.mark.parametrize("start", [None, 10])
+def test_failed_block_leaves_cursors_untouched(empty_memo, monkeypatch, start):
+    """A block that raises, starting a new order or advancing a cursor,
+    stores nothing."""
+    if start is not None:
+        harmonic(3, start)
+    harmonic(1, 20)
+    before = {order: dict(row) for order, row in empty_memo.items()}
+
+    def out_of_memory(order, start, upto):
+        raise MemoryError
+
+    monkeypatch.setattr(harmonic_module, "_block", out_of_memory)
+    with pytest.raises(MemoryError):
+        harmonic(3, 30)
+    assert empty_memo == before
