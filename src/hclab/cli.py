@@ -95,6 +95,8 @@ def _prime_bounds(args) -> tuple[int, int]:
         raise _UsageError("verify requires --p")
     if args.p_min is None or args.p_max is None:
         raise _UsageError("scan requires --p or --p-min/--p-max")
+    if args.p_min > args.p_max:
+        raise _UsageError(f"--p-min {args.p_min} --p-max {args.p_max} is an empty range")
     return args.p_min, args.p_max
 
 
@@ -109,10 +111,13 @@ def _cmd_grid(args) -> int:
         raise _UsageError(f"unknown theorem id: {args.id}")
     scan = args.command == "scan"
     p_lo, p_hi = _prime_bounds(args)
+    takes = (*theorem.params, "tier") if theorem.tiered else theorem.params
+    stray = [f for n, f in args.flags.items() if n not in takes and getattr(args, n) is not None]
+    if stray:
+        raise _UsageError(f"{args.id} does not take {', '.join(stray)}")
     grids = {}
     for name in theorem.params:
-        flag = "--" + name.replace("_", "-")
-        values = getattr(args, name)
+        flag, values = args.flags[name], getattr(args, name)
         if values is None:
             raise _UsageError(f"{args.command} {args.id} requires {flag}")
         if not values:
@@ -120,26 +125,19 @@ def _cmd_grid(args) -> int:
         if not scan and len(values) > 1:
             raise _UsageError("verify takes single parameter values, not ranges")
         grids[name] = values
-    if args.tier is not None and not theorem.tiered:
-        raise _UsageError(f"{args.id} has no tier ladder; --tier does not apply")
+    cases = [dict(zip(grids, c), tier=args.tier) for c in itertools.product(*grids.values())]
     # Both ceilings are checked at the largest prime in the grid, before any
     # window is sieved: every theorem reads harmonic numbers H_n with
     # n <= p - 1, and one kernel call then fills the grid's Bernoulli need.
     top = largest_prime(p_lo, p_hi)
-    need = -1 if top is None else theorem.bernoulli_need(top, grids, args.tier)
+    need = -1 if top is None else max(theorem.bernoulli_need(top, case) for case in cases)
     check_ceiling(need)
     if top is not None:
         check_harmonic_ceiling(top - 1)
     cache = _cache_from(args)
     cache.extend_to(need)
     primes = primes_in(p_lo, p_hi) if scan else [p_lo]
-    records = []
-    for p in primes:
-        for combo in itertools.product(*grids.values()):
-            case = dict(zip(theorem.params, combo))
-            if args.tier is not None:
-                case["tier"] = args.tier
-            records.append(_judge(args.id, p, case, scan, cache))
+    records = [_judge(args.id, p, case, scan, cache) for p in primes for case in cases]
     records.sort(key=ReportRecord.sort_key)
     _emit_records(records, args)
     return 1 if any(r.passed is False for r in records) else 0
@@ -202,10 +200,11 @@ def _cmd_selftest(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--out", help="write the report here instead of stdout")
-    common.add_argument("--cache", help="Bernoulli cache file (or HCL_CACHE env)")
+    cache = argparse.ArgumentParser(add_help=False)
+    cache.add_argument("--cache", help="Bernoulli cache file (or HCL_CACHE env)")
+    report = argparse.ArgumentParser(add_help=False, parents=[cache])
+    report.add_argument("--format", choices=("json", "csv"), default="json")
+    report.add_argument("--out", help="write the report here instead of stdout")
     parser = argparse.ArgumentParser(
         prog="hclab",
         description="Exact verification of harmonic-number congruences "
@@ -215,32 +214,35 @@ def _build_parser() -> argparse.ArgumentParser:
 
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("id")
-    for flag in ("--p", "--p-min", "--p-max", "--tier"):
+    for flag in ("--p", "--p-min", "--p-max"):
         grid.add_argument(flag, type=int)
-    for name in sorted({n for t in cg.THEOREMS.values() for n in t.params}):
-        grid.add_argument("--" + name.replace("_", "-"), type=_parse_range)
+    flags = {n: "--" + n.replace("_", "-")
+             for n in ("tier", *sorted({n for t in cg.THEOREMS.values() for n in t.params}))}
+    for name, flag in flags.items():
+        grid.add_argument(flag, type=int if name == "tier" else _parse_range)
+    grid.set_defaults(fn=_cmd_grid, flags=flags)
     for verb, text in (("verify", "run one congruence check"),
                        ("scan", "run a check over a parameter grid")):
-        sub.add_parser(verb, parents=[common, grid], help=text).set_defaults(fn=_cmd_grid)
+        sub.add_parser(verb, parents=[report, grid], help=text)
 
-    sp = sub.add_parser("bernoulli", parents=[common], help="print an exact Bernoulli number")
+    sp = sub.add_parser("bernoulli", parents=[cache], help="print an exact Bernoulli number")
     sp.add_argument("index", type=int)
     sp.set_defaults(fn=_cmd_bernoulli)
 
-    sp = sub.add_parser("harmonic", parents=[common], help="print an exact generalized harmonic number")
+    sp = sub.add_parser("harmonic", help="print an exact generalized harmonic number")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.set_defaults(fn=_cmd_harmonic)
 
-    sp = sub.add_parser("irregular-pairs", parents=[common], help="list irregular pairs up to a bound")
+    sp = sub.add_parser("irregular-pairs", parents=[cache], help="list irregular pairs up to a bound")
     sp.add_argument("--p-max", type=int, required=True)
     sp.set_defaults(fn=_cmd_irregular_pairs)
 
-    sp = sub.add_parser("classify-prime", parents=[common], help="Wieferich/Mersenne classification")
+    sp = sub.add_parser("classify-prime", help="Wieferich/Mersenne classification")
     sp.add_argument("--p", type=int, required=True)
     sp.set_defaults(fn=_cmd_classify_prime)
 
-    sp = sub.add_parser("selftest", parents=[common], help="replay the worked gold vectors")
+    sp = sub.add_parser("selftest", parents=[report], help="replay the worked gold vectors")
     sp.set_defaults(fn=_cmd_selftest)
     return parser
 

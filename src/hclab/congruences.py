@@ -480,17 +480,17 @@ class Theorem:
     is then read at ascending lengths, one running sum per prime and values
     of the other params.  ``run(p, args, cache)`` is the verdict on one case
     (``args`` also holds a pinned ``tier``); it calls its verifier by
-    module-level name, so a profiler can wrap it.  ``bernoulli_need(p_hi,
-    grids, tier)`` bounds every Bernoulli index that cases with p <= p_hi
-    read (-1 for none); ``verify`` and ``scan`` fill the cache to it before
-    the first case.  Scans skip cases failing ``hypothesis`` and cases whose
-    verifier raises HypothesisViolated, so ``hypothesis`` states only what a
-    verifier deliberately leaves unchecked.
+    module-level name, so a profiler can wrap it.  ``bernoulli_need(p, args)``
+    is the largest Bernoulli index one case reads at p, and at any smaller p
+    (-1 for none); ``verify`` and ``scan`` fill the cache to its maximum over
+    the cases at the grid's largest prime.  Scans skip cases failing
+    ``hypothesis`` and cases whose verifier raises HypothesisViolated, so
+    ``hypothesis`` states only what a verifier deliberately leaves unchecked.
     """
 
     params: tuple[str, ...]
     run: Callable[[int, dict, BernoulliCache | None], ReportRecord]
-    bernoulli_need: Callable[[int, dict, int | None], int] = lambda p_hi, g, tier: -1
+    bernoulli_need: Callable[[int, dict], int] = lambda p, a: -1
     hypothesis: Callable[[int, dict], bool] = lambda p, a: True
     tiered: bool = False
 
@@ -503,18 +503,18 @@ def _ladder_need(offset: int):
     """The series reads B_{2n+1}; resolving the tier reads B_{2n+2} (thm-eecj)
     and B_{p-2n-2i-offset}, to test for an irregular pair."""
 
-    def need(p_hi: int, g: dict, tier: int | None) -> int:
-        series = 2 * max(g["n"]) + 1
-        if tier is not None:
+    def need(p: int, a: dict) -> int:
+        series = 2 * a["n"] + 1
+        if a.get("tier") is not None:
             return series
-        return max(series + 1, p_hi - 2 * min(g["n"]) - 2 * min(g["i"]) - offset)
+        return max(series + 1, p - 2 * a["n"] - 2 * a["i"] - offset)
 
     return need
 
 
-def _z_need(p_hi: int, g: dict, tier: int | None) -> int:
-    # coeff_z(p, n, h) with h >= 1 reads B_{p^(n-1)(p-1) - 2h}
-    return p_hi ** max(max(g["n"]) - 1, 0) * (p_hi - 1) - 2
+def _z_need(p: int, a: dict) -> int:
+    # coeff_z(p, n, h' >= h) reads B_{p^(n-1)(p-1) - 2h'}; n < 2 reads none
+    return p ** (a["n"] - 1) * (p - 1) - 2 * a.get("h", 1) if a["n"] >= 2 else -1
 
 
 THEOREMS: dict[str, Theorem] = {
@@ -531,7 +531,7 @@ THEOREMS: dict[str, Theorem] = {
     ) for idx, w in enumerate(REMARK0_IDS, start=1)},
     **{f"prop3-{idx}": Theorem(
         ("k",), lambda p, a, c, w=w: verify_thm_prop3(w, a["k"], p, c),
-        lambda p_hi, g, tier: p_hi - 3,  # B_{p-1-2k}, k >= 1
+        lambda p, a: p - 1 - 2 * a["k"],
     ) for idx, w in enumerate(PROP3_IDS, start=1)},
     "thm-ee10bis": Theorem(
         ("i", "n"), lambda p, a, c: verify_thm_ee10bis(p, a["n"], a["i"], a.get("tier"), c),
@@ -539,7 +539,7 @@ THEOREMS: dict[str, Theorem] = {
     ),
     "cor-ee10biss": Theorem(
         ("i", "k"), lambda p, a, c: verify_cor_ee10biss(p, a["i"], a["k"], c),
-        lambda p_hi, g, tier: max(g["k"]) - 1,
+        lambda p, a: a["k"] - 1,
     ),
     "thm-eecj": Theorem(
         ("i", "n"), lambda p, a, c: verify_thm_eecj(p, a["n"], a["i"], a.get("tier"), c),
@@ -547,15 +547,15 @@ THEOREMS: dict[str, Theorem] = {
     ),
     "cor-eecjj": Theorem(
         ("j_terms",), lambda p, a, c: verify_cor_eecjj(p, a["j_terms"], c),
-        lambda p_hi, g, tier: max(g["j_terms"]) + 1,
+        lambda p, a: a["j_terms"] + 1,
     ),
     "prop41": Theorem(("n",), lambda p, a, c: verify_prop41(p, a["n"], c), _z_need),
     "prop42": Theorem(("n", "h"), lambda p, a, c: verify_prop42(p, a["n"], a["h"], c), _z_need),
     "thm-ee20": Theorem(
         ("n",), lambda p, a, c: verify_thm_ee20(p, a["n"], c),
-        lambda p_hi, g, tier: max(g["n"]) + 1,
+        lambda p, a: a["n"] + 1,
         hypothesis=lambda p, a: 2 * p > a["n"] + 1,
     ),
     "eq47": Theorem(("n",), lambda p, a, c: verify_intermediate_47(p, a["n"], c), _z_need),
-    "sun": Theorem((), lambda p, a, c: sun_congruence(p, c), lambda p_hi, g, tier: p_hi - 3),
+    "sun": Theorem((), lambda p, a, c: sun_congruence(p, c), lambda p, a: p - 3),
 }

@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: exit codes, output formats, config precedence."""
 
+import itertools
 import json
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -207,7 +209,10 @@ def test_harmonic_ceiling_exit_two(capsys, tmp_path, monkeypatch, argv, upto):
 
     monkeypatch.setattr(cg, "harmonic", no_work)
     cache = tmp_path / "c.cache"
-    code, out, err = run_capture(capsys, argv + ["--cache", str(cache)])
+    # `harmonic` reads no Bernoulli number and takes no --cache
+    code, out, err = run_capture(
+        capsys, argv if argv[0] == "harmonic" else argv + ["--cache", str(cache)]
+    )
     assert code == 2 and out == ""
     assert err.splitlines() == [
         f"error: needs harmonic upper index {upto}, beyond ceiling 70000"
@@ -222,6 +227,7 @@ def test_harmonic_ceiling_exit_two(capsys, tmp_path, monkeypatch, argv, upto):
         ["scan", "prop41", "--p-max", "11", "--p-min", "3", "--n", "1", "--tier", "1"],
         ["verify", "prop41", "--p", "7", "--n", "5:3"],
         ["scan", "prop42", "--p-min", "3", "--p-max", "11", "--n", "3", "--h", "2:1"],
+        ["scan", "wolstenholme", "--p-min", "50", "--p-max", "10"],
     ],
 )
 def test_grid_usage_errors_exit_two(capsys, argv):
@@ -264,6 +270,65 @@ def test_conflicting_prime_flags_exit_two(capsys, argv):
     code, out, err = run_capture(capsys, argv)
     assert code == 2 and out == ""
     assert err.splitlines() == ["--p excludes --p-min/--p-max"]
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["verify", "wolstenholme", "--p", "7", "--n", "3"], "--n"),
+        (["scan", "sun", "--p-min", "5", "--p-max", "13", "--h", "2"], "--h"),
+        (["verify", "prop3-1", "--p", "7", "--k", "1", "--j-terms", "2"], "--j-terms"),
+    ],
+)
+def test_grid_flag_the_theorem_does_not_take_exit_two(capsys, tmp_path, argv, flag):
+    """A grid flag the theorem does not read is refused, not dropped."""
+    cache = tmp_path / "c.cache"
+    code, out, err = run_capture(capsys, argv + ["--cache", str(cache)])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"{argv[1]} does not take {flag}"]
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bernoulli", "12", "--out", "{tmp}/f"],
+        ["bernoulli", "12", "--format", "csv"],
+        ["irregular-pairs", "--p-max", "50", "--out", "{tmp}/f"],
+        ["harmonic", "--m", "2", "--n", "5", "--cache", "{tmp}/c"],
+        ["harmonic", "--m", "2", "--n", "5", "--out", "{tmp}/f"],
+        ["classify-prime", "--p", "7", "--format", "csv"],
+        ["classify-prime", "--p", "7", "--cache", "{tmp}/c"],
+    ],
+)
+def test_command_flag_it_does_not_read_exit_two(capsys, tmp_path, argv):
+    """Each command accepts only the flags it reads, and writes no file
+    named by one it refuses."""
+    code, out, err = run_capture(capsys, [a.format(tmp=tmp_path) for a in argv])
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: " + argv[-2] in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv,stored",
+    [
+        # prop3 at k reads B_{p-1-2k} alone
+        (["verify", "prop3-1", "--p", "29", "--k", "4"], 21),
+        # prop41 at n = 1 reads no Bernoulli number
+        (["verify", "prop41", "--p", "29", "--n", "1"], 0),
+    ],
+)
+def test_case_need_reaches_ceiling(capsys, tmp_path, monkeypatch, argv, stored):
+    """The fill is each case's own need: with the ceiling at 20 and p = 29,
+    these cases read B_20 and nothing, and run."""
+    monkeypatch.setattr(sys.modules["hclab.bernoulli"], "CEILING", 20)
+    cache = tmp_path / "c.cache"
+    cache.write_text("")
+    code, out, err = run_capture(capsys, argv + ["--cache", str(cache)])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["status"] == "ok"
+    assert len(cache.read_text().splitlines()) == stored
 
 
 def test_grid_flags_come_from_theorem_table(capsys, monkeypatch):
@@ -510,8 +575,9 @@ def test_scan_bernoulli_need_covers_reads(capsys, tmp_path_factory, monkeypatch,
         argv += ["--tier", str(tier)]
     code, _, err = run_capture(capsys, argv)
     assert code in (0, 1), err
-    grids = {name: cli._parse_range(_NEED_GRID[name]) for name in theorem.params}
-    assert _RecordingCache.largest <= theorem.bernoulli_need(23, grids, tier)
+    grids = [cli._parse_range(_NEED_GRID[name]) for name in theorem.params]
+    cases = [dict(zip(theorem.params, combo), tier=tier) for combo in itertools.product(*grids)]
+    assert _RecordingCache.largest <= max(theorem.bernoulli_need(23, case) for case in cases)
 
 
 @pytest.mark.parametrize("theorem_id", sorted(cg.THEOREMS))
@@ -539,6 +605,22 @@ def test_harmonic_reads_stay_below_p(capsys, tmp_path, monkeypatch, theorem_id):
     code, _, err = run_capture(capsys, argv)
     assert code in (0, 1), err
     assert all(upto <= p - 1 for p, upto in reads)
+
+
+def _readme_cli_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return block.splitlines()
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_examples(capsys, line):
+    """Each README CLI example runs, exiting 1 where its comment says so."""
+    command, _, comment = line.partition("#")
+    argv = shlex.split(command)
+    assert argv[0] == "hclab"
+    code, _, err = run_capture(capsys, argv[1:])
+    assert code == (1 if "exit code 1" in comment else 0), err
 
 
 def test_readme_ceiling_imports():

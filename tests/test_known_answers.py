@@ -1,7 +1,10 @@
 """Verdicts checked against facts from the literature, not against an oracle
 built from the same code."""
 
+from hclab.bernoulli import BernoulliCache, irregular_pairs
 from hclab.congruences import verify_eisenstein, verify_wolstenholme
+from hclab.exact import PrimePower
+from hclab.harmonic import harmonic_mod
 from hclab.primes import classify, primes_in
 
 
@@ -24,3 +27,23 @@ def test_wieferich_primes_to_4000():
     reaching_two = {p for p, v in valuations.items() if v >= 2}
     assert reaching_two == {1093, 3511}
     assert reaching_two == {p for p in primes if classify(p).is_wieferich}
+
+
+def test_irregular_pairs_by_two_routes_to_300():
+    """By prop3-1, p^2 divides H^(2k)_{p-1} exactly when p divides B_{p-1-2k},
+    for 2 <= 2k <= p - 3.  Harmonic sums mod p^2 and the tangent-number
+    Bernoulli kernel share no code, and both find the 15 irregular pairs
+    below 300 of the classical tables (Buhler, Crandall, Ernvall, Metsankyla
+    and Shokrollahi, J. Symbolic Comput. 2001)."""
+    by_harmonic = sorted(
+        (p, p - 1 - 2 * k)
+        for p in primes_in(5, 300)
+        for k in range(1, (p - 1) // 2)
+        if harmonic_mod(2 * k, p - 1, PrimePower(p, 2)) == 0
+    )
+    assert by_harmonic == [
+        (37, 32), (59, 44), (67, 58), (101, 68), (103, 24), (131, 22), (149, 130),
+        (157, 62), (157, 110), (233, 84), (257, 164), (263, 100), (271, 84),
+        (283, 20), (293, 156),
+    ]
+    assert irregular_pairs(300, BernoulliCache()) == by_harmonic
