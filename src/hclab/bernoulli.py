@@ -4,7 +4,7 @@ Every verifier in the package funnels its Bernoulli needs through a
 BernoulliCache, filled from the tangent-number kernel in as few calls as
 possible: the kernel rebuilds its triangle from B_0 on every call.  A wrong
 value would silently poison every downstream verdict, so the cache puts each
-even-index value B_2k it loads or computes through four checks:
+even-index value B_2k it parses or computes through four checks:
 
 - sign: B_2k has the sign (-1)^(k+1);
 - denominator: it is the product of the primes p with (p-1) | 2k;
@@ -118,36 +118,53 @@ class BernoulliCache:
 
     File format: one record per line, ``<index> <num>/<den>``, indices
     strictly increasing and contiguous from 0 (odd indices stored as 0/1).
-    Each fill rewrites the whole file and replaces the old one atomically.
-    ``extend_to(n)`` fills exactly to n; ``get(n)`` past the stored run grows
-    it geometrically, so single-index readers make few kernel calls.
+    Opening the cache reads the file's lines but parses none; lines are
+    parsed and checked in order, only as far as the highest index asked for,
+    so a bad line is reported by the first read that reaches it.  Each fill
+    parses every stored line first, then rewrites the whole file and replaces
+    the old one atomically.  ``extend_to(n)`` fills exactly to n; ``get(n)``
+    past the stored run grows it geometrically, so single-index readers make
+    few kernel calls.
     """
 
     def __init__(self, path=None):
         self._nums: list[int] = []
         self._dens: list[int] = []
+        # (line number, raw line) of each stored line not yet parsed, the
+        # next one last
+        self._unparsed: list[tuple[int, bytes]] = []
         self._path = path
         if path is not None:
             self._load()
 
     @property
     def high_water(self) -> int:
-        """Largest contiguous index stored; -1 when empty."""
-        return len(self._nums) - 1
+        """Largest contiguous index stored, parsed or not; -1 when empty."""
+        return len(self._nums) + len(self._unparsed) - 1
 
     def _load(self):
+        """Keep the file's non-blank lines, with their line numbers, for
+        _parse_through."""
         try:
             fh = open(self._path, "rb")
         except FileNotFoundError:
             return
-        with fh, any_digits():
-            for lineno, raw in enumerate(fh, start=1):
+        with fh:
+            lines = fh.read().split(b"\n")
+        self._unparsed = [(lineno, raw) for lineno, raw in enumerate(lines, start=1)
+                          if raw.strip()][::-1]
+
+    def _parse_through(self, n: int):
+        """Parse and check the stored lines up to index n, or all of them.
+        A line is dropped only once it has passed, so a bad one stays in the
+        way of every later read that reaches it."""
+        todo = self._unparsed
+        with any_digits():
+            while todo and len(self._nums) <= n:
+                lineno, raw = todo[-1]
                 where = f"{self._path}:{lineno}"
                 try:
-                    line = raw.decode("utf-8").strip()  # a ValueError if not UTF-8
-                    if not line:
-                        continue
-                    idx_s, frac_s = line.split()
+                    idx_s, frac_s = raw.decode("utf-8").split()  # a ValueError if not UTF-8
                     num_s, den_s = frac_s.split("/")
                     idx, num, den = int(idx_s), int(num_s), int(den_s)
                 except ValueError as exc:
@@ -162,10 +179,12 @@ class BernoulliCache:
                     raise CacheFileCorrupt(f"{where}: {exc}") from None
                 self._nums.append(num)
                 self._dens.append(den)
+                todo.pop()
 
     def extend_to(self, n: int):
         """Store B_0..B_n, computing what is missing and rewriting the file."""
         check_ceiling(n)
+        self._parse_through(n)
         old = len(self._nums)
         if n < old:
             return
@@ -197,10 +216,13 @@ class BernoulliCache:
     def get(self, n: int) -> Fraction:
         if n < 0:
             raise ValueError("index must be non-negative")
-        if n > self.high_water:
-            # at least double the stored run, up to CEILING: a reader stepping
-            # up one index at a time then costs O(log n) kernel calls
-            self.extend_to(max(n, min(2 * self.high_water, CEILING)))
+        if n >= len(self._nums):
+            if n > self.high_water:
+                # at least double the stored run, up to CEILING: a reader
+                # stepping up one index at a time then costs O(log n) kernel calls
+                self.extend_to(max(n, min(2 * self.high_water, CEILING)))
+            else:
+                self._parse_through(n)
         return Fraction(self._nums[n], self._dens[n])
 
 

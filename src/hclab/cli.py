@@ -45,6 +45,14 @@ class _UsageError(Exception):
     """Ends a command with its one-line message and exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a command-line error in one line, without the usage block;
+    subparsers are made of this class too."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _parse_range(text: str) -> range:
     """A single integer or an inclusive lo:hi range."""
     lo, sep, hi = text.partition(":")
@@ -111,10 +119,14 @@ def _cmd_grid(args) -> int:
         raise _UsageError(f"unknown theorem id: {args.id}")
     scan = args.command == "scan"
     p_lo, p_hi = _prime_bounds(args)
-    takes = (*theorem.params, "tier") if theorem.tiered else theorem.params
+    tiers = theorem.tiers
+    takes = theorem.params if tiers is None else (*theorem.params, "tier")
     stray = [f for n, f in args.flags.items() if n not in takes and getattr(args, n) is not None]
     if stray:
         raise _UsageError(f"{args.id} does not take {', '.join(stray)}")
+    if args.tier is not None and args.tier not in tiers:
+        raise _UsageError(f"{args.id} takes --tier {tiers.start} to {tiers.stop - 1}, "
+                          f"not {args.tier}")
     grids = {}
     for name in theorem.params:
         flag, values = args.flags[name], getattr(args, name)
@@ -205,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
     report = argparse.ArgumentParser(add_help=False, parents=[cache])
     report.add_argument("--format", choices=("json", "csv"), default="json")
     report.add_argument("--out", help="write the report here instead of stdout")
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hclab",
         description="Exact verification of harmonic-number congruences "
         "modulo prime powers.",

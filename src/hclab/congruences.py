@@ -13,9 +13,9 @@ ascending length add each term once.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
+from typing import NamedTuple
 
 from .bernoulli import BernoulliCache, bernoulli, is_irregular_pair
 from .errors import HypothesisViolated
@@ -471,8 +471,7 @@ def sun_congruence(p: int, cache: BernoulliCache | None = None) -> ReportRecord:
 # -- the theorem table ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Theorem:
+class Theorem(NamedTuple):
     """What `verify` and `scan` know of one theorem id.
 
     ``params`` name the grid parameters as their CLI flags do, in the order a
@@ -486,13 +485,15 @@ class Theorem:
     the cases at the grid's largest prime.  Scans skip cases failing
     ``hypothesis`` and cases whose verifier raises HypothesisViolated, so
     ``hypothesis`` states only what a verifier deliberately leaves unchecked.
+    ``tiers`` are the rungs of a tier ladder a case may pin with ``tier``;
+    None for a theorem without one.
     """
 
     params: tuple[str, ...]
     run: Callable[[int, dict, BernoulliCache | None], ReportRecord]
     bernoulli_need: Callable[[int, dict], int] = lambda p, a: -1
     hypothesis: Callable[[int, dict], bool] = lambda p, a: True
-    tiered: bool = False
+    tiers: range | None = None
 
     def case(self, args: dict) -> dict:
         """The params a record on these arguments names (``j_terms`` as J)."""
@@ -535,7 +536,7 @@ THEOREMS: dict[str, Theorem] = {
     ) for idx, w in enumerate(PROP3_IDS, start=1)},
     "thm-ee10bis": Theorem(
         ("i", "n"), lambda p, a, c: verify_thm_ee10bis(p, a["n"], a["i"], a.get("tier"), c),
-        _ladder_need(5), tiered=True,
+        _ladder_need(5), tiers=range(1, 6),
     ),
     "cor-ee10biss": Theorem(
         ("i", "k"), lambda p, a, c: verify_cor_ee10biss(p, a["i"], a["k"], c),
@@ -543,7 +544,7 @@ THEOREMS: dict[str, Theorem] = {
     ),
     "thm-eecj": Theorem(
         ("i", "n"), lambda p, a, c: verify_thm_eecj(p, a["n"], a["i"], a.get("tier"), c),
-        _ladder_need(1), tiered=True,
+        _ladder_need(1), tiers=range(0, 3),
     ),
     "cor-eecjj": Theorem(
         ("j_terms",), lambda p, a, c: verify_cor_eecjj(p, a["j_terms"], c),

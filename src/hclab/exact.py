@@ -11,8 +11,8 @@ values are not obviously p-integral.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import NotPIntegral
 
@@ -42,18 +42,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimePower:
+class PrimePower(NamedTuple("PrimePower", [("p", int), ("e", int)])):
     """The modulus p^e of a congruence claim."""
 
-    p: int
-    e: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.e < 1:
-            raise ValueError(f"exponent must be >= 1, got {self.e}")
+    def __new__(cls, p: int, e: int):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if e < 1:
+            raise ValueError(f"exponent must be >= 1, got {e}")
+        return super().__new__(cls, p, e)
 
     @property
     def modulus(self) -> int:

@@ -5,10 +5,10 @@ bernoulli.py)."""
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 from math import isqrt
+from typing import NamedTuple
 
 from .bernoulli import BernoulliCache, bernoulli
 from .errors import HypothesisViolated
@@ -49,8 +49,7 @@ def fermat_quotient(p: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class PrimeClass:
+class PrimeClass(NamedTuple):
     p: int
     is_wieferich: bool
     is_mersenne: bool

@@ -14,13 +14,11 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from operator import attrgetter
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class ReportRecord:
+class ReportRecord(NamedTuple):
     """One verdict: what every verifier returns and every report line holds."""
 
     theorem_id: str
@@ -37,7 +35,7 @@ class ReportRecord:
     @staticmethod
     def from_verdict(record: "ReportRecord", elapsed_ms: float) -> "ReportRecord":
         """The verifier's record, timed."""
-        return replace(record, elapsed_ms=round(elapsed_ms, 3))
+        return record._replace(elapsed_ms=round(elapsed_ms, 3))
 
     @staticmethod
     def skipped(theorem_id: str, p: int, params: dict, reason: str) -> "ReportRecord":
@@ -47,7 +45,7 @@ class ReportRecord:
         return (self.theorem_id, self.p, tuple(sorted(self.params.items())))
 
     def to_dict(self) -> dict:
-        d = dict(zip(FIELDS, _values(self)))
+        d = dict(zip(FIELDS, self))
         d["params"] = dict(sorted(self.params.items()))
         if self.achieved_valuation == math.inf:
             d["achieved_valuation"] = "inf"
@@ -66,10 +64,7 @@ class ReportRecord:
         return ReportRecord(*(d[key] for key in FIELDS))
 
 
-# Computed once at import, not per record: emit of large scans is a hot path.
-_ATTRS = tuple(f.name for f in fields(ReportRecord))
-FIELDS = tuple("pass" if name == "passed" else name for name in _ATTRS)
-_values = attrgetter(*_ATTRS)
+FIELDS = tuple("pass" if name == "passed" else name for name in ReportRecord._fields)
 
 # How a non-empty CSV cell decodes, for the columns that are not strings;
 # an empty cell is None.  "inf" is left for from_dict.

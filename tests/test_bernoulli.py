@@ -22,7 +22,7 @@ from hclab.bernoulli import (
     is_irregular_pair,
     von_staudt_denominator,
 )
-from hclab.errors import HypothesisViolated, IndexCeilingExceeded
+from hclab.errors import CacheFileCorrupt, HypothesisViolated, IndexCeilingExceeded
 from hclab.exact import is_prime, vp
 from hclab.primes import primes_in
 
@@ -232,13 +232,34 @@ def test_interrupted_fill_leaves_old_file(tmp_path, monkeypatch):
 
 
 def test_cache_rejects_corruption(tmp_path):
+    """A bad line raises at the first read that reaches it."""
     path = tmp_path / "bad.cache"
     path.write_text("0 1/1\n1 -1/2\n2 1/5\n")
     with pytest.raises(ValueError):
-        BernoulliCache(path=str(path))
+        BernoulliCache(path=str(path)).get(2)
     path.write_text("0 1/1\n2 1/6\n")
     with pytest.raises(ValueError):
-        BernoulliCache(path=str(path))
+        BernoulliCache(path=str(path)).get(1)
+
+
+def test_cache_parses_only_what_is_read(tmp_path, cache):
+    """Opening a cache parses nothing; a read parses up to its index alone,
+    and high_water counts the lines not yet parsed."""
+    path = tmp_path / "b.cache"
+    path.write_text("".join(f"{i} {cache.get(i).numerator}/{cache.get(i).denominator}\n"
+                            for i in range(400)) + "400 garbage\n")
+    c = BernoulliCache(path=str(path))
+    assert (len(c._nums), c.high_water) == (0, 400)
+    c.extend_to(10)
+    assert (len(c._nums), c.high_water) == (11, 400)
+    assert c.get(300) == cache.get(300)
+    assert (len(c._nums), c.high_water) == (301, 400)
+    with pytest.raises(CacheFileCorrupt, match=f"{path}:401: malformed line"):
+        c.get(400)
+    # the bad line stays in the way of every later read that reaches it
+    with pytest.raises(CacheFileCorrupt, match=f"{path}:401: "):
+        c.extend_to(401)
+    assert c.high_water == 400
 
 
 class _KernelCalled(Exception):

@@ -4,6 +4,7 @@ import itertools
 import json
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -103,6 +104,23 @@ def test_malformed_cache_exit_two(capsys, tmp_path, body, problem):
     assert len(err.splitlines()) == 1
 
 
+def test_bad_line_past_the_reads_is_left_alone(capsys, tmp_path, cache):
+    """A bad last line is reported by the first command that reads it, and
+    no command rewrites the file it is in."""
+    path = tmp_path / "b.cache"
+    path.write_text("".join(f"{i} {cache.get(i).numerator}/{cache.get(i).denominator}\n"
+                            for i in range(400)) + "400 garbage\n")
+    before = path.read_bytes()
+    code, out, err = run_capture(capsys, ["bernoulli", "10", "--cache", str(path)])
+    assert (code, out, err) == (0, "5/66\n", "")
+    for index in ("400", "401"):
+        code, out, err = run_capture(capsys, ["bernoulli", index, "--cache", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}:401: malformed line")
+        assert len(err.splitlines()) == 1
+    assert path.read_bytes() == before
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -127,6 +145,39 @@ def test_bad_input_exit_two(capsys, tmp_path, argv):
 
 def test_unknown_subcommand(capsys):
     assert run_capture(capsys, ["frobnicate"])[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["harmonic", "--m", "2", "--n", "5", "--cache", "C"],
+         "hclab: error: unrecognized arguments: --cache C"),
+        (["harmonic", "--m", "2"],
+         "hclab harmonic: error: the following arguments are required: --n"),
+        (["verify", "wolstenholme", "--p", "x"],
+         "hclab verify: error: argument --p: invalid int value: 'x'"),
+    ],
+)
+def test_argparse_errors_in_one_line(capsys, argv, message):
+    """A command line argparse rejects ends in its error line alone."""
+    assert run_capture(capsys, argv) == (2, "", message + "\n")
+
+
+def test_help_still_prints_usage(capsys):
+    code, out, err = run_capture(capsys, ["harmonic", "--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: hclab harmonic [-h] --m M --n N\n")
+
+
+def test_import_skips_dataclasses_and_inspect():
+    """The CLI's import chain loads neither module, a fixed cost every
+    command would pay."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import hclab.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, src],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_scan_json_sorted(capsys):
@@ -228,10 +279,17 @@ def test_harmonic_ceiling_exit_two(capsys, tmp_path, monkeypatch, argv, upto):
         ["verify", "prop41", "--p", "7", "--n", "5:3"],
         ["scan", "prop42", "--p-min", "3", "--p-max", "11", "--n", "3", "--h", "2:1"],
         ["scan", "wolstenholme", "--p-min", "50", "--p-max", "10"],
+        ["verify", "thm-ee10bis", "--p", "11", "--n", "1", "--i", "0", "--tier", "9"],
+        ["verify", "thm-ee10bis", "--p", "11", "--n", "1", "--i", "0", "--tier", "0"],
+        ["scan", "thm-eecj", "--p-min", "3", "--p-max", "11", "--n", "1", "--i", "1",
+         "--tier", "-3"],
+        ["scan", "thm-eecj", "--p-min", "3", "--p-max", "11", "--n", "1", "--i", "1",
+         "--tier", "3"],
     ],
 )
 def test_grid_usage_errors_exit_two(capsys, argv):
-    """--tier without a tier ladder, and reversed ranges, are usage errors."""
+    """--tier without a tier ladder or off its rungs, and reversed ranges,
+    are usage errors."""
     code, out, err = run_capture(capsys, argv)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1
@@ -520,6 +578,18 @@ def test_verify_fixed_tier(capsys):
     assert code == 0
     rec = json.loads(out.splitlines()[0])
     assert rec["tier"] == 2 and rec["required_exponent"] == 4
+
+
+@pytest.mark.parametrize("theorem_id", ["thm-ee10bis", "thm-eecj"])
+def test_every_ladder_tier_runs(capsys, theorem_id):
+    """Each rung of a ladder can be pinned, and is judged at 2n + tier."""
+    for tier in cg.THEOREMS[theorem_id].tiers:
+        code, out, err = run_capture(
+            capsys, ["verify", theorem_id, "--p", "11", "--n", "1", "--i", "1",
+                     "--tier", str(tier)])
+        assert code in (0, 1) and err == ""
+        rec = json.loads(out)
+        assert rec["tier"] == tier and rec["required_exponent"] == 2 + tier
 
 
 class _RecordingCache(BernoulliCache):
