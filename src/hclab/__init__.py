@@ -3,7 +3,7 @@ prime powers: generalized harmonic numbers, Bernoulli numbers, Fermat
 quotients, and the verdict engine tying them together."""
 
 from .bernoulli import BernoulliCache, bernoulli, von_staudt_denominator
-from .exact import INFINITE, PrimePower, Rational, congruent_mod, reduce_mod, vp
+from .exact import INFINITE, PrimePower, reduce_mod, vp
 from .harmonic import harmonic, harmonic_mod
 from .primes import classify, fermat_quotient, primes_in
 
@@ -11,10 +11,8 @@ __all__ = [
     "BernoulliCache",
     "INFINITE",
     "PrimePower",
-    "Rational",
     "bernoulli",
     "classify",
-    "congruent_mod",
     "fermat_quotient",
     "harmonic",
     "harmonic_mod",

@@ -1,4 +1,4 @@
-"""Exact Bernoulli numbers, a persistent cache, and the classical identities.
+"""Exact Bernoulli numbers, a persistent cache, and irregular pairs.
 
 Every verifier in the package funnels its Bernoulli needs through a
 BernoulliCache, filled from the tangent-number kernel in as few calls as
@@ -24,9 +24,8 @@ from contextlib import contextmanager, suppress
 from fractions import Fraction
 from math import gcd, lgamma, log, pi
 
-from . import _kernels
-from .errors import CacheFileCorrupt, HypothesisViolated, IndexCeilingExceeded
-from .exact import binomial, vp
+from . import _kernels, primes
+from .errors import CacheFileCorrupt, IndexCeilingExceeded
 
 CEILING = 2500
 
@@ -50,12 +49,9 @@ def _von_staudt_table(n: int) -> None:
     global _vsc_dens, _vsc_sums
     if n < len(_vsc_dens):
         return
-    from .primes import primes_in
-
     top = max(n, CEILING)
-    primes = primes_in(2, top + 1)
     # p - 1 is even for odd p; p = 2 divides the denominator at every even index
-    steps = [(p, max(p - 1, 2)) for p in primes]
+    steps = [(p, max(p - 1, 2)) for p in primes.primes_in(2, top + 1)]
     dens = [1] * (top + 1)
     for p, step in steps:
         for i in range(step, top + 1, step):
@@ -234,72 +230,6 @@ def bernoulli(n: int, cache: BernoulliCache | None = None) -> Fraction:
     return (cache or _default_cache).get(n)
 
 
-def check_recurrence(n: int, cache: BernoulliCache | None = None) -> bool:
-    """sum(B_k C(n,k), k=0..n) == (-1)^n B_n, exactly."""
-    b = (cache or _default_cache).get
-    total = sum(b(k) * binomial(n, k) for k in range(n + 1))
-    return total == (-1) ** n * b(n)
-
-
-def faulhaber_sum(n: int, i: int, cache: BernoulliCache | None = None) -> Fraction:
-    """sum(j^i, j=1..n) through the Bernoulli closed form."""
-    b = (cache or _default_cache).get
-    total = sum(
-        (-1) ** h * binomial(i + 1, h) * b(h) * Fraction(n) ** (i + 1 - h)
-        for h in range(i + 1)
-    )
-    return Fraction(total, i + 1)
-
-
-def check_kummer(h: int, k: int, p: int, cache: BernoulliCache | None = None) -> bool:
-    """B_h/h == B_k/k (mod p) for h == k (mod p-1), neither divisible by p-1."""
-    if (h - k) % (p - 1) != 0 or h % (p - 1) == 0 or k % (p - 1) == 0:
-        raise HypothesisViolated(
-            f"Kummer congruence needs h == k mod {p - 1}, neither divisible by it"
-        )
-    b = (cache or _default_cache).get
-    return vp(Fraction(b(h), h) - Fraction(b(k), k), p) >= 1
-
-
-def check_lemma_binomial_sums(k: int, cache: BernoulliCache | None = None) -> bool:
-    """The four binomial-weighted Bernoulli sum identities, exactly at k."""
-    b = (cache or _default_cache).get
-    half = Fraction(1, 2)
-
-    def s(top):
-        return sum(binomial(top, 2 * j - 1) * b(2 * j) for j in range(1, k + 1))
-
-    return (
-        s(2 * k - 1) == half + b(2 * k) + b(2 * k - 1)
-        and s(2 * k) == half - b(2 * k)
-        and s(2 * k + 1) == half
-        and s(2 * k + 2) == half - (2 * k + 3) * b(2 * k + 2)
-    )
-
-
-def check_lemma_weighted_sums(k: int, cache: BernoulliCache | None = None) -> bool:
-    """The two 2^j-weighted Bernoulli sum identities, exactly at k."""
-    b = (cache or _default_cache).get
-    lhs1 = sum(b(j) * (2**j - 1) * binomial(k, j) for j in range(k + 1))
-    lhs2 = sum(b(j) * 2**j * binomial(k, j) for j in range(k + 1))
-    return lhs1 == (-1) ** k * b(k) * (1 - 2**k) and lhs2 == 2 * b(k) * (
-        1 - Fraction(2) ** (k - 1)
-    )
-
-
-def check_lemma_tangent_identity(k: int, cache: BernoulliCache | None = None) -> bool:
-    """The tangent-derived identity tying weighted B_{j+1}/(j+1) to B_{2k}/2k."""
-    b = (cache or _default_cache).get
-    lhs = sum(
-        binomial(2 * k - 1, j)
-        * (2**j - 1)
-        * (2 ** (j + 1) - 1)
-        * Fraction(b(j + 1), j + 1)
-        for j in range(2 * k)
-    )
-    return lhs == (2 ** (2 * k) - 1) * Fraction(b(2 * k), 2 * k)
-
-
 def is_irregular_pair(p: int, two_k: int, cache: BernoulliCache | None = None) -> bool:
     """True iff two_k is even, 2 <= two_k <= p - 3 and p divides the numerator
     of B_{two_k}; as p - 1 > two_k, p never divides its denominator."""
@@ -312,23 +242,21 @@ def irregular_pairs(p_max: int, cache: BernoulliCache | None = None):
     """All irregular pairs (p, 2k) with p <= p_max, sorted; each B_2k is read
     once, and one gcd with the product of the primes p >= 2k + 3 picks out
     the primes to test."""
-    from .primes import largest_prime, primes_in
-
     # The largest prime P <= p_max sets the top read, B_{P-3}; it is looked
     # for only when p_max itself could pass the ceiling.
     if p_max - 3 > CEILING:
-        check_ceiling(largest_prime(3, p_max) - 3)
-    primes = primes_in(5, p_max)
-    top = max(primes, default=2) - 3
+        check_ceiling(primes.largest_prime(3, p_max) - 3)
+    candidates = primes.primes_in(5, p_max)
+    top = max(candidates, default=2) - 3
     (cache or _default_cache).extend_to(top)  # one kernel call for every read
-    # suffix[i] is the product of primes[i:]
-    suffix = [1] * (len(primes) + 1)
-    for i in range(len(primes) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] * primes[i]
+    # suffix[i] is the product of candidates[i:]
+    suffix = [1] * (len(candidates) + 1)
+    for i in range(len(candidates) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] * candidates[i]
     out = []
     for two_k in range(2, top + 1, 2):
-        first = bisect_left(primes, two_k + 3)
+        first = bisect_left(candidates, two_k + 3)
         g = gcd(bernoulli(two_k, cache).numerator, suffix[first])
         if g > 1:
-            out += [(p, two_k) for p in primes[first:] if g % p == 0]
+            out += [(p, two_k) for p in candidates[first:] if g % p == 0]
     return sorted(out)

@@ -15,11 +15,12 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from fractions import Fraction
 from itertools import count, islice
+from math import comb
 from typing import NamedTuple
 
 from .bernoulli import BernoulliCache, bernoulli, is_irregular_pair
 from .errors import HypothesisViolated
-from .exact import binomial, vp
+from .exact import vp
 from .harmonic import harmonic
 from .primes import fermat_quotient, q_series, q_terms
 from .report import ReportRecord
@@ -136,23 +137,23 @@ def _expansion_series(which: str, k: int, p: int) -> Iterator[Fraction]:
     if which == "e10ee":
         yield -harmonic(k, p - 1)
         for j in count():
-            yield (-1) ** k * binomial(j + k - 1, j) * p**j * harmonic(k + j, p - 1)
+            yield (-1) ** k * comb(j + k - 1, j) * p**j * harmonic(k + j, p - 1)
     elif which == "e10eed":
         yield -harmonic(2 * k, p - 1)
         yield 2 * harmonic(2 * k, half)
         for j in count(1):
-            yield binomial(j + 2 * k - 1, j) * p**j * harmonic(2 * k + j, half)
+            yield comb(j + 2 * k - 1, j) * p**j * harmonic(2 * k + j, half)
     elif which == "e10eee":
         yield -harmonic(k, p - 1)
         yield Fraction(1 + (-1) ** k, 2**k) * harmonic(k, half)
         for j in count(1):
-            yield (Fraction((-1) ** k * binomial(j + k - 1, j) * p**j, 2 ** (j + k))
+            yield (Fraction((-1) ** k * comb(j + k - 1, j) * p**j, 2 ** (j + k))
                    * harmonic(k + j, half))
     else:  # e10eeeff
         yield 2 * (2 ** (2 * k) - 1) * harmonic(2 * k, half)
         yield Fraction(0)
         for j in count(1):
-            yield (Fraction(binomial(j + 2 * k - 1, j) * (2 ** (2 * k + j) - 1) * p**j, 2**j)
+            yield (Fraction(comb(j + 2 * k - 1, j) * (2 ** (2 * k + j) - 1) * p**j, 2**j)
                    * harmonic(2 * k + j, half))
 
 
@@ -262,7 +263,7 @@ def _ee10bis_series(p: int, i: int, cache: BernoulliCache | None) -> Iterator[Fr
     """0, then C(j+2i,2i) B_j H^(j+2i+1)_{p-1} (-p)^j for j = 0, 1, ..."""
     yield Fraction(0)
     for j in count():
-        yield (binomial(j + 2 * i, 2 * i) * (-p) ** j * bernoulli(j, cache)
+        yield (comb(j + 2 * i, 2 * i) * (-p) ** j * bernoulli(j, cache)
                * harmonic(j + 2 * i + 1, p - 1))
 
 
@@ -290,7 +291,7 @@ def verify_cor_ee10biss(p: int, i: int, k: int,
                         cache: BernoulliCache | None = None) -> ReportRecord:
     """The same series truncated at j < k is divisible by p^k (odd p)."""
     _require(p % 2 == 1 and p >= 3, "needs odd p")
-    _require(k >= 1, "needs k >= 1")
+    _require(i >= 0 and k >= 1, "needs i >= 0, k >= 1")
     return _verdict("cor-ee10biss", p, _ee10bis_sum(p, i, k, cache), k, i=i, k=k)
 
 
@@ -300,7 +301,7 @@ def verify_cor_ee10biss(p: int, i: int, k: int,
 def _eecj_tier(p: int, n: int, i: int, cache: BernoulliCache | None) -> int:
     half = (p - 1) // 2
     cond = (
-        binomial(2 * n + 2 * i, 2 * n + 2)
+        comb(2 * n + 2 * i, 2 * n + 2)
         * (2 ** (2 * n + 2 * i + 1) - 1)
         * harmonic(2 * n + 2 * i + 1, half)
         * ((2 * n + 3) * bernoulli(2 * n + 2, cache) + Fraction(n, 2))
@@ -324,7 +325,7 @@ def _eecj_series(p: int, i: int, cache: BernoulliCache | None) -> Iterator[Fract
     yield Fraction(0)
     half = (p - 1) // 2
     for j in count():
-        yield (Fraction(binomial(j + 2 * i - 1, j + 1) * (2 ** (j + 2 * i) - 1) * p**j, 2**j)
+        yield (Fraction(comb(j + 2 * i - 1, j + 1) * (2 ** (j + 2 * i) - 1) * p**j, 2**j)
                * coeff_c(j, cache) * harmonic(j + 2 * i, half))
 
 
@@ -400,7 +401,7 @@ def verify_prop42(p: int, n: int, h: int,
     for i in range(1, (n - 1) // 2 + 1):
         lhs += (
             Fraction(p) ** (2 * i)
-            * binomial(2 * i + 2 * h, 2 * i)
+            * comb(2 * i + 2 * h, 2 * i)
             * coeff_z(p, n, h + i, cache)
             * (2 ** (2 * h + 1) - Fraction(1, 2 ** (2 * i)))
         )
@@ -468,6 +469,40 @@ def sun_congruence(p: int, cache: BernoulliCache | None = None) -> ReportRecord:
     return _verdict("sun", p, lhs, 3)
 
 
+# -- the lemmas the expansions rest on ----------------------------------------
+
+
+def verify_lemma_pb_1(p: int, n: int, cache: BernoulliCache | None = None) -> ReportRecord:
+    """p B_{p^(n-1)(p-1)} == p - 1 (mod p^n) for odd p and n >= 1."""
+    _require(p % 2 == 1 and p >= 3, "needs odd p")
+    _require(n >= 1, "needs n >= 1")
+    lhs = p * bernoulli(p ** (n - 1) * (p - 1), cache) - (p - 1)
+    return _verdict("lemma-pb-1", p, lhs, n, n=n)
+
+
+def verify_lemma_pb_2(p: int, n: int, h: int,
+                      cache: BernoulliCache | None = None) -> ReportRecord:
+    """p B_{p^(n-1)(p-1)-2h} == H^(2h)_{p-1} (mod p) for odd p, n >= 1 and
+    h >= 1, where the Bernoulli index is at least 2."""
+    _require(p % 2 == 1 and p >= 3, "needs odd p")
+    _require(n >= 1 and h >= 1, "needs n, h >= 1")
+    index = p ** (n - 1) * (p - 1) - 2 * h
+    _require(index >= 2, "needs p^(n-1)(p-1) - 2h >= 2")
+    lhs = p * bernoulli(index, cache) - harmonic(2 * h, p - 1)
+    return _verdict("lemma-pb-2", p, lhs, 1, n=n, h=h)
+
+
+def verify_kummer(p: int, h: int, k: int, cache: BernoulliCache | None = None) -> ReportRecord:
+    """Kummer's congruence B_h/h == B_k/k (mod p) for odd p and even h, k >= 2
+    with h == k (mod p-1), neither divisible by p-1."""
+    _require(p % 2 == 1 and p >= 3, "needs odd p")
+    _require(h >= 2 and k >= 2 and h % 2 == 0 and k % 2 == 0, "needs even h, k >= 2")
+    _require((h - k) % (p - 1) == 0 and h % (p - 1) != 0 and k % (p - 1) != 0,
+             f"needs h == k mod {p - 1}, neither divisible by it")
+    lhs = bernoulli(h, cache) / h - bernoulli(k, cache) / k
+    return _verdict("kummer", p, lhs, 1, h=h, k=k)
+
+
 # -- the theorem table ----------------------------------------------------------
 
 
@@ -518,6 +553,12 @@ def _z_need(p: int, a: dict) -> int:
     return p ** (a["n"] - 1) * (p - 1) - 2 * a.get("h", 1) if a["n"] >= 2 else -1
 
 
+def _pb_need(p: int, a: dict) -> int:
+    # lemma-pb-1 reads B_{p^(n-1)(p-1)}, lemma-pb-2 that index less 2h
+    h = a.get("h", 0)
+    return p ** (a["n"] - 1) * (p - 1) - 2 * h if a["n"] >= 1 and h >= 0 else -1
+
+
 THEOREMS: dict[str, Theorem] = {
     "wolstenholme": Theorem((), lambda p, a, c: verify_wolstenholme(p)),
     "wolstenholme-refined": Theorem((), lambda p, a, c: verify_wolstenholme_refined(p)),
@@ -559,4 +600,12 @@ THEOREMS: dict[str, Theorem] = {
     ),
     "eq47": Theorem(("n",), lambda p, a, c: verify_intermediate_47(p, a["n"], c), _z_need),
     "sun": Theorem((), lambda p, a, c: sun_congruence(p, c), lambda p, a: p - 3),
+    "lemma-pb-1": Theorem(("n",), lambda p, a, c: verify_lemma_pb_1(p, a["n"], c), _pb_need),
+    "lemma-pb-2": Theorem(
+        ("n", "h"), lambda p, a, c: verify_lemma_pb_2(p, a["n"], a["h"], c), _pb_need,
+    ),
+    "kummer": Theorem(
+        ("h", "k"), lambda p, a, c: verify_kummer(p, a["h"], a["k"], c),
+        lambda p, a: max(a["h"], a["k"]),
+    ),
 }

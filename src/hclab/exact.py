@@ -16,8 +16,6 @@ from typing import NamedTuple
 
 from .errors import NotPIntegral
 
-Rational = Fraction
-
 #: Valuation of zero; compares above every integer.
 INFINITE = math.inf
 
@@ -71,7 +69,7 @@ def vp_int(n: int, p: int) -> int | float:
     return v
 
 
-def vp(x: Rational | int, p: int) -> int | float:
+def vp(x: Fraction | int, p: int) -> int | float:
     """p-adic valuation of a rational: v_p(num) - v_p(den); INFINITE for 0."""
     if isinstance(x, int):
         return vp_int(x, p)
@@ -80,12 +78,7 @@ def vp(x: Rational | int, p: int) -> int | float:
     return vp_int(x.numerator, p) - vp_int(x.denominator, p)
 
 
-def congruent_mod(x: Rational | int, y: Rational | int, m: PrimePower) -> bool:
-    """x == y (mod p^e) in the valuation sense: v_p(x - y) >= e."""
-    return vp(Fraction(x) - Fraction(y), m.p) >= m.e
-
-
-def reduce_mod(x: Rational | int, m: PrimePower) -> int:
+def reduce_mod(x: Fraction | int, m: PrimePower) -> int:
     """Residue of a p-integral rational in [0, p^e).
 
     Raises NotPIntegral when the denominator is divisible by p; that always
@@ -96,36 +89,3 @@ def reduce_mod(x: Rational | int, m: PrimePower) -> int:
         raise NotPIntegral(f"{x} has negative {m.p}-adic valuation")
     mod = m.modulus
     return x.numerator * pow(x.denominator, -1, mod) % mod
-
-
-def digit_sum(j: int, p: int) -> int:
-    """Sum of the base-p digits of j."""
-    if j < 0:
-        raise ValueError("j must be non-negative")
-    s = 0
-    while j:
-        j, r = divmod(j, p)
-        s += r
-    return s
-
-
-def factorial_valuation(j: int, p: int) -> int:
-    """v_p(j!) by summing floor(j / p^k)."""
-    v = 0
-    q = p
-    while q <= j:
-        v += j // q
-        q *= p
-    return v
-
-
-def check_legendre(j: int, p: int) -> bool:
-    """Cross-check v_p(j!) against the digit-sum formula (j - s_p(j))/(p-1)."""
-    return factorial_valuation(j, p) * (p - 1) == j - digit_sum(j, p)
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact C(n, k); zero when k > n."""
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)

@@ -8,16 +8,11 @@ from fractions import Fraction
 import pytest
 
 import hclab._kernels
+from hclab import congruences as cg
 from hclab.bernoulli import (
     CEILING,
     BernoulliCache,
     bernoulli,
-    check_kummer,
-    check_lemma_binomial_sums,
-    check_lemma_tangent_identity,
-    check_lemma_weighted_sums,
-    check_recurrence,
-    faulhaber_sum,
     irregular_pairs,
     is_irregular_pair,
     von_staudt_denominator,
@@ -25,6 +20,14 @@ from hclab.bernoulli import (
 from hclab.errors import CacheFileCorrupt, HypothesisViolated, IndexCeilingExceeded
 from hclab.exact import is_prime, vp
 from hclab.primes import primes_in
+
+from oracles import (
+    check_lemma_binomial_sums,
+    check_lemma_tangent_identity,
+    check_lemma_weighted_sums,
+    check_recurrence,
+    faulhaber_sum,
+)
 
 # hclab re-exports the function bernoulli under the module's own name
 bernoulli_mod = importlib.import_module("hclab.bernoulli")
@@ -98,12 +101,17 @@ def test_faulhaber_vs_brute_force(cache):
 
 
 def test_kummer(cache):
-    assert check_kummer(2, 12, 11, cache)
-    assert check_kummer(4, 14, 11, cache)
-    with pytest.raises(HypothesisViolated):
-        check_kummer(2, 11, 11, cache)
-    with pytest.raises(HypothesisViolated):
-        check_kummer(10, 20, 11, cache)
+    """Kummer's congruence as the kummer verdict.  Mod 11, B_2/2 = 1/12 and
+    B_12/12 = -691/32760 agree; an index off the class of the other, one
+    divisible by p - 1, and an odd one are refused.  At h = 1 the verdict
+    would read B_1 - B_11/11 = -1/2 and fail, though h = 1 == 11 (mod 10)."""
+    v = cg.verify_kummer(11, 2, 12, cache)
+    assert v.passed and v.lhs == Fraction(3421, 32760) and v.achieved_valuation == 1
+    assert v.params == {"h": 2, "k": 12}
+    assert cg.verify_kummer(11, 4, 14, cache).passed
+    for h, k in ((2, 11), (10, 20), (1, 11)):
+        with pytest.raises(HypothesisViolated):
+            cg.verify_kummer(11, h, k, cache)
 
 
 def test_binomial_sum_identities(cache):

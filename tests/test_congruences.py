@@ -149,6 +149,8 @@ def test_truncation_corollaries(cache):
             assert cg.verify_cor_ee10biss(p, 0, k, cache).passed
             assert cg.verify_cor_ee10biss(p, 1, k, cache).passed
             assert cg.verify_cor_eecjj(p, k, cache).passed
+    with pytest.raises(HypothesisViolated):  # C(j+2i, 2i) needs i >= 0
+        cg.verify_cor_ee10biss(5, -1, 2, cache)
 
 
 def test_prop41(cache):

@@ -9,17 +9,14 @@ from hclab.errors import NotPIntegral
 from hclab.exact import (
     INFINITE,
     PrimePower,
-    binomial,
-    check_legendre,
-    congruent_mod,
-    digit_sum,
-    factorial_valuation,
     is_prime,
     reduce_mod,
     vp,
     vp_int,
 )
 from hclab.primes import primes_in
+
+from oracles import check_legendre, congruent_mod, digit_sum, factorial_valuation
 
 
 def test_is_prime_small():
@@ -87,17 +84,6 @@ def test_legendre_identity_grid():
     for j in range(1, 5001):
         for p in primes:
             assert check_legendre(j, p)
-
-
-def test_binomial_matches_pascal():
-    # independent oracle: Pascal's triangle
-    row = [1]
-    for n in range(31):
-        for k, c in enumerate(row):
-            assert binomial(n, k) == c
-        assert binomial(n, n + 1) == 0
-        row = [1] + [row[k] + row[k + 1] for k in range(len(row) - 1)] + [1]
-    assert binomial(30, 15) == 155117520
 
 
 def test_binomial_prime_power_ratio_bound():

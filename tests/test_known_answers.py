@@ -1,7 +1,7 @@
-"""Verdicts checked against facts from the literature, not against an oracle
-built from the same code."""
+"""Verdicts and Bernoulli values checked against facts from the literature
+and against a second route, not against an oracle built from the same code."""
 
-from hclab.bernoulli import BernoulliCache, irregular_pairs
+from hclab.bernoulli import CEILING, BernoulliCache, irregular_pairs
 from hclab.congruences import verify_eisenstein, verify_wolstenholme
 from hclab.exact import PrimePower
 from hclab.harmonic import harmonic_mod
@@ -47,3 +47,23 @@ def test_irregular_pairs_by_two_routes_to_300():
         (283, 20), (293, 156),
     ]
     assert irregular_pairs(300, BernoulliCache()) == by_harmonic
+
+
+def test_bernoulli_residues_by_akiyama_tanigawa(tmp_path):
+    """Every value a cache filled to CEILING holds after a store and a load,
+    against the Akiyama-Tanigawa triangle (Kaneko, J. Integer Seq. 2000) run
+    mod the Mersenne prime M = 2^61 - 1.  The triangle shares no code with the
+    tangent kernel, and it sees what the cache's own checks cannot: B_n plus
+    an integer keeps the sign, denominator, Von Staudt-Clausen sum and
+    magnitude of a large B_n."""
+    m = 2**61 - 1
+    path = tmp_path / "b.cache"
+    BernoulliCache(path=str(path)).extend_to(CEILING)
+    loaded = BernoulliCache(path=str(path))
+    # Row i holds a_{i,j} = (j+1)(a_{i-1,j} - a_{i-1,j+1}), from a_{0,j} = 1/(j+1);
+    # a_{i,0} is B_i with B_1 = +1/2, so (-1)^i B_i in this package's convention.
+    row = [pow(j, -1, m) for j in range(1, CEILING + 2)]
+    for i in range(CEILING + 1):
+        b = loaded.get(i)
+        assert row[0] == (-1) ** i * b.numerator * pow(b.denominator, -1, m) % m, i
+        row = [j * (x - y) % m for j, x, y in zip(range(1, len(row)), row, row[1:])]

@@ -1,18 +1,20 @@
 """Sieve, Fermat quotients, prime classification, and the arithmetic lemmas."""
 
+from fractions import Fraction
+
 import pytest
 
+from hclab import congruences as cg
 from hclab.errors import HypothesisViolated
 from hclab.exact import is_prime
 from hclab.primes import (
-    check_fermat_expansion,
-    check_lemma_binom,
-    check_lemma_pB,
     classify,
     fermat_quotient,
     largest_prime,
     primes_in,
 )
+
+from oracles import check_fermat_expansion, check_lemma_binom
 
 WINDOWS = [(5, 4), (-3, 0), (0, 2), (2, 3), (3, 3), (0, 50), (2, 121), (90, 121),
            (121, 121), (113, 169), (1000, 1369), (9000, 9400)]
@@ -87,19 +89,29 @@ def test_lemma_binom_grid():
 
 
 def test_lemma_pB_examples(cache):
-    assert check_lemma_pB(5, 2, 0, cache)
-    assert check_lemma_pB(3, 2, 1, cache)
-    assert check_lemma_pB(7, 1, 1, cache)
-    with pytest.raises(HypothesisViolated):
-        check_lemma_pB(2, 1, 0, cache)
+    """The two p*B congruences as the lemma-pb-1 and lemma-pb-2 verdicts,
+    exact where the values are small enough to write down."""
+    v = cg.verify_lemma_pb_1(5, 2, cache)  # 5 B_20 - 4, B_20 = -174611/330
+    assert v.passed and v.lhs == Fraction(-174875, 66) and v.achieved_valuation == 3
+    v = cg.verify_lemma_pb_2(3, 2, 1, cache)  # 3 B_4 - H^(2)_2 = -1/10 - 5/4
+    assert v.passed and v.lhs == Fraction(-27, 20) and v.achieved_valuation == 3
+    assert cg.verify_lemma_pb_1(7, 1, cache).passed
+    assert cg.verify_lemma_pb_2(7, 1, 1, cache).passed
+    for refused in (lambda: cg.verify_lemma_pb_1(2, 1, cache),  # p = 2
+                    lambda: cg.verify_lemma_pb_1(5, 0, cache),
+                    lambda: cg.verify_lemma_pb_2(7, 1, 0, cache),
+                    lambda: cg.verify_lemma_pb_2(7, 1, 3, cache)):  # would read B_0
+        with pytest.raises(HypothesisViolated):
+            refused()
 
 
 def test_lemma_pB_small_grid(cache):
     for p, n in ((3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2),
                  (11, 1), (13, 1)):
         big = p ** (n - 1) * (p - 1)
-        for h in range(0, min(4, (big - 2) // 2 + 1)):
-            assert check_lemma_pB(p, n, h, cache)
+        assert cg.verify_lemma_pb_1(p, n, cache).passed
+        for h in range(1, min(4, (big - 2) // 2 + 1)):
+            assert cg.verify_lemma_pb_2(p, n, h, cache).passed
 
 
 def test_fermat_expansion_examples():

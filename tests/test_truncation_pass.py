@@ -11,6 +11,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import count
+from math import comb
 
 import pytest
 
@@ -19,7 +20,7 @@ from hclab import congruences as cg
 from hclab.bernoulli import BernoulliCache
 from hclab.cli import run
 from hclab.errors import HypothesisViolated
-from hclab.exact import binomial, vp
+from hclab.exact import vp
 from hclab.harmonic import harmonic
 from hclab.primes import fermat_quotient, primes_in, q_series
 
@@ -37,14 +38,14 @@ def oracle_expansion(which, k, p, J):
     half = (p - 1) // 2
     if which == "e10ee":
         series = (-1) ** k * sum(
-            (binomial(j + k - 1, j) * harmonic(k + j, p - 1) * Fraction(p) ** j
+            (comb(j + k - 1, j) * harmonic(k + j, p - 1) * Fraction(p) ** j
              for j in range(J)),
             Fraction(0),
         )
         lhs = series - harmonic(k, p - 1)
     elif which == "e10eed":
         series = sum(
-            (binomial(j + 2 * k - 1, j) * harmonic(2 * k + j, half) * Fraction(p) ** j
+            (comb(j + 2 * k - 1, j) * harmonic(2 * k + j, half) * Fraction(p) ** j
              for j in range(1, J)),
             Fraction(0),
         )
@@ -52,7 +53,7 @@ def oracle_expansion(which, k, p, J):
         lhs = head + series - harmonic(2 * k, p - 1)
     elif which == "e10eee":
         series = (-1) ** k * sum(
-            (binomial(j + k - 1, j)
+            (comb(j + k - 1, j)
              * Fraction(1, 2 ** (j + k))
              * harmonic(k + j, half)
              * Fraction(p) ** j
@@ -65,7 +66,7 @@ def oracle_expansion(which, k, p, J):
         lhs = head + series - harmonic(k, p - 1)
     else:
         series = sum(
-            (binomial(j + 2 * k - 1, j)
+            (comb(j + 2 * k - 1, j)
              * Fraction(2 ** (2 * k + j) - 1, 2**j)
              * harmonic(2 * k + j, half)
              * Fraction(p) ** j
@@ -78,7 +79,7 @@ def oracle_expansion(which, k, p, J):
 
 def ee10bis_sum(p, i, k, cache):
     return sum(
-        (binomial(j + 2 * i, 2 * i)
+        (comb(j + 2 * i, 2 * i)
          * cg.bernoulli(j, cache)
          * harmonic(j + 2 * i + 1, p - 1)
          * Fraction(-p) ** j
@@ -95,7 +96,7 @@ def oracle_cor_ee10biss(p, i, k, cache):
 def eecj_sum(p, i, J, cache):
     half = (p - 1) // 2
     return sum(
-        (binomial(j + 2 * i - 1, j + 1)
+        (comb(j + 2 * i - 1, j + 1)
          * Fraction(2 ** (j + 2 * i) - 1, 2**j)
          * cg.coeff_c(j, cache)
          * harmonic(j + 2 * i, half)
