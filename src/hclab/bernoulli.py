@@ -1,8 +1,9 @@
 """Exact Bernoulli numbers, a persistent cache, and irregular pairs.
 
-Every verifier in the package funnels its Bernoulli needs through a
-BernoulliCache, filled from the tangent-number kernel in as few calls as
-possible: the kernel rebuilds its triangle from B_0 on every call.  A wrong
+Every read of a Bernoulli number goes through a BernoulliCache that the
+caller passes in; there is no module-level store to fall back on.  Commands
+fill their cache from the tangent-number kernel in as few calls as possible,
+since the kernel rebuilds its triangle from B_0 on every call.  A wrong
 value would silently poison every downstream verdict, so the cache puts each
 even-index value B_2k it parses or computes through four checks:
 
@@ -222,15 +223,12 @@ class BernoulliCache:
         return Fraction(self._nums[n], self._dens[n])
 
 
-_default_cache = BernoulliCache()
+def bernoulli(n: int, cache: BernoulliCache) -> Fraction:
+    """Exact B_n (B_1 = -1/2), read from the caller's cache."""
+    return cache.get(n)
 
 
-def bernoulli(n: int, cache: BernoulliCache | None = None) -> Fraction:
-    """Exact B_n (B_1 = -1/2), extending the cache contiguously."""
-    return (cache or _default_cache).get(n)
-
-
-def is_irregular_pair(p: int, two_k: int, cache: BernoulliCache | None = None) -> bool:
+def is_irregular_pair(p: int, two_k: int, cache: BernoulliCache) -> bool:
     """True iff two_k is even, 2 <= two_k <= p - 3 and p divides the numerator
     of B_{two_k}; as p - 1 > two_k, p never divides its denominator."""
     if two_k % 2 or not 2 <= two_k <= p - 3:
@@ -238,7 +236,7 @@ def is_irregular_pair(p: int, two_k: int, cache: BernoulliCache | None = None) -
     return bernoulli(two_k, cache).numerator % p == 0
 
 
-def irregular_pairs(p_max: int, cache: BernoulliCache | None = None):
+def irregular_pairs(p_max: int, cache: BernoulliCache):
     """All irregular pairs (p, 2k) with p <= p_max, sorted; each B_2k is read
     once, and one gcd with the product of the primes p >= 2k + 3 picks out
     the primes to test."""
@@ -248,7 +246,7 @@ def irregular_pairs(p_max: int, cache: BernoulliCache | None = None):
         check_ceiling(primes.largest_prime(3, p_max) - 3)
     candidates = primes.primes_in(5, p_max)
     top = max(candidates, default=2) - 3
-    (cache or _default_cache).extend_to(top)  # one kernel call for every read
+    cache.extend_to(top)  # one kernel call for every read
     # suffix[i] is the product of candidates[i:]
     suffix = [1] * (len(candidates) + 1)
     for i in range(len(candidates) - 1, -1, -1):

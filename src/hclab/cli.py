@@ -188,6 +188,9 @@ def _cmd_classify_prime(args) -> int:
 
 def _cmd_selftest(args) -> int:
     cache = _cache_from(args)
+    # one kernel call fills every read, as in _cmd_grid
+    cache.extend_to(max(cg.THEOREMS[theorem_id].bernoulli_need(case["p"], case)
+                        for theorem_id, case, *_ in GOLD_VECTORS))
     ok = True
     records = []
     for theorem_id, case, expected, expected_valuation in GOLD_VECTORS:

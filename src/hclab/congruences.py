@@ -71,7 +71,7 @@ def _truncated(key: tuple, series: Iterator[Fraction], length: int) -> Fraction:
 # -- coefficient families -----------------------------------------------------
 
 
-def coeff_c(j: int, cache: BernoulliCache | None = None) -> Fraction:
+def coeff_c(j: int, cache: BernoulliCache) -> Fraction:
     """2 B_{j+2} + (-1)^j B_{j+1} + 1/2; equals 1/3 at j = 0 and j = 1."""
     return (
         2 * bernoulli(j + 2, cache)
@@ -80,14 +80,14 @@ def coeff_c(j: int, cache: BernoulliCache | None = None) -> Fraction:
     )
 
 
-def coeff_a(h: int, cache: BernoulliCache | None = None) -> Fraction:
+def coeff_a(h: int, cache: BernoulliCache) -> Fraction:
     """4 (2^(2h+2) - 1) B_{2h+2} / ((2h+1)(2h+2)); equals -1/6 at h = 1."""
     return Fraction(4 * (2 ** (2 * h + 2) - 1), (2 * h + 1) * (2 * h + 2)) * bernoulli(
         2 * h + 2, cache
     )
 
 
-def coeff_z(p: int, n: int, h: int, cache: BernoulliCache | None = None) -> Fraction:
+def coeff_z(p: int, n: int, h: int, cache: BernoulliCache) -> Fraction:
     """B_{p^(n-1)(p-1) - 2h} / (2h)."""
     return bernoulli(p ** (n - 1) * (p - 1) - 2 * h, cache) / (2 * h)
 
@@ -214,8 +214,7 @@ def verify_cor_remark0(which: str, k: int, p: int) -> ReportRecord:
 # -- Bernoulli-valued congruences for H^(2k), H^(2k-1) ------------------------
 
 
-def verify_thm_prop3(which: str, k: int, p: int,
-                     cache: BernoulliCache | None = None) -> ReportRecord:
+def verify_thm_prop3(which: str, k: int, p: int, cache: BernoulliCache) -> ReportRecord:
     """The four congruences expressing harmonic numbers through B_{p-1-2k}."""
     _require(k >= 1, "needs k >= 1")
     if which == "e9bbs":
@@ -246,8 +245,7 @@ def verify_thm_prop3(which: str, k: int, p: int,
 # -- the tier-ladder theorem for H^(j)_{p-1} ----------------------------------
 
 
-def _ee10bis_tier(p: int, n: int, i: int,
-                  cache: BernoulliCache | None = None) -> int:
+def _ee10bis_tier(p: int, n: int, i: int, cache: BernoulliCache) -> int:
     if is_irregular_pair(p, p - 2 * n - 2 * i - 5, cache):
         return 5
     if p >= 2 * n + 2 * i + 7:
@@ -259,7 +257,7 @@ def _ee10bis_tier(p: int, n: int, i: int,
     return 1
 
 
-def _ee10bis_series(p: int, i: int, cache: BernoulliCache | None) -> Iterator[Fraction]:
+def _ee10bis_series(p: int, i: int, cache: BernoulliCache) -> Iterator[Fraction]:
     """0, then C(j+2i,2i) B_j H^(j+2i+1)_{p-1} (-p)^j for j = 0, 1, ..."""
     yield Fraction(0)
     for j in count():
@@ -267,13 +265,13 @@ def _ee10bis_series(p: int, i: int, cache: BernoulliCache | None) -> Iterator[Fr
                * harmonic(j + 2 * i + 1, p - 1))
 
 
-def _ee10bis_sum(p: int, i: int, length: int, cache: BernoulliCache | None) -> Fraction:
+def _ee10bis_sum(p: int, i: int, length: int, cache: BernoulliCache) -> Fraction:
     """The thm-ee10bis series at j < length; cor-ee10biss reads the same sum."""
     return _truncated(("ee10bis", p, i, cache), _ee10bis_series(p, i, cache), length)
 
 
-def verify_thm_ee10bis(p: int, n: int, i: int, tier: int | None = None,
-                       cache: BernoulliCache | None = None) -> ReportRecord:
+def verify_thm_ee10bis(p: int, n: int, i: int, tier: int | None = None, *,
+                       cache: BernoulliCache) -> ReportRecord:
     """sum(C(j+2i,2i) B_j H^(j+2i+1)_{p-1} (-p)^j, j=0..2n+1) mod p^(2n+m).
 
     The tier m is resolved to the largest value whose condition holds unless
@@ -287,8 +285,7 @@ def verify_thm_ee10bis(p: int, n: int, i: int, tier: int | None = None,
     return _verdict("thm-ee10bis", p, lhs, 2 * n + m, tier=m, n=n, i=i)
 
 
-def verify_cor_ee10biss(p: int, i: int, k: int,
-                        cache: BernoulliCache | None = None) -> ReportRecord:
+def verify_cor_ee10biss(p: int, i: int, k: int, cache: BernoulliCache) -> ReportRecord:
     """The same series truncated at j < k is divisible by p^k (odd p)."""
     _require(p % 2 == 1 and p >= 3, "needs odd p")
     _require(i >= 0 and k >= 1, "needs i >= 0, k >= 1")
@@ -298,7 +295,7 @@ def verify_cor_ee10biss(p: int, i: int, k: int,
 # -- the half-index even-order ladder -----------------------------------------
 
 
-def _eecj_tier(p: int, n: int, i: int, cache: BernoulliCache | None) -> int:
+def _eecj_tier(p: int, n: int, i: int, cache: BernoulliCache) -> int:
     half = (p - 1) // 2
     cond = (
         comb(2 * n + 2 * i, 2 * n + 2)
@@ -319,7 +316,7 @@ def _eecj_tier(p: int, n: int, i: int, cache: BernoulliCache | None) -> int:
     return 0
 
 
-def _eecj_series(p: int, i: int, cache: BernoulliCache | None) -> Iterator[Fraction]:
+def _eecj_series(p: int, i: int, cache: BernoulliCache) -> Iterator[Fraction]:
     """0, then C(j+2i-1,j+1) (2^(j+2i)-1)/2^j C_j H^(j+2i)_{(p-1)/2} p^j for
     j = 0, 1, ..."""
     yield Fraction(0)
@@ -329,13 +326,13 @@ def _eecj_series(p: int, i: int, cache: BernoulliCache | None) -> Iterator[Fract
                * coeff_c(j, cache) * harmonic(j + 2 * i, half))
 
 
-def _eecj_sum(p: int, i: int, length: int, cache: BernoulliCache | None) -> Fraction:
+def _eecj_sum(p: int, i: int, length: int, cache: BernoulliCache) -> Fraction:
     """The thm-eecj series at j < length; cor-eecjj reads the same sum at i = 1."""
     return _truncated(("eecj", p, i, cache), _eecj_series(p, i, cache), length)
 
 
-def verify_thm_eecj(p: int, n: int, i: int, tier: int | None = None,
-                    cache: BernoulliCache | None = None) -> ReportRecord:
+def verify_thm_eecj(p: int, n: int, i: int, tier: int | None = None, *,
+                    cache: BernoulliCache) -> ReportRecord:
     """sum(C(j+2i-1,j+1) (2^(j+2i)-1)/2^j C_j H^(j+2i)_{(p-1)/2} p^j) mod p^(2n+m).
 
     The sum runs over j < 2n.  The ladder starts at m = 0: rung m' <= m holds
@@ -358,7 +355,7 @@ def _eecjj_exponent(p: int, J: int) -> int:
     return J - 1 if (J % 2 == 1 and (J + 1) % (p - 1) == 0) else J
 
 
-def verify_cor_eecjj(p: int, J: int, cache: BernoulliCache | None = None) -> ReportRecord:
+def verify_cor_eecjj(p: int, J: int, cache: BernoulliCache) -> ReportRecord:
     """The i=1 series truncated at j < J is divisible by p^J, or by p^(J-1)
     where _eecjj_exponent drops it (odd p)."""
     _require(p % 2 == 1 and p >= 3, "needs odd p")
@@ -369,7 +366,7 @@ def verify_cor_eecjj(p: int, J: int, cache: BernoulliCache | None = None) -> Rep
 # -- the odd-order half-index results -----------------------------------------
 
 
-def verify_prop41(p: int, n: int, cache: BernoulliCache | None = None) -> ReportRecord:
+def verify_prop41(p: int, n: int, cache: BernoulliCache) -> ReportRecord:
     """H_{(p-1)/2} plus the Fermat-quotient series and the Bernoulli tail,
     modulo p^n, for p > (n+1)/2."""
     _require(p % 2 == 1 and p >= 3, "needs odd p")
@@ -388,8 +385,7 @@ def verify_prop41(p: int, n: int, cache: BernoulliCache | None = None) -> Report
     return _verdict("prop41", p, lhs, n, n=n)
 
 
-def verify_prop42(p: int, n: int, h: int,
-                  cache: BernoulliCache | None = None) -> ReportRecord:
+def verify_prop42(p: int, n: int, h: int, cache: BernoulliCache) -> ReportRecord:
     """H^(2h+1)_{(p-1)/2} against its Bernoulli expansion, modulo p^(n-1)."""
     _require(p % 2 == 1 and p >= 3, "needs odd p")
     _require(h >= 1, "needs h >= 1")
@@ -408,7 +404,7 @@ def verify_prop42(p: int, n: int, h: int,
     return _verdict("prop42", p, lhs, n - 1, n=n, h=h)
 
 
-def _ee20_series(p: int, cache: BernoulliCache | None) -> Iterator[Fraction]:
+def _ee20_series(p: int, cache: BernoulliCache) -> Iterator[Fraction]:
     """0, then the terms j = 0, 1, ... of the B/H series plus the q_p series."""
     yield Fraction(0)
     half = (p - 1) // 2
@@ -419,7 +415,7 @@ def _ee20_series(p: int, cache: BernoulliCache | None) -> Iterator[Fraction]:
         yield coeff * bernoulli(j + 2, cache) * harmonic(j + 1, half) + next(q)
 
 
-def verify_thm_ee20(p: int, n: int, cache: BernoulliCache | None = None) -> ReportRecord:
+def verify_thm_ee20(p: int, n: int, cache: BernoulliCache) -> ReportRecord:
     """The final theorem: the B/H series plus the q_p series at j < n, modulo
     p^n.
 
@@ -434,8 +430,7 @@ def verify_thm_ee20(p: int, n: int, cache: BernoulliCache | None = None) -> Repo
     return _verdict("thm-ee20", p, lhs, n, n=n)
 
 
-def verify_intermediate_47(p: int, n: int,
-                           cache: BernoulliCache | None = None) -> ReportRecord:
+def verify_intermediate_47(p: int, n: int, cache: BernoulliCache) -> ReportRecord:
     """The delta/Z/A bookkeeping congruence from the final proof (n even)."""
     _require(p % 2 == 1 and p >= 3, "needs odd p")
     _require(n >= 2 and n % 2 == 0, "needs even n >= 2")
@@ -457,7 +452,7 @@ def verify_intermediate_47(p: int, n: int,
     return _verdict("eq47", p, left - right, n, n=n)
 
 
-def sun_congruence(p: int, cache: BernoulliCache | None = None) -> ReportRecord:
+def sun_congruence(p: int, cache: BernoulliCache) -> ReportRecord:
     """H_{(p-1)/2} + (7/12) B_{p-3} p^2 + 2(q - q^2 p/2 + q^3 p^2/3) mod p^3."""
     _require(p >= 5, "needs p >= 5")
     q = fermat_quotient(p)
@@ -472,7 +467,7 @@ def sun_congruence(p: int, cache: BernoulliCache | None = None) -> ReportRecord:
 # -- the lemmas the expansions rest on ----------------------------------------
 
 
-def verify_lemma_pb_1(p: int, n: int, cache: BernoulliCache | None = None) -> ReportRecord:
+def verify_lemma_pb_1(p: int, n: int, cache: BernoulliCache) -> ReportRecord:
     """p B_{p^(n-1)(p-1)} == p - 1 (mod p^n) for odd p and n >= 1."""
     _require(p % 2 == 1 and p >= 3, "needs odd p")
     _require(n >= 1, "needs n >= 1")
@@ -480,8 +475,7 @@ def verify_lemma_pb_1(p: int, n: int, cache: BernoulliCache | None = None) -> Re
     return _verdict("lemma-pb-1", p, lhs, n, n=n)
 
 
-def verify_lemma_pb_2(p: int, n: int, h: int,
-                      cache: BernoulliCache | None = None) -> ReportRecord:
+def verify_lemma_pb_2(p: int, n: int, h: int, cache: BernoulliCache) -> ReportRecord:
     """p B_{p^(n-1)(p-1)-2h} == H^(2h)_{p-1} (mod p) for odd p, n >= 1 and
     h >= 1, where the Bernoulli index is at least 2."""
     _require(p % 2 == 1 and p >= 3, "needs odd p")
@@ -492,7 +486,7 @@ def verify_lemma_pb_2(p: int, n: int, h: int,
     return _verdict("lemma-pb-2", p, lhs, 1, n=n, h=h)
 
 
-def verify_kummer(p: int, h: int, k: int, cache: BernoulliCache | None = None) -> ReportRecord:
+def verify_kummer(p: int, h: int, k: int, cache: BernoulliCache) -> ReportRecord:
     """Kummer's congruence B_h/h == B_k/k (mod p) for odd p and even h, k >= 2
     with h == k (mod p-1), neither divisible by p-1."""
     _require(p % 2 == 1 and p >= 3, "needs odd p")
@@ -525,7 +519,7 @@ class Theorem(NamedTuple):
     """
 
     params: tuple[str, ...]
-    run: Callable[[int, dict, BernoulliCache | None], ReportRecord]
+    run: Callable[[int, dict, BernoulliCache], ReportRecord]
     bernoulli_need: Callable[[int, dict], int] = lambda p, a: -1
     hypothesis: Callable[[int, dict], bool] = lambda p, a: True
     tiers: range | None = None
@@ -576,7 +570,8 @@ THEOREMS: dict[str, Theorem] = {
         lambda p, a: p - 1 - 2 * a["k"],
     ) for idx, w in enumerate(PROP3_IDS, start=1)},
     "thm-ee10bis": Theorem(
-        ("i", "n"), lambda p, a, c: verify_thm_ee10bis(p, a["n"], a["i"], a.get("tier"), c),
+        ("i", "n"),
+        lambda p, a, c: verify_thm_ee10bis(p, a["n"], a["i"], a.get("tier"), cache=c),
         _ladder_need(5), tiers=range(1, 6),
     ),
     "cor-ee10biss": Theorem(
@@ -584,7 +579,8 @@ THEOREMS: dict[str, Theorem] = {
         lambda p, a: a["k"] - 1,
     ),
     "thm-eecj": Theorem(
-        ("i", "n"), lambda p, a, c: verify_thm_eecj(p, a["n"], a["i"], a.get("tier"), c),
+        ("i", "n"),
+        lambda p, a, c: verify_thm_eecj(p, a["n"], a["i"], a.get("tier"), cache=c),
         _ladder_need(1), tiers=range(0, 3),
     ),
     "cor-eecjj": Theorem(

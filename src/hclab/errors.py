@@ -5,10 +5,6 @@ class HclabError(Exception):
     """Base class for all hclab errors."""
 
 
-class NotPIntegral(HclabError):
-    """Raised when a rational with v_p < 0 is handed to a residue reduction."""
-
-
 class HypothesisViolated(HclabError):
     """Raised when a verifier is called outside its stated hypotheses."""
 
@@ -16,10 +12,6 @@ class HypothesisViolated(HclabError):
 class IndexCeilingExceeded(HclabError):
     """Raised when a Bernoulli index beyond ``bernoulli.CEILING``, or a harmonic
     upper index beyond ``harmonic.CEILING``, is requested."""
-
-
-class UpperIndexNotBelowP(HclabError):
-    """Raised when a modular harmonic sum would hit a non-invertible term."""
 
 
 class CacheFileCorrupt(HclabError, ValueError):

@@ -1,20 +1,16 @@
 """Exact rational arithmetic with p-adic valuation semantics.
 
 Rationals are plain ``fractions.Fraction`` values (always reduced, positive
-denominator), so everything downstream inherits exactness for free.  The one
-non-obvious convention: congruence modulo a prime power is defined for
-arbitrary rationals through the valuation of the difference, which is what
-makes statements like "x/y == 0 mod p^n" meaningful even when intermediate
-values are not obviously p-integral.
+denominator), so everything downstream inherits exactness for free.  A
+verdict judges a congruence modulo p^e by one number, the valuation of its
+left-hand side, so the package needs no residue arithmetic: ``vp`` and the
+primality check are all there is.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
-
-from .errors import NotPIntegral
 
 #: Valuation of zero; compares above every integer.
 INFINITE = math.inf
@@ -40,23 +36,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class PrimePower(NamedTuple("PrimePower", [("p", int), ("e", int)])):
-    """The modulus p^e of a congruence claim."""
-
-    __slots__ = ()
-
-    def __new__(cls, p: int, e: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if e < 1:
-            raise ValueError(f"exponent must be >= 1, got {e}")
-        return super().__new__(cls, p, e)
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.e
-
-
 def vp_int(n: int, p: int) -> int | float:
     """Valuation of an integer; INFINITE for 0."""
     if n == 0:
@@ -76,16 +55,3 @@ def vp(x: Fraction | int, p: int) -> int | float:
     if x == 0:
         return INFINITE
     return vp_int(x.numerator, p) - vp_int(x.denominator, p)
-
-
-def reduce_mod(x: Fraction | int, m: PrimePower) -> int:
-    """Residue of a p-integral rational in [0, p^e).
-
-    Raises NotPIntegral when the denominator is divisible by p; that always
-    signals a caller bug or an out-of-hypothesis parameter.
-    """
-    x = Fraction(x)
-    if vp(x, m.p) < 0:
-        raise NotPIntegral(f"{x} has negative {m.p}-adic valuation")
-    mod = m.modulus
-    return x.numerator * pow(x.denominator, -1, mod) % mod

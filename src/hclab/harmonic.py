@@ -1,18 +1,16 @@
-"""Generalized harmonic numbers by two independent routes.
+"""Generalized harmonic numbers, summed exactly.
 
-The exact route accumulates rational prefix sums (at most two running sums
-per order), adding the terms each read passes as one block summed over the
-integers by binary splitting; the modular route works entirely in arithmetic
-mod p^e and exists as the cross-check oracle for the exact one.  The two must
-always agree through reduce_mod; that agreement is a standing property test.
+Each order keeps rational prefix sums (at most two running sums per order),
+and a read adds the terms it passes as one block summed over the integers by
+binary splitting.  The tests check these sums against an independent route,
+term-by-term arithmetic mod p^e.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import IndexCeilingExceeded, UpperIndexNotBelowP
-from .exact import PrimePower
+from .errors import IndexCeilingExceeded
 
 # Each order keeps at most two running cursors, {index: H^(order)_index}.
 # A scan reads every order at p - 1 and at (p - 1)/2 for ascending p, so each
@@ -86,17 +84,3 @@ def harmonic(order: int, upto: int) -> Fraction:
     row[upto] = value
     _cursors[order] = row
     return value
-
-
-def harmonic_mod(order: int, upto: int, m: PrimePower) -> int:
-    """The same sum computed mod p^e via modular inverses.
-
-    Refuses upto >= p outright: the source congruences never sum past p-1,
-    and silently skipping non-invertible terms would mask caller bugs.
-    """
-    if upto >= m.p:
-        raise UpperIndexNotBelowP(f"upper index {upto} not below p = {m.p}")
-    acc = 0
-    for j in range(1, upto + 1):
-        acc = (acc + pow(j, -order, m.modulus)) % m.modulus
-    return acc

@@ -1,21 +1,80 @@
-"""Test oracles: exact identities and arithmetic facts that the tests check
-on their own grids, and that no command states.
+"""Test oracles: exact identities, arithmetic facts and an independent
+modular route to the harmonic numbers, which the tests check on their own
+grids and no command runs.
 
 None of them returns a verdict.  The identities and the digit-sum facts
 have no modulus a record could carry.  The two congruences here have one,
 but `check_lemma_binom` takes a parameter j that no grid flag names, and
 `check_fermat_expansion` has no exact left-hand side to report: at p = 97,
 n = 6, 2^(p^(n-1)(p-1)) has about 8e11 bits, so it is reduced mod p^(2n)
-and never formed.
+and never formed.  `harmonic_mod` sums H^(m)_n term by term mod p^e, the
+cross-check of the package's exact, binary-split `harmonic`.
 """
 
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from hclab.bernoulli import BernoulliCache
 from hclab.errors import HypothesisViolated
-from hclab.exact import PrimePower, vp
+from hclab.exact import is_prime, vp
 from hclab.primes import fermat_quotient, q_series
+
+# -- arithmetic mod p^e ---------------------------------------------------------
+
+
+class NotPIntegral(ValueError):
+    """Raised when a rational with v_p < 0 is handed to a residue reduction."""
+
+
+class UpperIndexNotBelowP(ValueError):
+    """Raised when a modular harmonic sum would hit a non-invertible term."""
+
+
+class PrimePower(NamedTuple("PrimePower", [("p", int), ("e", int)])):
+    """The modulus p^e of a congruence claim."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, e: int):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if e < 1:
+            raise ValueError(f"exponent must be >= 1, got {e}")
+        return super().__new__(cls, p, e)
+
+    @property
+    def modulus(self) -> int:
+        return self.p**self.e
+
+
+def reduce_mod(x: Fraction | int, m: PrimePower) -> int:
+    """Residue of a p-integral rational in [0, p^e).
+
+    Raises NotPIntegral when the denominator is divisible by p; that always
+    signals a caller bug or an out-of-hypothesis parameter.
+    """
+    x = Fraction(x)
+    if vp(x, m.p) < 0:
+        raise NotPIntegral(f"{x} has negative {m.p}-adic valuation")
+    mod = m.modulus
+    return x.numerator * pow(x.denominator, -1, mod) % mod
+
+
+def harmonic_mod(order: int, upto: int, m: PrimePower) -> int:
+    """The sum of 1/j^order for j = 1..upto, computed mod p^e via modular
+    inverses.
+
+    Refuses upto >= p outright: the source congruences never sum past p-1,
+    and silently skipping non-invertible terms would mask caller bugs.
+    """
+    if upto >= m.p:
+        raise UpperIndexNotBelowP(f"upper index {upto} not below p = {m.p}")
+    acc = 0
+    for j in range(1, upto + 1):
+        acc = (acc + pow(j, -order, m.modulus)) % m.modulus
+    return acc
+
 
 # -- exact Bernoulli identities -------------------------------------------------
 

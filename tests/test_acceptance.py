@@ -15,17 +15,19 @@ from hclab.bernoulli import (
     irregular_pairs,
     von_staudt_denominator,
 )
-from hclab.exact import PrimePower, reduce_mod
-from hclab.harmonic import harmonic, harmonic_mod
+from hclab.harmonic import harmonic
 from hclab.primes import primes_in
 
 from oracles import (
+    PrimePower,
     check_fermat_expansion,
     check_lemma_binom,
     check_lemma_binomial_sums,
     check_lemma_tangent_identity,
     check_lemma_weighted_sums,
     check_recurrence,
+    harmonic_mod,
+    reduce_mod,
 )
 
 

@@ -1,13 +1,13 @@
 """Bernoulli values against an independent triangle-scheme oracle, the cache
 file contract, and the exact identity lemmas."""
 
-import importlib
 import sys
 from fractions import Fraction
 
 import pytest
 
 import hclab._kernels
+import hclab.bernoulli as bernoulli_mod
 from hclab import congruences as cg
 from hclab.bernoulli import (
     CEILING,
@@ -28,9 +28,6 @@ from oracles import (
     check_recurrence,
     faulhaber_sum,
 )
-
-# hclab re-exports the function bernoulli under the module's own name
-bernoulli_mod = importlib.import_module("hclab.bernoulli")
 
 
 def triangle_bernoulli(n: int) -> Fraction:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import hclab._kernels
+import hclab.bernoulli as bernoulli_mod
 from hclab import cli
 from hclab import congruences as cg
 from hclab.bernoulli import BernoulliCache
@@ -207,7 +208,7 @@ def test_scan_csv_and_skipped(capsys):
 def test_scan_ceiling_at_largest_prime(capsys, tmp_path, monkeypatch):
     """The ceiling is checked at the grid's largest prime, not at --p-max: with
     the ceiling at 20, p = 23 reads B_20 and 24 is not prime."""
-    monkeypatch.setattr(sys.modules["hclab.bernoulli"], "CEILING", 20)
+    monkeypatch.setattr(bernoulli_mod, "CEILING", 20)
     code, out, err = run_capture(
         capsys,
         ["scan", "sun", "--p-min", "23", "--p-max", "24", "--cache", str(tmp_path / "c.cache")],
@@ -380,7 +381,7 @@ def test_command_flag_it_does_not_read_exit_two(capsys, tmp_path, argv):
 def test_case_need_reaches_ceiling(capsys, tmp_path, monkeypatch, argv, stored):
     """The fill is each case's own need: with the ceiling at 20 and p = 29,
     these cases read B_20 and nothing, and run."""
-    monkeypatch.setattr(sys.modules["hclab.bernoulli"], "CEILING", 20)
+    monkeypatch.setattr(bernoulli_mod, "CEILING", 20)
     cache = tmp_path / "c.cache"
     cache.write_text("")
     code, out, err = run_capture(capsys, argv + ["--cache", str(cache)])
@@ -553,6 +554,17 @@ def test_selftest(capsys, tmp_path):
     )
     assert code == 0 and len(out.splitlines()) == 4
     assert len(parse(report.read_text(), "csv")) == 4
+
+
+def test_selftest_fills_cache_in_one_kernel_call(capsys, tmp_path, kernel_calls):
+    """The gold vectors read up to B_32 (p = 37): one fill, not the geometric
+    growth of a bare read."""
+    path = tmp_path / "s.cache"
+    path.write_text("")
+    code, _, err = run_capture(capsys, ["selftest", "--cache", str(path)])
+    assert code == 0, err
+    assert kernel_calls == [32]
+    assert BernoulliCache(path=str(path)).high_water == 32
 
 
 def test_selftest_deterministic(capsys, tmp_path):

@@ -5,18 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from hclab.errors import NotPIntegral
-from hclab.exact import (
-    INFINITE,
-    PrimePower,
-    is_prime,
-    reduce_mod,
-    vp,
-    vp_int,
-)
+from hclab.exact import INFINITE, is_prime, vp, vp_int
 from hclab.primes import primes_in
 
-from oracles import check_legendre, congruent_mod, digit_sum, factorial_valuation
+from oracles import (
+    NotPIntegral,
+    PrimePower,
+    check_legendre,
+    congruent_mod,
+    digit_sum,
+    factorial_valuation,
+    reduce_mod,
+)
 
 
 def test_is_prime_small():

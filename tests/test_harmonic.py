@@ -1,19 +1,18 @@
 """Exact harmonic prefix sums and their modular twin."""
 
 import gc
-import importlib
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from hclab.errors import IndexCeilingExceeded, UpperIndexNotBelowP
-from hclab.exact import PrimePower, reduce_mod, vp
-from hclab.harmonic import CEILING, check_ceiling, harmonic, harmonic_mod
+import hclab.harmonic as harmonic_module
+from hclab.errors import IndexCeilingExceeded
+from hclab.exact import vp
+from hclab.harmonic import CEILING, check_ceiling, harmonic
 from hclab.primes import primes_in
 
-# hclab re-exports the function harmonic under the module's own name
-harmonic_module = importlib.import_module("hclab.harmonic")
+from oracles import PrimePower, UpperIndexNotBelowP, harmonic_mod, reduce_mod
 
 
 def test_small_values():

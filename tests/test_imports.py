@@ -1,8 +1,10 @@
 """The package's import graph, read from the source: every import sits at
 module level, and no two modules import each other, directly or around a
-longer loop."""
+longer loop.  Also read from the source: every Bernoulli cache is passed in
+explicitly, with no default to fall back on."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,3 +49,35 @@ def test_package_import_graph_is_acyclic():
         for name in leaves:
             del left[name]
     assert left == {}, f"on an import cycle, or importing one: {sorted(left)}"
+
+
+
+def test_submodule_import_gives_the_module():
+    """The package root binds no function over a submodule of the same name."""
+    import hclab.bernoulli as m
+    assert m is sys.modules["hclab.bernoulli"]
+    import hclab.harmonic as m
+    assert m is sys.modules["hclab.harmonic"]
+
+
+def _defaults(args: ast.arguments) -> list[ast.arg]:
+    """The parameters of one signature that have a default."""
+    positional = args.posonlyargs + args.args
+    with_default = positional[len(positional) - len(args.defaults):]
+    return with_default + [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+
+
+def test_cache_parameters_have_no_default():
+    """Every Bernoulli read goes to the cache its caller passes."""
+    found = [f"{name}.py:{node.lineno}" for name, tree in TREES.items()
+             for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.Lambda))
+             if any(a.arg == "cache" for a in _defaults(node.args))]
+    assert found == [], f"a cache parameter has a default at {found}"
+
+
+def test_no_module_assigns_default_cache():
+    found = [f"{name}.py:{node.lineno}" for name, tree in TREES.items()
+             for node in ast.walk(tree) if isinstance(node, (ast.Assign, ast.AnnAssign))
+             for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+             if isinstance(target, ast.Name) and target.id == "_default_cache"]
+    assert found == [], f"_default_cache assigned at {found}"

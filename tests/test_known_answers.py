@@ -3,9 +3,9 @@ and against a second route, not against an oracle built from the same code."""
 
 from hclab.bernoulli import CEILING, BernoulliCache, irregular_pairs
 from hclab.congruences import verify_eisenstein, verify_wolstenholme
-from hclab.exact import PrimePower
-from hclab.harmonic import harmonic_mod
 from hclab.primes import classify, primes_in
+
+from oracles import PrimePower, harmonic_mod
 
 
 def test_wolstenholme_primes_to_17000():
