@@ -19,6 +19,7 @@ further, if a larger index is asked for), so each check is O(1) per index.
 from __future__ import annotations
 
 import os
+import stat
 import sys
 from bisect import bisect_left
 from contextlib import contextmanager, suppress
@@ -115,7 +116,9 @@ class BernoulliCache:
 
     File format: one record per line, ``<index> <num>/<den>``, indices
     strictly increasing and contiguous from 0 (odd indices stored as 0/1).
-    Opening the cache reads the file's lines but parses none; lines are
+    The path must name a regular file, or a symlink to one, or nothing yet;
+    a fill writes through a symlink to its target.  Opening the cache reads
+    the file's lines but parses none; lines are
     parsed and checked in order, only as far as the highest index asked for,
     so a bad line is reported by the first read that reaches it.  Each fill
     parses every stored line first, then rewrites the whole file and replaces
@@ -141,12 +144,16 @@ class BernoulliCache:
 
     def _load(self):
         """Keep the file's non-blank lines, with their line numbers, for
-        _parse_through."""
+        _parse_through.  Anything but a regular file at the path is refused
+        before it is opened: a FIFO would block the read, and a device would
+        be replaced by the first fill."""
         try:
-            fh = open(self._path, "rb")
+            mode = os.stat(self._path).st_mode
         except FileNotFoundError:
             return
-        with fh:
+        if not stat.S_ISREG(mode):
+            raise CacheFileCorrupt(f"{self._path}: not a regular file")
+        with open(self._path, "rb") as fh:
             lines = fh.read().split(b"\n")
         self._unparsed = [(lineno, raw) for lineno, raw in enumerate(lines, start=1)
                           if raw.strip()][::-1]
@@ -198,13 +205,15 @@ class BernoulliCache:
     def _store(self):
         """Rewrite the file with every stored value, through a temporary file
         in its directory that then replaces it: a write cut short leaves the
-        old file whole."""
-        tmp = f"{self._path}.{os.getpid()}.tmp"
+        old file whole.  A symlinked path is followed, so the link stays and
+        its target is rewritten."""
+        target = os.path.realpath(self._path)
+        tmp = f"{target}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as fh, any_digits():
                 for i, (num, den) in enumerate(zip(self._nums, self._dens)):
                     fh.write(f"{i} {num}/{den}\n")
-            os.replace(tmp, self._path)
+            os.replace(tmp, target)
         except BaseException:
             with suppress(FileNotFoundError):
                 os.remove(tmp)

@@ -119,14 +119,10 @@ def _cmd_grid(args) -> int:
         raise _UsageError(f"unknown theorem id: {args.id}")
     scan = args.command == "scan"
     p_lo, p_hi = _prime_bounds(args)
-    tiers = theorem.tiers
-    takes = theorem.params if tiers is None else (*theorem.params, "tier")
-    stray = [f for n, f in args.flags.items() if n not in takes and getattr(args, n) is not None]
+    stray = [f for n, f in args.flags.items()
+             if n not in theorem.params and getattr(args, n) is not None]
     if stray:
         raise _UsageError(f"{args.id} does not take {', '.join(stray)}")
-    if args.tier is not None and args.tier not in tiers:
-        raise _UsageError(f"{args.id} takes --tier {tiers.start} to {tiers.stop - 1}, "
-                          f"not {args.tier}")
     grids = {}
     for name in theorem.params:
         flag, values = args.flags[name], getattr(args, name)
@@ -137,7 +133,7 @@ def _cmd_grid(args) -> int:
         if not scan and len(values) > 1:
             raise _UsageError("verify takes single parameter values, not ranges")
         grids[name] = values
-    cases = [dict(zip(grids, c), tier=args.tier) for c in itertools.product(*grids.values())]
+    cases = [dict(zip(grids, c)) for c in itertools.product(*grids.values())]
     # Both ceilings are checked at the largest prime in the grid, before any
     # window is sieved: every theorem reads harmonic numbers H_n with
     # n <= p - 1, and one kernel call then fills the grid's Bernoulli need.
@@ -232,9 +228,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for flag in ("--p", "--p-min", "--p-max"):
         grid.add_argument(flag, type=int)
     flags = {n: "--" + n.replace("_", "-")
-             for n in ("tier", *sorted({n for t in cg.THEOREMS.values() for n in t.params}))}
-    for name, flag in flags.items():
-        grid.add_argument(flag, type=int if name == "tier" else _parse_range)
+             for n in sorted({n for t in cg.THEOREMS.values() for n in t.params})}
+    for flag in flags.values():
+        grid.add_argument(flag, type=_parse_range)
     grid.set_defaults(fn=_cmd_grid, flags=flags)
     for verb, text in (("verify", "run one congruence check"),
                        ("scan", "run a check over a parameter grid")):

@@ -3,11 +3,10 @@
 Every verifier computes its left-hand side exactly, takes the p-adic
 valuation, and compares against the claimed modulus exponent.  Theorems whose
 strength depends on side conditions (the tier ladders) resolve the largest
-provable tier first, then judge the congruence at that tier; callers may pin
-a tier instead to probe the ladder rung by rung.  Verifiers that truncate a
-series read it through one running sum, `_truncated`: a case on the series
-read last, at no shorter a length, extends that sum, so cases taken in
-ascending length add each term once.
+provable tier first, then judge the congruence at that tier.  Verifiers that
+truncate a series read it through one running sum, `_truncated`: a case on
+the series read last, at no shorter a length, extends that sum, so cases
+taken in ascending length add each term once.
 """
 
 from __future__ import annotations
@@ -270,17 +269,16 @@ def _ee10bis_sum(p: int, i: int, length: int, cache: BernoulliCache) -> Fraction
     return _truncated(("ee10bis", p, i, cache), _ee10bis_series(p, i, cache), length)
 
 
-def verify_thm_ee10bis(p: int, n: int, i: int, tier: int | None = None, *,
-                       cache: BernoulliCache) -> ReportRecord:
+def verify_thm_ee10bis(p: int, n: int, i: int, cache: BernoulliCache) -> ReportRecord:
     """sum(C(j+2i,2i) B_j H^(j+2i+1)_{p-1} (-p)^j, j=0..2n+1) mod p^(2n+m).
 
-    The tier m is resolved to the largest value whose condition holds unless
-    the caller pins one.  The ladder starts at m = 1: rung m' <= m holds iff
-    the achieved valuation is at least 2n + m'.
+    The tier m is resolved to the largest value whose condition holds.  The
+    ladder starts at m = 1: rung m' <= m holds iff the achieved valuation is
+    at least 2n + m'.
     """
     _require(p >= 2, "needs a prime")
     _require(n >= 0 and i >= 0, "needs n, i >= 0")
-    m = _ee10bis_tier(p, n, i, cache) if tier is None else tier
+    m = _ee10bis_tier(p, n, i, cache)
     lhs = _ee10bis_sum(p, i, 2 * n + 2, cache)
     return _verdict("thm-ee10bis", p, lhs, 2 * n + m, tier=m, n=n, i=i)
 
@@ -331,16 +329,16 @@ def _eecj_sum(p: int, i: int, length: int, cache: BernoulliCache) -> Fraction:
     return _truncated(("eecj", p, i, cache), _eecj_series(p, i, cache), length)
 
 
-def verify_thm_eecj(p: int, n: int, i: int, tier: int | None = None, *,
-                    cache: BernoulliCache) -> ReportRecord:
+def verify_thm_eecj(p: int, n: int, i: int, cache: BernoulliCache) -> ReportRecord:
     """sum(C(j+2i-1,j+1) (2^(j+2i)-1)/2^j C_j H^(j+2i)_{(p-1)/2} p^j) mod p^(2n+m).
 
-    The sum runs over j < 2n.  The ladder starts at m = 0: rung m' <= m holds
+    The sum runs over j < 2n, and the tier m is resolved to the largest value
+    whose condition holds.  The ladder starts at m = 0: rung m' <= m holds
     iff the achieved valuation is at least 2n + m'.
     """
     _require(p >= 3, "needs odd p")
     _require(n >= 1 and i >= 1, "needs n, i >= 1")
-    m = _eecj_tier(p, n, i, cache) if tier is None else tier
+    m = _eecj_tier(p, n, i, cache)
     lhs = _eecj_sum(p, i, 2 * n, cache)
     return _verdict("thm-eecj", p, lhs, 2 * n + m, tier=m, n=n, i=i)
 
@@ -506,23 +504,20 @@ class Theorem(NamedTuple):
     ``params`` name the grid parameters as their CLI flags do, in the order a
     scan nests them, the last innermost: a series truncated at its last param
     is then read at ascending lengths, one running sum per prime and values
-    of the other params.  ``run(p, args, cache)`` is the verdict on one case
-    (``args`` also holds a pinned ``tier``); it calls its verifier by
-    module-level name, so a profiler can wrap it.  ``bernoulli_need(p, args)``
-    is the largest Bernoulli index one case reads at p, and at any smaller p
-    (-1 for none); ``verify`` and ``scan`` fill the cache to its maximum over
-    the cases at the grid's largest prime.  Scans skip cases failing
+    of the other params.  ``run(p, args, cache)`` is the verdict on one case;
+    it calls its verifier by module-level name, so a profiler can wrap it.
+    ``bernoulli_need(p, args)`` is the largest Bernoulli index one case reads
+    at p, and at any smaller p (-1 for none); ``verify`` and ``scan`` fill
+    the cache to its maximum over the cases at the grid's largest prime.
+    Scans skip cases failing
     ``hypothesis`` and cases whose verifier raises HypothesisViolated, so
     ``hypothesis`` states only what a verifier deliberately leaves unchecked.
-    ``tiers`` are the rungs of a tier ladder a case may pin with ``tier``;
-    None for a theorem without one.
     """
 
     params: tuple[str, ...]
     run: Callable[[int, dict, BernoulliCache], ReportRecord]
     bernoulli_need: Callable[[int, dict], int] = lambda p, a: -1
     hypothesis: Callable[[int, dict], bool] = lambda p, a: True
-    tiers: range | None = None
 
     def case(self, args: dict) -> dict:
         """The params a record on these arguments names (``j_terms`` as J)."""
@@ -532,14 +527,7 @@ class Theorem(NamedTuple):
 def _ladder_need(offset: int):
     """The series reads B_{2n+1}; resolving the tier reads B_{2n+2} (thm-eecj)
     and B_{p-2n-2i-offset}, to test for an irregular pair."""
-
-    def need(p: int, a: dict) -> int:
-        series = 2 * a["n"] + 1
-        if a.get("tier") is not None:
-            return series
-        return max(series + 1, p - 2 * a["n"] - 2 * a["i"] - offset)
-
-    return need
+    return lambda p, a: max(2 * a["n"] + 2, p - 2 * a["n"] - 2 * a["i"] - offset)
 
 
 def _z_need(p: int, a: dict) -> int:
@@ -571,8 +559,7 @@ THEOREMS: dict[str, Theorem] = {
     ) for idx, w in enumerate(PROP3_IDS, start=1)},
     "thm-ee10bis": Theorem(
         ("i", "n"),
-        lambda p, a, c: verify_thm_ee10bis(p, a["n"], a["i"], a.get("tier"), cache=c),
-        _ladder_need(5), tiers=range(1, 6),
+        lambda p, a, c: verify_thm_ee10bis(p, a["n"], a["i"], c), _ladder_need(5),
     ),
     "cor-ee10biss": Theorem(
         ("i", "k"), lambda p, a, c: verify_cor_ee10biss(p, a["i"], a["k"], c),
@@ -580,8 +567,7 @@ THEOREMS: dict[str, Theorem] = {
     ),
     "thm-eecj": Theorem(
         ("i", "n"),
-        lambda p, a, c: verify_thm_eecj(p, a["n"], a["i"], a.get("tier"), cache=c),
-        _ladder_need(1), tiers=range(0, 3),
+        lambda p, a, c: verify_thm_eecj(p, a["n"], a["i"], c), _ladder_need(1),
     ),
     "cor-eecjj": Theorem(
         ("j_terms",), lambda p, a, c: verify_cor_eecjj(p, a["j_terms"], c),

@@ -15,5 +15,6 @@ class IndexCeilingExceeded(HclabError):
 
 
 class CacheFileCorrupt(HclabError, ValueError):
-    """Raised when a Bernoulli cache file line is malformed or fails a check;
-    the message starts with ``path:line``."""
+    """Raised when a Bernoulli cache path is not a regular file, or a line of
+    the file is malformed or fails a check; the message starts with the path,
+    and for a line with ``path:line``."""

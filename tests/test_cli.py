@@ -2,8 +2,10 @@
 
 import itertools
 import json
+import os
 import re
 import shlex
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -122,6 +124,40 @@ def test_bad_line_past_the_reads_is_left_alone(capsys, tmp_path, cache):
     assert path.read_bytes() == before
 
 
+def test_fifo_cache_exit_two(tmp_path):
+    """A FIFO at the cache path is refused before it is opened, so the
+    command neither blocks on it nor replaces it."""
+    path = tmp_path / "fifo.cache"
+    os.mkfifo(path)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "hclab.cli", "bernoulli", "4", "--cache", str(path)],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {path}: not a regular file\n"
+    assert stat.S_ISFIFO(os.lstat(path).st_mode)
+
+
+def test_directory_cache_exit_two(capsys, tmp_path):
+    code, out, err = run_capture(capsys, ["bernoulli", "4", "--cache", str(tmp_path)])
+    assert (code, out, err) == (2, "", f"error: {tmp_path}: not a regular file\n")
+
+
+def test_symlinked_cache_fills_its_target(capsys, tmp_path):
+    """A fill writes through a symlinked cache path: the link stays a link,
+    and its target holds the values."""
+    target = tmp_path / "target.cache"
+    target.write_text("")
+    link = tmp_path / "link.cache"
+    link.symlink_to(target)
+    code, out, _ = run_capture(capsys, ["bernoulli", "4", "--cache", str(link)])
+    assert (code, out) == (0, "-1/30\n")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert len(target.read_text().splitlines()) == 5
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -233,6 +269,8 @@ def test_scan_ceiling_exit_two(capsys, tmp_path):
         ["verify", "prop41", "--p", "13", "--n", "5"],
         # resolving the tier reads B_4, then B_2516 for the irregular-pair test
         ["verify", "thm-eecj", "--p", "2521", "--n", "1", "--i", "1"],
+        # the irregular-pair test reads B_{p-2n-2i-5} = B_2502
+        ["verify", "thm-ee10bis", "--p", "2521", "--n", "0", "--i", "7"],
     ],
 )
 def test_verify_ceiling_exit_two(capsys, tmp_path, argv):
@@ -286,11 +324,12 @@ def test_harmonic_ceiling_exit_two(capsys, tmp_path, monkeypatch, argv, upto):
          "--tier", "-3"],
         ["scan", "thm-eecj", "--p-min", "3", "--p-max", "11", "--n", "1", "--i", "1",
          "--tier", "3"],
+        # resolves to tier 4; --tier 5 would ask for a rung the theorem does not give
+        ["verify", "thm-ee10bis", "--p", "11", "--n", "1", "--i", "1", "--tier", "5"],
     ],
 )
 def test_grid_usage_errors_exit_two(capsys, argv):
-    """--tier without a tier ladder or off its rungs, and reversed ranges,
-    are usage errors."""
+    """--tier, which no command reads, and reversed ranges are usage errors."""
     code, out, err = run_capture(capsys, argv)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1
@@ -301,8 +340,7 @@ def test_grid_usage_errors_exit_two(capsys, argv):
     "argv",
     [
         ["scan", "cor-eecjj", "--p", "5", "--j-terms", "0:2"],
-        ["scan", "thm-eecj", "--p-min", "2", "--p-max", "5", "--n", "1", "--i", "1",
-         "--tier", "1"],
+        ["scan", "thm-eecj", "--p-min", "2", "--p-max", "5", "--n", "1", "--i", "1"],
     ],
 )
 def test_skipped_params_match_ok_params(capsys, argv):
@@ -581,29 +619,6 @@ def test_selftest_deterministic(capsys, tmp_path):
     assert a == b
 
 
-def test_verify_fixed_tier(capsys):
-    code, out, _ = run_capture(
-        capsys,
-        ["verify", "thm-ee10bis", "--p", "11", "--n", "1", "--i", "0",
-         "--tier", "2"],
-    )
-    assert code == 0
-    rec = json.loads(out.splitlines()[0])
-    assert rec["tier"] == 2 and rec["required_exponent"] == 4
-
-
-@pytest.mark.parametrize("theorem_id", ["thm-ee10bis", "thm-eecj"])
-def test_every_ladder_tier_runs(capsys, theorem_id):
-    """Each rung of a ladder can be pinned, and is judged at 2n + tier."""
-    for tier in cg.THEOREMS[theorem_id].tiers:
-        code, out, err = run_capture(
-            capsys, ["verify", theorem_id, "--p", "11", "--n", "1", "--i", "1",
-                     "--tier", str(tier)])
-        assert code in (0, 1) and err == ""
-        rec = json.loads(out)
-        assert rec["tier"] == tier and rec["required_exponent"] == 2 + tier
-
-
 class _RecordingCache(BernoulliCache):
     largest = -1
 
@@ -638,13 +653,11 @@ def test_scan_reading_no_bernoulli_leaves_cache_empty(capsys, tmp_path):
 _NEED_GRID = {"n": "0:2", "i": "0:2", "k": "1:3", "h": "1:2", "j_terms": "0:4"}
 
 
-@pytest.mark.parametrize(
-    "theorem_id,tier",
-    [(t, None) for t in sorted(cg.THEOREMS)]
-    + [("thm-ee10bis", 1), ("thm-eecj", 1)],
-)
+# The "-None" in each id is kept from a since removed tier argument, so that
+# the ids stay stable.
+@pytest.mark.parametrize("theorem_id", sorted(cg.THEOREMS), ids=lambda t: f"{t}-None")
 def test_scan_bernoulli_need_covers_reads(capsys, tmp_path_factory, monkeypatch,
-                                          theorem_id, tier):
+                                          theorem_id):
     """The up-front ceiling check must bound every index a scan reads."""
     monkeypatch.setattr(cli, "BernoulliCache", _RecordingCache)
     monkeypatch.setattr(_RecordingCache, "largest", -1)
@@ -653,12 +666,10 @@ def test_scan_bernoulli_need_covers_reads(capsys, tmp_path_factory, monkeypatch,
             "--cache", str(tmp_path_factory.getbasetemp() / "need.cache")]
     for name in theorem.params:
         argv += [f"--{name.replace('_', '-')}", _NEED_GRID[name]]
-    if tier is not None:
-        argv += ["--tier", str(tier)]
     code, _, err = run_capture(capsys, argv)
     assert code in (0, 1), err
     grids = [cli._parse_range(_NEED_GRID[name]) for name in theorem.params]
-    cases = [dict(zip(theorem.params, combo), tier=tier) for combo in itertools.product(*grids)]
+    cases = [dict(zip(theorem.params, combo)) for combo in itertools.product(*grids)]
     assert _RecordingCache.largest <= max(theorem.bernoulli_need(23, case) for case in cases)
 
 

@@ -110,13 +110,9 @@ def test_ee10bis_grid_and_lower_tiers(cache):
         for n in range(3):
             for i in range(3):
                 v = cg.verify_thm_ee10bis(p, n, i, cache=cache)
+                assert v.tier in range(1, 6), (p, n, i)
                 # every rung below the resolved tier then passes too
                 assert v.passed, (p, n, i)
-
-
-def test_ee10bis_pinned_tier(cache):
-    v = cg.verify_thm_ee10bis(11, 1, 0, tier=2, cache=cache)
-    assert v.tier == 2 and v.required_exponent == 4 and v.passed
 
 
 def test_eecj_gold_vectors(cache):
@@ -140,6 +136,7 @@ def test_eecj_grid(cache):
         for n in (1, 2):
             for i in (1, 2):
                 v = cg.verify_thm_eecj(p, n, i, cache=cache)
+                assert v.tier in range(0, 3), (p, n, i)
                 assert v.passed, (p, n, i)
 
 

@@ -206,17 +206,16 @@ def test_thm_ee20_pass_matches_per_length_sums(cache):
 def test_ladders_share_the_running_sum(cache):
     """Each ladder and its corollary read one series.  Interleaved with each
     other and with the other ladder, in each of _orders, every read gives
-    the sum taken afresh, at pinned and resolved tiers alike."""
+    the sum taken afresh."""
     i = 1  # cor-eecjj reads the thm-eecj series at i = 1
     for p in ODD_PRIMES[:6]:
         reads = [
-            *((2 * n + 2, ee10bis_sum,
-               lambda n=n, t=t: cg.verify_thm_ee10bis(p, n, i, t, cache=cache))
-              for n in range(4) for t in (None, 1)),
+            *((2 * n + 2, ee10bis_sum, lambda n=n: cg.verify_thm_ee10bis(p, n, i, cache=cache))
+              for n in range(4)),
             *((k, ee10bis_sum, lambda k=k: cg.verify_cor_ee10biss(p, i, k, cache))
               for k in range(1, 8)),
-            *((2 * n, eecj_sum, lambda n=n, t=t: cg.verify_thm_eecj(p, n, i, t, cache=cache))
-              for n in range(1, 4) for t in (None, 1)),
+            *((2 * n, eecj_sum, lambda n=n: cg.verify_thm_eecj(p, n, i, cache=cache))
+              for n in range(1, 4)),
             *((J, eecj_sum, lambda J=J: cg.verify_cor_eecjj(p, J, cache)) for J in range(1, 8)),
         ]
         for order in _orders(reads, key=lambda read: read[0]):
