@@ -59,8 +59,17 @@ def _parse_range(text: str) -> range:
     return range(int(lo), int(hi if sep else lo) + 1)
 
 
+def _check_directory(path: str) -> None:
+    """Refuse a cache or report path whose directory (a symlink's target's)
+    does not exist before any work, not when the finished work is written."""
+    directory = os.path.dirname(os.path.realpath(path))
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(f"{path}: directory {directory} does not exist")
+
+
 def _cache_from(args) -> BernoulliCache:
     path = args.cache or os.environ.get("HCL_CACHE") or DEFAULT_CACHE_FILE
+    _check_directory(path)
     return BernoulliCache(path=path)
 
 
@@ -268,6 +277,8 @@ def run(argv) -> int:
         # The left-hand sides of high-order verdicts and the Bernoulli numbers
         # printed run past Python's 4300-digit int<->str limit.
         with any_digits():
+            if getattr(args, "out", None):
+                _check_directory(args.out)
             return args.fn(args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)

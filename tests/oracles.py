@@ -8,11 +8,13 @@ but `check_lemma_binom` takes a parameter j that no grid flag names, and
 `check_fermat_expansion` has no exact left-hand side to report: at p = 97,
 n = 6, 2^(p^(n-1)(p-1)) has about 8e11 bits, so it is reduced mod p^(2n)
 and never formed.  `harmonic_mod` sums H^(m)_n term by term mod p^e, the
-cross-check of the package's exact, binary-split `harmonic`.
+cross-check of the package's exact, binary-split `harmonic`, and
+`tangent_triangle` is Brent and Harvey's unscaled tangent triangle, the
+cross-check of the package's scaled `_kernels.tangent_numbers`.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import NamedTuple
 
 from hclab.bernoulli import BernoulliCache
@@ -74,6 +76,21 @@ def harmonic_mod(order: int, upto: int, m: PrimePower) -> int:
     for j in range(1, upto + 1):
         acc = (acc + pow(j, -order, m.modulus)) % m.modulus
     return acc
+
+
+# -- tangent numbers ------------------------------------------------------------
+
+
+def tangent_triangle(n: int) -> list[int]:
+    """T_0..T_n by Brent and Harvey's integer triangle (arXiv:1108.0286,
+    Algorithm TangentNumbers), unscaled: t_j = (j-1)! to start, then passes
+    k = 2..n of t_{k+i} <- i t_{k+i-1} + (i+2) t_{k+i}."""
+    t = [0] + [factorial(k - 1) for k in range(1, n + 1)]
+    for k in range(2, n + 1):
+        prev = t[k - 1]
+        for i in range(n - k + 1):
+            prev = t[k + i] = i * prev + (i + 2) * t[k + i]
+    return t
 
 
 # -- exact Bernoulli identities -------------------------------------------------

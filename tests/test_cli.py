@@ -14,6 +14,7 @@ import pytest
 
 import hclab._kernels
 import hclab.bernoulli as bernoulli_mod
+import hclab.primes
 from hclab import cli
 from hclab import congruences as cg
 from hclab.bernoulli import BernoulliCache
@@ -566,6 +567,44 @@ def test_irregular_pairs_ceiling_up_front(capsys, tmp_path, monkeypatch):
     assert len(err.splitlines()) == 1
     with pytest.raises(_KernelCalled):
         run(["irregular-pairs", "--p-max", "2520"] + cache)
+
+
+@pytest.mark.parametrize(
+    "argv,given",
+    [
+        (["bernoulli", "2000", "--cache", "{tmp}/missing/x.cache"], "{tmp}/missing/x.cache"),
+        (["bernoulli", "2000", "--cache", "{tmp}/link"], "{tmp}/link"),
+        (["irregular-pairs", "--p-max", "1800", "--cache", "{tmp}/missing/x.cache"],
+         "{tmp}/missing/x.cache"),
+        (["scan", "sun", "--p-min", "5", "--p-max", "1800", "--cache", "{tmp}/missing/x.cache"],
+         "{tmp}/missing/x.cache"),
+        (["scan", "sun", "--p-min", "5", "--p-max", "1800", "--out", "{tmp}/missing/r.jsonl"],
+         "{tmp}/missing/r.jsonl"),
+        (["scan", "sun", "--p-min", "5", "--p-max", "1800", "--out", "{tmp}/link"], "{tmp}/link"),
+        (["selftest", "--out", "{tmp}/missing/r.jsonl"], "{tmp}/missing/r.jsonl"),
+    ],
+)
+def test_missing_directory_refused_before_work(capsys, tmp_path, monkeypatch, argv, given):
+    """A --cache or --out whose directory does not exist, also behind a
+    dangling symlink, ends in one line naming the path as given, before any
+    sieve or kernel call."""
+    monkeypatch.setattr(hclab._kernels, "bernoulli_extend", _no_kernel)
+    monkeypatch.setattr(cli, "primes_in", _no_kernel)
+    monkeypatch.setattr(hclab.primes, "primes_in", _no_kernel)
+    (tmp_path / "link").symlink_to(tmp_path / "missing" / "target")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    missing = os.path.realpath(tmp_path / "missing")
+    assert run_capture(capsys, argv) == (
+        2, "", f"error: {given.format(tmp=tmp_path)}: directory {missing} does not exist\n")
+    assert not os.path.lexists(missing)
+
+
+def test_missing_cache_directory_from_env(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(hclab._kernels, "bernoulli_extend", _no_kernel)
+    monkeypatch.setenv("HCL_CACHE", str(tmp_path / "missing" / "x.cache"))
+    code, out, err = run_capture(capsys, ["bernoulli", "2000"])
+    assert (code, out) == (2, "") and len(err.splitlines()) == 1
+    assert err.startswith(f"error: {tmp_path / 'missing' / 'x.cache'}: directory ")
 
 
 def test_classify_prime_verb(capsys):

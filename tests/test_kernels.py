@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 from hclab import _kernels
+from oracles import tangent_triangle
 
 
 def recurrence_extend(nums: list[int], dens: list[int], upto: int) -> None:
@@ -52,6 +53,17 @@ def test_selected_implementation_is_known():
 def test_tangent_numbers():
     assert _kernels.tangent_numbers(6) == [0, 1, 2, 16, 272, 7936, 353792]
     assert _kernels.tangent_numbers(0) == [0]
+
+
+def test_tangent_numbers_match_unscaled_triangle():
+    """The scaled prefix-sum kernel returns exactly the triangle's T_0..T_n.
+    The triangle's T_k does not depend on n, so one run to 300 serves every
+    n <= 300; n = 0, 1 and 2 are also checked against their own runs."""
+    want = tangent_triangle(300)
+    for n in range(301):
+        assert _kernels.tangent_numbers(n) == want[:n + 1], n
+    for n in (0, 1, 2):
+        assert _kernels.tangent_numbers(n) == tangent_triangle(n)
 
 
 def test_bernoulli_extend_agreement():
