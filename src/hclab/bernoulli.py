@@ -134,6 +134,7 @@ class BernoulliCache:
         # next one last
         self._unparsed: list[tuple[int, bytes]] = []
         self._path = path
+        self._mirrored = path is not None
         if path is not None:
             self._load()
 
@@ -199,8 +200,13 @@ class BernoulliCache:
         except ValueError:
             del self._nums[old:], self._dens[old:]
             raise
-        if self._path is not None:
+        if self._mirrored:
             self._store()
+
+    def detach(self):
+        """Keep later fills in memory only: a forked scan worker reads its
+        parent's cache and must never rewrite the parent's file."""
+        self._mirrored = False
 
     def _store(self):
         """Rewrite the file with every stored value, through a temporary file

@@ -698,6 +698,7 @@ _NEED_GRID = {"n": "0:2", "i": "0:2", "k": "1:3", "h": "1:2", "j_terms": "0:4"}
 def test_scan_bernoulli_need_covers_reads(capsys, tmp_path_factory, monkeypatch,
                                           theorem_id):
     """The up-front ceiling check must bound every index a scan reads."""
+    monkeypatch.setattr(cli, "_workers", lambda: 1)  # the reads are watched in this process
     monkeypatch.setattr(cli, "BernoulliCache", _RecordingCache)
     monkeypatch.setattr(_RecordingCache, "largest", -1)
     theorem = cg.THEOREMS[theorem_id]
@@ -727,6 +728,7 @@ def test_harmonic_reads_stay_below_p(capsys, tmp_path, monkeypatch, theorem_id):
         reads.append((judged[-1], upto))
         return harmonic(order, upto)
 
+    monkeypatch.setattr(cli, "_workers", lambda: 1)  # the reads are watched in this process
     monkeypatch.setattr(cli, "_judge", recording_judge)
     monkeypatch.setattr(cg, "harmonic", recording_harmonic)
     theorem = cg.THEOREMS[theorem_id]

@@ -1,8 +1,10 @@
 """Exact harmonic prefix sums and their modular twin."""
 
 import gc
+import math
 import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -143,19 +145,26 @@ def test_memo_stays_small(empty_memo):
     assert list(empty_memo[3]) == [3000]
 
 
-_CURSOR_AT = 50
+_CURSOR_AT = 500
+_LENGTHS = [*range(41), *(harmonic_module.LONG_BLOCK + d for d in (-1, 0, 1)),
+            2 * harmonic_module.LONG_BLOCK + 7]
 
 
-@pytest.mark.parametrize("order", range(1, 8))
+@pytest.mark.parametrize("order", range(1, 10))
 def test_blocks_match_term_by_term_oracle(empty_memo, order):
     """Every block of 0..40 terms, so every leaf size and the splits around
-    it, from 0 and from an existing cursor, read directly and through a
-    cursor advance."""
-    oracle = [_oracle(order, n) for n in range(_CURSOR_AT + 41)]
+    it, and blocks on both sides of LONG_BLOCK, from 0 and from an existing
+    cursor, summed by both block routes and read through a cursor advance."""
+    terms = (Fraction(1, j**order) for j in range(1, _CURSOR_AT + max(_LENGTHS) + 1))
+    oracle = list(accumulate(terms, initial=Fraction(0)))
     for start in (0, _CURSOR_AT):
-        for length in range(41):
+        for length in _LENGTHS:
+            expected = oracle[start + length] - oracle[start]
             num, den = harmonic_module._block(order, start, start + length)
-            assert Fraction(num, den) == oracle[start + length] - oracle[start]
+            assert Fraction(num, den) == expected
+            num, lcm = harmonic_module._lcm_block(order, start, start + length)
+            assert lcm == math.lcm(*range(start + 1, start + length + 1))
+            assert Fraction(num, lcm**order) == expected
             empty_memo.clear()
             if start:
                 harmonic(order, start)
@@ -176,6 +185,9 @@ def test_failed_block_leaves_cursors_untouched(empty_memo, monkeypatch, start):
         raise MemoryError
 
     monkeypatch.setattr(harmonic_module, "_block", out_of_memory)
+    monkeypatch.setattr(harmonic_module, "_lcm_block", out_of_memory)
     with pytest.raises(MemoryError):
         harmonic(3, 30)
+    with pytest.raises(MemoryError):
+        harmonic(3, 30 + harmonic_module.LONG_BLOCK)
     assert empty_memo == before
