@@ -44,6 +44,14 @@ FORK_MIN_CASES = 400
 # does not leave the others idle at the end.
 CHUNKS_PER_WORKER = 4
 
+# At most this many workers, whatever the CPU count, so that a scan opens at
+# most this many chunk files and does not burn CPU time out of proportion:
+# each worker pays for its fork, its copied pages and its first harmonic
+# reads.  harmonic-sweep's fifteen scans with W forced, on a 2-CPU host
+# (Python 3.11.7), took 2.6 s of CPU time in one process, 2.9 s at W = 2,
+# 3.6 s at 4, 4.3 s at 8, 6.1 s at 16 and 9.4 s at 32.
+MAX_WORKERS = 8
+
 # Characters copied per read from a worker's chunk file to the report.
 _COPY_CHARS = 1 << 20
 
@@ -98,11 +106,12 @@ def _open_report(args):
     return contextlib.nullcontext(sys.stdout)
 
 
-def _write_batches(fh, records, fmt: str, header: str) -> None:
+def _write_batches(fh, records, fmt: str, header: str) -> int:
     """Write records in batches of EMIT_BATCH, each without the header,
-    exactly emit([], fmt), that every batch starts with."""
-    for start in range(0, len(records), EMIT_BATCH):
-        fh.write(emit(records[start:start + EMIT_BATCH], fmt)[len(header):])
+    exactly emit([], fmt), that every batch starts with; return the
+    characters written."""
+    return sum(fh.write(emit(records[start:start + EMIT_BATCH], fmt)[len(header):])
+               for start in range(0, len(records), EMIT_BATCH))
 
 
 def _emit_records(records, args) -> None:
@@ -183,7 +192,7 @@ def _cmd_grid(args) -> int:
     cache = _cache_from(args)
     cache.extend_to(need)
     primes = primes_in(p_lo, p_hi) if scan else [p_lo]
-    workers = min(_workers(), len(primes)) if scan else 1
+    workers = min(_workers(), MAX_WORKERS, len(primes)) if scan else 1
     if workers > 1 and len(primes) * len(cases) >= FORK_MIN_CASES:
         return _scan_forked(args, primes, cases, cache, workers)
     records = [_judge(args.id, p, case, scan, cache) for p in primes for case in cases]
@@ -204,7 +213,11 @@ def _workers() -> int:
 
 def _chunks(primes: list[int], count: int) -> list[list[int]]:
     """Cut the ascending primes into at most count contiguous runs of about
-    equal sum of p^1.5, the cost of one case growing about so with p."""
+    equal sum of p^1.5.  Replayed on the judge and emit time of each prime
+    of harmonic-sweep's fifteen grids, two workers taking 8 such chunks in
+    order finish within 5% of an even split (median grid); weights p^k with
+    k from 1.25 to 2 do as well, and runs of equal length (k = 0) within
+    8.5%, which made harmonic-sweep's wall time 8% longer."""
     total = sum(p**1.5 for p in primes)
     chunks, start, work = [], 0, 0.0
     for i, p in enumerate(primes):
@@ -217,20 +230,27 @@ def _chunks(primes: list[int], count: int) -> list[list[int]]:
     return chunks
 
 
+class _WorkerCrash(Exception):
+    """An exception no command expects, raised in a scan worker.  Its message
+    is the worker's traceback, and like the exception it ends the command
+    uncaught."""
+
+
 def _scan_forked(args, primes: list[int], cases: list[dict], cache, workers: int) -> int:
     """Judge a scan in forked workers and write their reports in order.
 
-    The primes are cut into contiguous chunks of about equal work, which the
-    workers take in ascending order from a queue pipe.  A worker judges,
-    sorts and serializes each chunk into the chunk's own anonymous file and
-    reports it on a result pipe.  The parent judges nothing: it waits for
-    every worker, then copies the chunk files out in order, which is the
-    report's sort order, since chunks end on prime boundaries.  If a chunk
-    raises or its worker dies, the earliest such chunk ends the command with
-    the line a sequential run would print, and no report is written.  On any
-    exception of its own the parent kills and reaps every worker.  Workers
-    are forked, not spawned, so that each starts from the parent's imports
-    and filled cache at no cost; a command runs no other thread.
+    The primes are cut into contiguous chunks, which the workers take in
+    ascending order from a queue pipe.  A worker judges, sorts and serializes
+    each chunk onto the end of its own anonymous file and reports where the
+    chunk lies on a result pipe.  The parent judges nothing: it waits for
+    every worker, then copies the chunks out in order, which is the report's
+    sort order, since chunks end on prime boundaries.  If a chunk raises or
+    its worker dies, the earliest such chunk ends the command as a sequential
+    run would end, and no report is written.  On any exception of its own the
+    parent kills and reaps every worker.  Workers are forked, not spawned, so
+    that each starts from the parent's imports and filled cache at no cost;
+    a command runs no other thread.  Open files: one per worker and three
+    pipe ends, so at most MAX_WORKERS + 3.
     """
     chunks = _chunks(primes, CHUNKS_PER_WORKER * workers)
     workers = min(workers, len(chunks))
@@ -240,7 +260,7 @@ def _scan_forked(args, primes: list[int], cases: list[dict], cache, workers: int
         with contextlib.ExitStack() as stack:
             files = [stack.enter_context(open(os.memfd_create("hclab-scan"), "w+",
                                               encoding="utf-8"))
-                     for _ in chunks]
+                     for _ in range(workers)]
             queue, queue_w = os.pipe()
             stack.callback(os.close, queue)
             try:
@@ -252,26 +272,32 @@ def _scan_forked(args, primes: list[int], cases: list[dict], cache, workers: int
             try:
                 sys.stdout.flush()
                 sys.stderr.flush()
-                for _ in range(workers):
+                for worker, fh in enumerate(files):
                     pid = os.fork()
                     if pid == 0:
-                        _scan_worker(args, chunks, cases, cache, files, queue, results_w, header)
+                        _scan_worker(args, chunks, cases, cache, worker, fh, queue, results_w,
+                                     header)
                     pids.append(pid)
             finally:
                 os.close(results_w)
-            flags = dict(line.split() for line in results)
+            done = {}
+            for line in results:
+                i, worker, start, size, flag = line.split()
+                done[int(i)] = files[int(worker)], int(start), int(size), flag
             statuses = []
             while pids:
                 statuses.append(os.waitpid(pids[0], 0)[1])
                 pids.pop(0)
-            _raise_first_failure(chunks, files, flags, statuses)
+            _raise_first_failure(chunks, done, statuses)
             with _open_report(args) as out:
                 out.write(header)
-                for fh in files:
-                    fh.seek(0)
-                    while block := fh.read(_COPY_CHARS):
+                for fh, start, size, _ in (done[i] for i in range(len(chunks))):
+                    fh.seek(start)
+                    while size:
+                        block = fh.read(min(size, _COPY_CHARS))
                         out.write(block)
-            return 1 if b"1" in flags.values() else 0
+                        size -= len(block)
+            return 1 if any(flag == b"1" for *_, flag in done.values()) else 0
     except BaseException:
         for pid in pids:
             with contextlib.suppress(ProcessLookupError, ChildProcessError):
@@ -280,16 +306,18 @@ def _scan_forked(args, primes: list[int], cases: list[dict], cache, workers: int
         raise
 
 
-def _raise_first_failure(chunks, files, flags: dict, statuses: list[int]) -> None:
-    """Raise the error of the earliest chunk that did not finish: the line
-    its worker wrote in place of its records, or, for a chunk without a
-    result, that a worker died.  A chunk nobody took lies above every chunk
-    taken, so the earliest unfinished chunk always failed."""
+def _raise_first_failure(chunks, done: dict, statuses: list[int]) -> None:
+    """End the command as the earliest chunk that did not finish would end a
+    sequential run: with the line its worker wrote in place of its records,
+    with its worker's traceback, or, for a chunk without a result, with a
+    line saying that a worker died.  A chunk nobody took lies above every
+    chunk taken, so the earliest unfinished chunk always failed."""
     for i, chunk in enumerate(chunks):
-        flag = flags.get(b"%d" % i)
-        if flag == b"E":
-            files[i].seek(0)
-            raise _UsageError(files[i].read())
+        fh, start, _, flag = done.get(i, (None, 0, 0, None))
+        if flag in (b"E", b"T"):
+            fh.seek(start)
+            text = fh.read()
+            raise _UsageError(text) if flag == b"E" else _WorkerCrash(text.rstrip("\n"))
         if flag is None:
             ended = next((os.waitstatus_to_exitcode(s) for s in statuses if s), 0)
             how = f"signal {-ended}" if ended < 0 else f"exit status {ended}"
@@ -297,34 +325,41 @@ def _raise_first_failure(chunks, files, flags: dict, statuses: list[int]) -> Non
                               f"while judging primes {chunk[0]}..{chunk[-1]}")
 
 
-def _scan_worker(args, chunks, cases, cache, files, queue: int, results: int, header) -> None:
+def _scan_worker(args, chunks, cases, cache, worker: int, fh, queue: int, results: int,
+                 header) -> None:
     """A forked worker's whole life: take chunk numbers from the queue until
-    it is empty or the parent is gone, and report each chunk as b"0", b"1"
-    (some record fails) or b"E" (its file holds the error line instead of
-    records; the worker stops there).  It leaves only through os._exit."""
+    it is empty or the parent is gone, append each chunk to fh, and report it
+    as "chunk worker offset characters flag", where flag is b"0", b"1" (some
+    record fails), b"E" (the chunk holds the error line instead of records)
+    or b"T" (it holds the traceback of an exception no command expects);
+    after E or T the worker stops.  It leaves only through os._exit."""
     code = 1
     try:
         cache.detach()
         parent = os.getppid()
         while os.getppid() == parent and (taken := os.read(queue, 4)):
             i = int.from_bytes(taken, "little")
-            fh = files[i]
+            start = fh.tell()
             try:
                 records = [_judge(args.id, p, case, True, cache)
                            for p in chunks[i] for case in cases]
                 records.sort(key=ReportRecord.sort_key)
-                _write_batches(fh, records, args.format, header)
-                fh.flush()
+                size = _write_batches(fh, records, args.format, header)
                 flag = b"1" if any(r.passed is False for r in records) else b"0"
             except Exception as exc:
-                fh.seek(0)
+                fh.seek(start)
                 fh.truncate()
-                fh.write(_error_line(exc)
-                         or f"error: {type(exc).__name__} in a scan worker: {exc}")
-                fh.flush()
-                flag = b"E"
-            os.write(results, b"%d %s\n" % (i, flag))
-            if flag == b"E":
+                size, line = 0, _error_line(exc)
+                if line is None:
+                    with contextlib.redirect_stderr(fh):
+                        sys.__excepthook__(type(exc), exc, exc.__traceback__)
+                    flag = b"T"
+                else:
+                    fh.write(line)
+                    flag = b"E"
+            fh.flush()
+            os.write(results, b"%d %d %d %d %s\n" % (i, worker, start, size, flag))
+            if flag in (b"E", b"T"):
                 break
         code = 0
     finally:

@@ -1,7 +1,8 @@
 """Scans judged in forked workers: the same report bytes and exit code as one
 process, for every theorem; a chunk that raises or a worker that dies ends
-the command with one stderr line and no report; no worker outlives the
-command."""
+the command with one stderr line and no report, and a bug in a worker ends
+it uncaught; at most MAX_WORKERS workers, however many CPUs; no worker
+outlives the command."""
 
 import os
 import signal
@@ -178,6 +179,58 @@ def test_small_grid_runs_in_process(capsys, monkeypatch, forks):
     code, out, _ = _scan(capsys, monkeypatch, 2, argv)
     assert code == 0 and out.count("\n") == len(primes_in(5, 97))
     assert forks == []
+
+
+def test_unexpected_worker_error_ends_uncaught_with_its_traceback(capsys, tmp_path,
+                                                                 monkeypatch, forks):
+    """An exception no command expects is not turned into one line: as in
+    one process it leaves run() uncaught, carrying the worker's traceback
+    and the original error, and no report is written."""
+    judge = cli._judge
+
+    def broken(theorem_id, p, args, scan, cache):
+        if p >= 13:
+            raise TypeError(f"bug at p={p}")
+        return judge(theorem_id, p, args, scan, cache)
+
+    monkeypatch.setattr(cli, "_judge", broken)
+    target = tmp_path / "report.json"
+    argv = ["scan", "wolstenholme", "--p-min", "5", "--p-max", "97", "--out", str(target)]
+    with pytest.raises(TypeError, match="bug at p=13"):
+        _scan(capsys, monkeypatch, 1, argv)
+    with pytest.raises(cli._WorkerCrash) as crash:
+        _scan(capsys, monkeypatch, 2, argv)
+    text = str(crash.value)
+    assert text.startswith("Traceback (most recent call last):\n")
+    assert "in _scan_worker" in text and "in broken" in text
+    assert text.endswith("TypeError: bug at p=13")
+    assert capsys.readouterr() == ("", "")
+    assert not target.exists()
+    assert len(forks) == 1
+
+
+def test_many_cpus_fork_at_most_max_workers(capsys, monkeypatch, forks):
+    """However many CPUs the process may use, a scan forks at most
+    MAX_WORKERS workers and opens one chunk file for each, so its open files
+    do not grow with the CPU count."""
+    memfds, pids = [], []
+    memfd_create, fork = os.memfd_create, os.fork
+
+    def counting_memfd(name):
+        memfds.append(memfd_create(name))
+        return memfds[-1]
+
+    def counting_fork():
+        pids.append(fork())
+        return pids[-1]
+
+    argv = ["scan", "wolstenholme", "--p-min", "5", "--p-max", "97"]
+    sequential = _scan(capsys, monkeypatch, 1, argv)
+    monkeypatch.setattr(os, "memfd_create", counting_memfd)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    assert _scan(capsys, monkeypatch, 10_000, argv) == sequential
+    assert len(memfds) == len(pids) == cli.MAX_WORKERS < len(primes_in(5, 97))
+    assert [args[-1] for args in forks] == [cli.MAX_WORKERS]
 
 
 @pytest.mark.parametrize("count", [1, 2, 5, 8, 12, 100])
