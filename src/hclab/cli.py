@@ -2,7 +2,10 @@
 classification, and the hermetic self-test.
 
 Exit codes: 0 when every executed verdict passes, 1 when any fails,
-2 on usage or configuration errors, bad input and unwritable output.
+2 on usage or configuration errors, bad input and unwritable output, and
+70 (EX_SOFTWARE) on an exception no command expects, a bug, whose traceback
+is written to stderr, a forked scan worker's included.  KeyboardInterrupt is
+not caught: it ends the command with Python's traceback, killed by SIGINT.
 """
 
 from __future__ import annotations
@@ -56,6 +59,9 @@ MAX_WORKERS = 8
 _COPY_CHARS = 1 << 20
 
 _SIGKILL = 9  # POSIX; not importing `signal` keeps every command's start cheap
+
+# The exit code of a bug (sysexits.h), never the 1 of a failed check.
+EX_SOFTWARE = 70
 
 # The four worked examples reproduced by `selftest`: theorem id, arguments,
 # exact expected (numerator, valuation) or full value.
@@ -232,8 +238,8 @@ def _chunks(primes: list[int], count: int) -> list[list[int]]:
 
 class _WorkerCrash(Exception):
     """An exception no command expects, raised in a scan worker.  Its message
-    is the worker's traceback, and like the exception it ends the command
-    uncaught."""
+    is the worker's traceback; like the exception it leaves run() uncaught,
+    and main() writes that traceback and exits EX_SOFTWARE."""
 
 
 def _scan_forked(args, primes: list[int], cases: list[dict], cache, workers: int) -> int:
@@ -511,7 +517,16 @@ def _error_line(exc: Exception) -> str | None:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """Run the command line; a bug exits EX_SOFTWARE with its traceback."""
+    try:
+        code = run(sys.argv[1:])
+    except Exception as exc:
+        if isinstance(exc, _WorkerCrash):
+            print(exc, file=sys.stderr)
+        else:
+            sys.__excepthook__(type(exc), exc, exc.__traceback__)
+        code = EX_SOFTWARE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,11 +1,10 @@
 """Generalized harmonic numbers, summed exactly.
 
 Each order keeps rational prefix sums (at most two running sums per order),
-and a read adds the terms it passes as one block summed over the integers by
-binary splitting; a long block is kept over the lcm of its range, so that a
-sum started far from 0, as a scan worker's first read is, stays cheap.  The
-tests check these sums against an independent route, term-by-term arithmetic
-mod p^e.
+and a read adds the terms it passes as one block, summed by binary splitting
+and kept over the lcm of its range, so that a sum started far from 0, as a
+scan worker's first read is, stays cheap.  The tests check these sums against
+an independent route, term-by-term arithmetic mod p^e.
 """
 
 from __future__ import annotations
@@ -20,27 +19,12 @@ from .errors import IndexCeilingExceeded
 # read rides its own cursor forward and memory is linear in n.  Measured as
 # commands (Python 3.11.7, 2-core host): `hclab harmonic --m 1 --n 70000`
 # takes 0.45 s and 16 MB of RSS, `--m 6 --n 30000` 0.8 s and 16 MB,
-# `--m 6 --n 70000` 3.5 s and 17 MB.  Summed over the product of every j^6
-# rather than over lcm(1..n)^6, the block's one fraction made --n 30000 take
-# 7.2 s and --n 70000 42 s.  Keeping every prefix took 186 MB for H_30000
-# alone.  The ceiling bounds the time of one sum, not its memory.
+# `--m 6 --n 70000` 3.5 s and 17 MB.  Keeping every prefix took 186 MB for
+# H_30000 alone.  The ceiling bounds the time of one sum, not its memory.
 CEILING = 70_000
 
 # Terms a block sums one by one before it splits in two.
 _LEAF = 8
-
-# An advance past this many terms is summed over the lcm of its range
-# (_lcm_block): from 0, the denominator it reduces against has about
-# order * 1.44 bits per term rather than order * log2(j).  Shorter advances,
-# such as a scan's step from one prime to the next, keep _block, which takes
-# no gcd.  Measured with the addition to a cursor (Python 3.11.7),
-# _lcm_block is the faster from about 128 terms at order 4 and 512 at
-# order 2; at order 1 it is up to 0.2 ms slower below 1000 terms.  With
-# every advance summed by _lcm_block (LONG_BLOCK = 0), the scan read pattern
-# (orders 1-4 at p - 1 and (p - 1)/2, ascending p <= 6000) was 6-8% slower in
-# the median of 20 alternated passes, while harmonic-sweep's wall time did
-# not move (3.709 s against 3.716 s, medians of 10 alternated pairs).
-LONG_BLOCK = 256
 
 _cursors: dict[int, dict[int, Fraction]] = {}
 
@@ -54,33 +38,14 @@ def check_ceiling(upto: int) -> None:
 
 
 def _block(order: int, start: int, upto: int) -> tuple[int, int]:
-    """Unreduced (num, den) with num/den the sum of 1/j^order for start < j <= upto.
-
-    Binary splitting (Haible and Papanikolaou, 1998): the two halves are summed
-    over plain integers and joined by one cross-multiplication, so the operands
-    stay balanced in size and no gcd is taken.
-    """
-    if upto - start <= _LEAF:
-        num, den = 0, 1
-        for j in range(start + 1, upto + 1):
-            q = j**order
-            num = num * q + den
-            den *= q
-        return num, den
-    mid = (start + upto) // 2
-    left_num, left_den = _block(order, start, mid)
-    right_num, right_den = _block(order, mid, upto)
-    return left_num * right_den + right_num * left_den, left_den * right_den
-
-
-def _lcm_block(order: int, start: int, upto: int) -> tuple[int, int]:
     """(num, l) with num/l^order the sum of 1/j^order for start < j <= upto
     and l the lcm of start+1..upto.
 
-    Binary splitting as in _block, but each half is kept over the lcm of its
-    range: two halves (nL, lL) and (nR, lR) join over l = lL lR / g with
-    g = gcd(lL, lR), so the denominator a read reduces against is l^order
-    rather than the product of every j^order.
+    Binary splitting (Haible and Papanikolaou, 1998), with each half kept
+    over the lcm of its range: two halves (nL, lL) and (nR, lR) join over
+    l = lL lR / g with g = gcd(lL, lR), so the operands stay balanced in size
+    and the denominator a read reduces against is l^order rather than the
+    product of every j^order.
     """
     if upto - start <= _LEAF:
         num, lcm = 0, 1
@@ -90,8 +55,8 @@ def _lcm_block(order: int, start: int, upto: int) -> tuple[int, int]:
             lcm *= j // g
         return num, lcm
     mid = (start + upto) // 2
-    left_num, left_lcm = _lcm_block(order, start, mid)
-    right_num, right_lcm = _lcm_block(order, mid, upto)
+    left_num, left_lcm = _block(order, start, mid)
+    right_num, right_lcm = _block(order, mid, upto)
     g = gcd(left_lcm, right_lcm)
     return (left_num * (right_lcm // g) ** order + right_num * (left_lcm // g) ** order,
             left_lcm // g * right_lcm)
@@ -103,9 +68,10 @@ def harmonic(order: int, upto: int) -> Fraction:
     A read returns the cursor sitting at upto, or advances the cursor with
     the largest index below upto; when no cursor is below, it starts one
     from 0, replacing the lower cursor if the order already has two.  An
-    advance adds its terms as one binary-split block, so a read normalises
-    one Fraction however many terms it adds.  Nothing is stored until the
-    block is summed: a read that raises leaves every cursor as it was.
+    advance adds its terms as one binary-split block kept over the lcm of its
+    range, so a read normalises one Fraction however many terms it adds.
+    Nothing is stored until the block is summed: a read that raises leaves
+    every cursor as it was.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -117,11 +83,8 @@ def harmonic(order: int, upto: int) -> Fraction:
     check_ceiling(upto)
     start = max((index for index in row if index < upto), default=None)
     value = Fraction(0) if start is None else row[start]
-    if upto - (start or 0) > LONG_BLOCK:
-        num, lcm = _lcm_block(order, start or 0, upto)
-        value += Fraction(num, lcm**order)
-    else:
-        value += Fraction(*_block(order, start or 0, upto))
+    num, lcm = _block(order, start or 0, upto)
+    value += Fraction(num, lcm**order)
     if start is not None:
         del row[start]
     elif len(row) == 2:

@@ -20,6 +20,7 @@ from hclab import congruences as cg
 from hclab.bernoulli import BernoulliCache
 from hclab.cli import run
 from hclab.harmonic import harmonic
+from hclab.primes import primes_in
 from hclab.report import emit, parse
 
 
@@ -139,6 +140,44 @@ def test_fifo_cache_exit_two(tmp_path):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"error: {path}: not a regular file\n"
     assert stat.S_ISFIFO(os.lstat(path).st_mode)
+
+
+_CRASH_SCRIPT = """
+import sys
+from hclab import cli, congruences
+
+def broken(p):
+    raise TypeError(f"bug at p={p}")
+
+congruences.verify_wolstenholme = broken
+cli._workers = lambda: 2
+cli.main()
+"""
+
+
+@pytest.mark.parametrize("argv, forked", [
+    (["verify", "wolstenholme", "--p", "7"], False),
+    # 429 odd primes: past FORK_MIN_CASES, so the scan forks two workers
+    (["scan", "wolstenholme", "--p-min", "3", "--p-max", "3000"], True),
+])
+def test_bug_exits_seventy_with_its_traceback(tmp_path, argv, forked):
+    """A verifier that raises TypeError is a bug, not a failed check: the
+    command exits 70, never 1, with the traceback on stderr, in one process
+    and from a forked worker, and writes no report."""
+    assert len(primes_in(3, 3000)) >= cli.FORK_MIN_CASES
+    target = tmp_path / "report.json"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _CRASH_SCRIPT, *argv,
+         "--cache", str(tmp_path / "c.cache"), "--out", str(target)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stdout) == (70, "")
+    assert proc.stderr.startswith("Traceback (most recent call last):\n")
+    assert "TypeError: bug at p=" in proc.stderr
+    assert ("in _scan_worker" in proc.stderr) == forked
+    assert not target.exists()
 
 
 def test_directory_cache_exit_two(capsys, tmp_path):
