@@ -37,22 +37,20 @@ EMIT_BATCH = 100
 # A scan of at least this many cases (primes times parameter combinations)
 # is judged in forked workers, one per CPU the process may run on; a smaller
 # one runs in-process.  Forking two workers and reaping them costs 5-10 ms,
-# and each chunk a worker takes restarts its harmonic sums.  Measured on a
-# 2-CPU host (Python 3.11.7): below about 400 cases two workers were up to
-# 18 ms slower than one process; from 400 cases on they were within 2 ms of
-# it or faster, by 34 ms at 504 cases of cor-remark0-3.
+# and each worker restarts its harmonic sums at its first prime.  Measured on
+# a 2-CPU host (Python 3.11.7), when each worker took about four chunks:
+# below about 400 cases two workers were up to 18 ms slower than one process;
+# from 400 cases on they were within 2 ms of it or faster, by 34 ms at 504
+# cases of cor-remark0-3.
 FORK_MIN_CASES = 400
 
-# Chunks of primes cut per worker, so that a worker that draws slow chunks
-# does not leave the others idle at the end.
-CHUNKS_PER_WORKER = 4
-
 # At most this many workers, whatever the CPU count, so that a scan opens at
-# most this many chunk files and does not burn CPU time out of proportion:
-# each worker pays for its fork, its copied pages and its first harmonic
-# reads.  harmonic-sweep's fifteen scans with W forced, on a 2-CPU host
-# (Python 3.11.7), took 2.6 s of CPU time in one process, 2.9 s at W = 2,
-# 3.6 s at 4, 4.3 s at 8, 6.1 s at 16 and 9.4 s at 32.
+# most this many files and does not burn CPU time out of proportion: each
+# worker pays for its fork, its copied pages and its first harmonic reads.
+# harmonic-sweep's fifteen scans with W forced, each in its own interpreter,
+# on a shared 2-CPU host (Python 3.11.7, medians of 3), took 4.1 s of CPU
+# time in one process, 5.2 s at W = 2, 5.7 s at 4, 6.2 s at 8, 7.5 s at 16
+# and 10.2 s at 32.
 MAX_WORKERS = 8
 
 # Characters copied per read from a worker's chunk file to the report.
@@ -219,11 +217,12 @@ def _workers() -> int:
 
 def _chunks(primes: list[int], count: int) -> list[list[int]]:
     """Cut the ascending primes into at most count contiguous runs of about
-    equal sum of p^1.5.  Replayed on the judge and emit time of each prime
-    of harmonic-sweep's fifteen grids, two workers taking 8 such chunks in
-    order finish within 5% of an even split (median grid); weights p^k with
-    k from 1.25 to 2 do as well, and runs of equal length (k = 0) within
-    8.5%, which made harmonic-sweep's wall time 8% longer."""
+    equal sum of p^1.5, one per worker.  No weight evens out every grid:
+    timed in two forked workers on each of harmonic-sweep's fifteen grids
+    (2-CPU host, Python 3.11.7), the slower worker, mostly the lower
+    chunk's, ran a median 15% past the mean of the two at p^1.5, 9% at p^1
+    and 25% at p^2, and the fifteen commands took 3.71-3.84 s of wall time
+    at every weight from p^0.5 to p^1.5 (medians of 4 runs)."""
     total = sum(p**1.5 for p in primes)
     chunks, start, work = [], 0, 0.0
     for i, p in enumerate(primes):
@@ -245,65 +244,53 @@ class _WorkerCrash(Exception):
 def _scan_forked(args, primes: list[int], cases: list[dict], cache, workers: int) -> int:
     """Judge a scan in forked workers and write their reports in order.
 
-    The primes are cut into contiguous chunks, which the workers take in
-    ascending order from a queue pipe.  A worker judges, sorts and serializes
-    each chunk onto the end of its own anonymous file and reports where the
-    chunk lies on a result pipe.  The parent judges nothing: it waits for
-    every worker, then copies the chunks out in order, which is the report's
-    sort order, since chunks end on prime boundaries.  If a chunk raises or
-    its worker dies, the earliest such chunk ends the command as a sequential
-    run would end, and no report is written.  On any exception of its own the
-    parent kills and reaps every worker.  Workers are forked, not spawned, so
-    that each starts from the parent's imports and filled cache at no cost;
-    a command runs no other thread.  Open files: one per worker and three
-    pipe ends, so at most MAX_WORKERS + 3.
+    The primes are cut into one contiguous chunk per worker.  A worker
+    judges, sorts and serializes its chunk into its own anonymous file, and
+    its exit status says what the file holds (see _scan_worker).  The parent
+    judges nothing: it reaps the workers in chunk order, then copies the
+    files out in that order, which is the report's sort order, since chunks
+    end on prime boundaries.  The earliest chunk that did not finish ends the
+    command as a sequential run would end, and no report is written.  On any
+    exception of its own the parent kills and reaps every worker; a parent
+    killed by SIGKILL leaves each worker to finish its whole chunk and exit.
+    Workers are forked, not spawned, so that each starts from the parent's
+    imports and filled cache at no cost; a command runs no other thread.
+    Open files: one per worker, so at most MAX_WORKERS.
     """
-    chunks = _chunks(primes, CHUNKS_PER_WORKER * workers)
-    workers = min(workers, len(chunks))
+    chunks = _chunks(primes, workers)
     header = emit([], args.format)
-    pids = []
+    pids, failed = [], False
     try:
         with contextlib.ExitStack() as stack:
             files = [stack.enter_context(open(os.memfd_create("hclab-scan"), "w+",
                                               encoding="utf-8"))
-                     for _ in range(workers)]
-            queue, queue_w = os.pipe()
-            stack.callback(os.close, queue)
-            try:
-                os.write(queue_w, b"".join(i.to_bytes(4, "little") for i in range(len(chunks))))
-            finally:
-                os.close(queue_w)
-            results_r, results_w = os.pipe()
-            results = stack.enter_context(open(results_r, "rb"))
-            try:
-                sys.stdout.flush()
-                sys.stderr.flush()
-                for worker, fh in enumerate(files):
-                    pid = os.fork()
-                    if pid == 0:
-                        _scan_worker(args, chunks, cases, cache, worker, fh, queue, results_w,
-                                     header)
-                    pids.append(pid)
-            finally:
-                os.close(results_w)
-            done = {}
-            for line in results:
-                i, worker, start, size, flag = line.split()
-                done[int(i)] = files[int(worker)], int(start), int(size), flag
-            statuses = []
-            while pids:
-                statuses.append(os.waitpid(pids[0], 0)[1])
+                     for _ in chunks]
+            sys.stdout.flush()
+            sys.stderr.flush()
+            for chunk, fh in zip(chunks, files):
+                pid = os.fork()
+                if pid == 0:
+                    _scan_worker(args, chunk, cases, cache, fh, header)
+                pids.append(pid)
+            for chunk, fh in zip(chunks, files):
+                code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
                 pids.pop(0)
-            _raise_first_failure(chunks, done, statuses)
+                fh.seek(0)
+                if code == 2:
+                    raise _UsageError(fh.read())
+                if code == EX_SOFTWARE:
+                    raise _WorkerCrash(fh.read().rstrip("\n"))
+                if code not in (0, 1):
+                    how = f"signal {-code}" if code < 0 else f"exit status {code}"
+                    raise _UsageError(f"error: a scan worker ended with {how} "
+                                      f"while judging primes {chunk[0]}..{chunk[-1]}")
+                failed = failed or code == 1
             with _open_report(args) as out:
                 out.write(header)
-                for fh, start, size, _ in (done[i] for i in range(len(chunks))):
-                    fh.seek(start)
-                    while size:
-                        block = fh.read(min(size, _COPY_CHARS))
+                for fh in files:
+                    while block := fh.read(_COPY_CHARS):
                         out.write(block)
-                        size -= len(block)
-            return 1 if any(flag == b"1" for *_, flag in done.values()) else 0
+            return 1 if failed else 0
     except BaseException:
         for pid in pids:
             with contextlib.suppress(ProcessLookupError, ChildProcessError):
@@ -312,62 +299,34 @@ def _scan_forked(args, primes: list[int], cases: list[dict], cache, workers: int
         raise
 
 
-def _raise_first_failure(chunks, done: dict, statuses: list[int]) -> None:
-    """End the command as the earliest chunk that did not finish would end a
-    sequential run: with the line its worker wrote in place of its records,
-    with its worker's traceback, or, for a chunk without a result, with a
-    line saying that a worker died.  A chunk nobody took lies above every
-    chunk taken, so the earliest unfinished chunk always failed."""
-    for i, chunk in enumerate(chunks):
-        fh, start, _, flag = done.get(i, (None, 0, 0, None))
-        if flag in (b"E", b"T"):
-            fh.seek(start)
-            text = fh.read()
-            raise _UsageError(text) if flag == b"E" else _WorkerCrash(text.rstrip("\n"))
-        if flag is None:
-            ended = next((os.waitstatus_to_exitcode(s) for s in statuses if s), 0)
-            how = f"signal {-ended}" if ended < 0 else f"exit status {ended}"
-            raise _UsageError(f"error: a scan worker ended with {how} "
-                              f"while judging primes {chunk[0]}..{chunk[-1]}")
-
-
-def _scan_worker(args, chunks, cases, cache, worker: int, fh, queue: int, results: int,
-                 header) -> None:
-    """A forked worker's whole life: take chunk numbers from the queue until
-    it is empty or the parent is gone, append each chunk to fh, and report it
-    as "chunk worker offset characters flag", where flag is b"0", b"1" (some
-    record fails), b"E" (the chunk holds the error line instead of records)
-    or b"T" (it holds the traceback of an exception no command expects);
-    after E or T the worker stops.  It leaves only through os._exit."""
-    code = 1
+def _scan_worker(args, chunk: list[int], cases, cache, fh, header) -> None:
+    """A forked worker's whole life: judge the chunk's primes, sort their
+    records and write them to fh, and leave through os._exit with a status
+    that says what fh holds: 0 the records, none failing; 1 the records,
+    some failing; 2 the one line _error_line gives in their place; or
+    EX_SOFTWARE the traceback of an exception no command expects.  Any other
+    way out, such as a BaseException, exits 3."""
+    code = 3
     try:
         cache.detach()
-        parent = os.getppid()
-        while os.getppid() == parent and (taken := os.read(queue, 4)):
-            i = int.from_bytes(taken, "little")
-            start = fh.tell()
-            try:
-                records = [_judge(args.id, p, case, True, cache)
-                           for p in chunks[i] for case in cases]
-                records.sort(key=ReportRecord.sort_key)
-                size = _write_batches(fh, records, args.format, header)
-                flag = b"1" if any(r.passed is False for r in records) else b"0"
-            except Exception as exc:
-                fh.seek(start)
-                fh.truncate()
-                size, line = 0, _error_line(exc)
-                if line is None:
-                    with contextlib.redirect_stderr(fh):
-                        sys.__excepthook__(type(exc), exc, exc.__traceback__)
-                    flag = b"T"
-                else:
-                    fh.write(line)
-                    flag = b"E"
-            fh.flush()
-            os.write(results, b"%d %d %d %d %s\n" % (i, worker, start, size, flag))
-            if flag in (b"E", b"T"):
-                break
-        code = 0
+        try:
+            records = [_judge(args.id, p, case, True, cache) for p in chunk for case in cases]
+            records.sort(key=ReportRecord.sort_key)
+            _write_batches(fh, records, args.format, header)
+            outcome = 1 if any(r.passed is False for r in records) else 0
+        except Exception as exc:
+            fh.seek(0)
+            fh.truncate()
+            line = _error_line(exc)
+            if line is None:
+                with contextlib.redirect_stderr(fh):
+                    sys.__excepthook__(type(exc), exc, exc.__traceback__)
+                outcome = EX_SOFTWARE
+            else:
+                fh.write(line)
+                outcome = 2
+        fh.flush()
+        code = outcome
     finally:
         os._exit(code)
 

@@ -2,8 +2,8 @@
 equals the required exponent, so lowering the exponent, or raising it, fails
 here.  Each case runs through the theorem table, as `verify` does, and pins
 the exact left-hand side, taken where possible from routes the package does
-not use: Bernoulli numbers from Brent and Harvey's tangent triangle and
-harmonic numbers summed term by term."""
+not use: Bernoulli numbers from Brent and Harvey's tangent triangle,
+harmonic numbers summed term by term and Fermat quotients divided out here."""
 
 from fractions import Fraction
 
@@ -22,6 +22,12 @@ def _bernoulli(index: int) -> Fraction:
 
 def _harmonic(order: int, upto: int) -> Fraction:
     return sum((Fraction(1, j**order) for j in range(1, upto + 1)), Fraction(0))
+
+
+def _q(p: int) -> int:
+    """The Fermat quotient q_p = (2^(p-1) - 1)/p."""
+    assert (2 ** (p - 1) - 1) % p == 0
+    return (2 ** (p - 1) - 1) // p
 
 
 def _valuation(x: Fraction, p: int) -> int:
@@ -46,6 +52,25 @@ _SHARP = [
     # h != k: the h = k cases have lhs 0 and test nothing
     ("kummer", 11, {"h": 2, "k": 12}, _bernoulli(2) / 2 - _bernoulli(12) / 12,
      Fraction(3421, 32760), 1),
+    ("wolstenholme-refined", 7, {}, _harmonic(1, 6) + Fraction(7, 2) * _harmonic(2, 6),
+     Fraction(55223, 7200), 4),
+    ("eisenstein", 5, {}, _harmonic(1, 2) + 2 * _q(5), Fraction(15, 2), 1),
+    ("lehmer", 5, {}, _harmonic(1, 2) + 2 * _q(5) - 5 * _q(5) ** 2, Fraction(-75, 2), 2),
+    ("cor-remark0-1", 5, {"k": 2}, _harmonic(3, 4), Fraction(2035, 1728), 1),
+    # H^(2k-1)_{p-1} + p^2 k(2k-1)/(2k+1) B_{p-1-2k}
+    ("prop3-3", 7, {"k": 1}, _harmonic(1, 6) + 7**2 * Fraction(1, 3) * _bernoulli(4),
+     Fraction(343, 180), 3),
+    # H^(2k+1)_{(p-1)/2} - 2(1 - 4^k)/(2k+1) B_{p-1-2k}
+    ("prop3-4", 5, {"k": 1}, _harmonic(3, 2) + 2 * _bernoulli(2), Fraction(35, 24), 1),
+    # H_{(p-1)/2} + 2(q - p q^2/2) + (B_{p(p-1)-2}/2) (2^3 - 1) (p/2)^2 at n = 2
+    ("prop41", 5, {"n": 2},
+     _harmonic(1, 2) + 2 * (_q(5) - Fraction(5 * _q(5) ** 2, 2))
+     + _bernoulli(18) / 2 * 7 * Fraction(5, 2) ** 2,
+     Fraction(1062475, 912), 2),
+    ("sun", 7, {},
+     _harmonic(1, 3) + Fraction(7, 12) * _bernoulli(4) * 7**2
+     + 2 * (_q(7) - Fraction(_q(7) ** 2 * 7, 2) + Fraction(_q(7) ** 3 * 7**2, 3)),
+     Fraction(8375717, 360), 3),
 ]
 
 

@@ -1,10 +1,12 @@
-"""Scans judged in forked workers: the same report bytes and exit code as one
-process, for every theorem; a chunk that raises or a worker that dies ends
-the command with one stderr line and no report, and a bug in a worker ends
-it uncaught; at most MAX_WORKERS workers, however many CPUs; no worker
-outlives the command."""
+"""Scans judged in forked workers, one chunk of primes each, whose exit
+status says what the worker's file holds: the same report bytes and exit code
+as one process, for every theorem; a chunk that raises, or a worker that dies
+or exits with any other status, ends the command with one stderr line and no
+report, and a bug in a worker ends it uncaught; at most MAX_WORKERS workers,
+however many CPUs; no worker outlives the command."""
 
 import os
+import re
 import signal
 import time
 
@@ -138,6 +140,44 @@ def test_killed_worker_ends_in_one_line(capsys, tmp_path, monkeypatch, forks):
     assert len(err.splitlines()) == 1
     assert err.startswith("error: a scan worker ended with signal 9 while judging primes ")
     first, last = map(int, err.split()[-1].split(".."))
+    assert first <= 41 <= last
+    assert not target.exists()
+    assert len(forks) == 1
+
+
+def _exit_five():
+    os._exit(5)
+
+
+def _interrupt():
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("end", [_exit_five, _interrupt], ids=["exit-5", "KeyboardInterrupt"])
+def test_worker_ended_outside_its_outcomes_ends_in_one_line(capsys, tmp_path, monkeypatch,
+                                                            forks, end):
+    """A worker that leaves without one of its outcomes, by an exit status
+    of its own or by a BaseException it does not catch, here on the chunk
+    holding p = 41, ends the command like a killed one: exit 2, one line
+    naming that chunk and its exit status, and no report."""
+    parent = os.getpid()
+    judge = cli._judge
+
+    def ending(theorem_id, p, args, scan, cache):
+        if p == 41 and os.getpid() != parent:
+            end()
+        return judge(theorem_id, p, args, scan, cache)
+
+    monkeypatch.setattr(cli, "_judge", ending)
+    target = tmp_path / "report.json"
+    argv = ["scan", "wolstenholme", "--p-min", "5", "--p-max", "97", "--out", str(target)]
+    code, out, err = _scan(capsys, monkeypatch, 2, argv)
+    assert (code, out) == (2, "")
+    ended = re.fullmatch(r"error: a scan worker ended with exit status (\d+) "
+                         r"while judging primes (\d+)\.\.(\d+)\n", err)
+    assert ended is not None
+    status, first, last = map(int, ended.groups())
+    assert status == 5 if end is _exit_five else status not in (0, 2, cli.EX_SOFTWARE)
     assert first <= 41 <= last
     assert not target.exists()
     assert len(forks) == 1
