@@ -217,16 +217,17 @@ def _workers() -> int:
 
 def _chunks(primes: list[int], count: int) -> list[list[int]]:
     """Cut the ascending primes into at most count contiguous runs of about
-    equal sum of p^1.5, one per worker.  No weight evens out every grid:
-    timed in two forked workers on each of harmonic-sweep's fifteen grids
-    (2-CPU host, Python 3.11.7), the slower worker, mostly the lower
-    chunk's, ran a median 15% past the mean of the two at p^1.5, 9% at p^1
-    and 25% at p^2, and the fifteen commands took 3.71-3.84 s of wall time
-    at every weight from p^0.5 to p^1.5 (medians of 4 runs)."""
-    total = sum(p**1.5 for p in primes)
+    equal work, one per worker, counting p^1.5 + 4000 for a prime: harmonic
+    sums and series grow with p, records do not.  On harmonic-sweep's grids
+    cut for two workers (2-CPU host, Python 3.11.7, medians of 8 runs), the
+    slower worker of each ran, summed over the grids, 12.9% past the mean at
+    p^1.5 alone and 5.1% at p^1.5 + 4000, against 2.0% with the former queue
+    of four chunks per worker; p^1 and p^0.5 left the upper chunk slower."""
+    weights = [p**1.5 + 4000 for p in primes]
+    total = sum(weights)
     chunks, start, work = [], 0, 0.0
-    for i, p in enumerate(primes):
-        work += p**1.5
+    for i, weight in enumerate(weights):
+        work += weight
         if work >= total * (len(chunks) + 1) / count:
             chunks.append(primes[start:i + 1])
             start = i + 1

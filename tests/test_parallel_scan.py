@@ -279,5 +279,5 @@ def test_chunks_cut_contiguous_runs_of_equal_work(count):
     chunks = cli._chunks(primes, count)
     assert [p for chunk in chunks for p in chunk] == primes
     assert all(chunks) and len(chunks) <= count
-    work = [sum(p**1.5 for p in chunk) for chunk in chunks]
-    assert max(work) <= sum(work) / count + max(primes) ** 1.5
+    work = [sum(p**1.5 + 4000 for p in chunk) for chunk in chunks]
+    assert max(work) <= sum(work) / count + max(primes) ** 1.5 + 4000
