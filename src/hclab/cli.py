@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import os
 import shutil
 import sys
@@ -35,24 +34,13 @@ DEFAULT_CACHE_FILE = "./bernoulli.cache"
 # Records serialized per write: a report is never held as one string.
 EMIT_BATCH = 100
 
-# A scan of at least this many cases (primes times parameter combinations)
-# is judged in forked workers, one per CPU the process may run on; a smaller
-# one runs in-process.  Forking two workers and reaping them costs 5-10 ms,
-# and each worker restarts its harmonic sums at its first prime.  Forked
-# against in-process, 15 alternations on a 2-CPU host (Python 3.11.7), median
-# paired differences: the 28 cases of a warm `scan prop41 --p-min 3 --p-max 43
-# --n 1:2` took 25 ms longer forked; the 277 of warm `scan sun` and 308 of warm
-# `scan thm-eecj` were within 12 ms either way; the 501 of `scan cor-remark0-4
-# --p-min 3 --p-max 1000 --k 1:3` took 42 ms less forked, in 15 runs of 15.
-FORK_MIN_CASES = 400
-
-# At most this many workers, whatever the CPU count, so that a scan opens at
-# most this many files and does not burn CPU time out of proportion: each
-# worker pays for its fork, its copied pages and its first harmonic reads.
-# harmonic-sweep's fifteen scans with W forced, each in its own interpreter,
-# on a shared 2-CPU host (Python 3.11.7, medians of 3), took 4.1 s of CPU
-# time in one process, 5.2 s at W = 2, 5.7 s at 4, 6.2 s at 8, 7.5 s at 16
-# and 10.2 s at 32.
+# At most this many processes, the parent and MAX_WORKERS - 1 workers,
+# whatever the CPU count, so that a scan opens at most this many files and
+# does not burn CPU time out of proportion: each worker pays for its fork,
+# its copied pages and its first harmonic reads.  harmonic-sweep's fifteen
+# scans with W processes forced, each in its own interpreter, on a shared
+# 2-CPU host (Python 3.11.7, medians of 3), took 4.3 s of CPU time in one
+# process, 4.8 s at W = 2, 5.5 s at 4, 5.6 s at 8 and 6.9 s at 16.
 MAX_WORKERS = 8
 
 _SIGKILL = 9  # POSIX; not importing `signal` keeps every command's start cheap
@@ -184,25 +172,35 @@ def _cmd_grid(args) -> int:
         if not scan and len(values) > 1:
             raise _UsageError("verify takes single parameter values, not ranges")
         grids[name] = values
-    cases = [dict(zip(grids, c)) for c in itertools.product(*grids.values())]
     # Both ceilings are checked at the largest prime in the grid, before any
-    # window is sieved: every theorem reads harmonic numbers H_n with
-    # n <= p - 1, and one kernel call then fills the grid's Bernoulli need.
+    # window is sieved or any case is built: every theorem reads harmonic
+    # numbers H_n with n <= p - 1, and one kernel call then fills the grid's
+    # Bernoulli need.
     top = largest_prime(p_lo, p_hi)
-    need = -1 if top is None else max(theorem.bernoulli_need(top, case) for case in cases)
+    need = -1 if top is None else max(theorem.bernoulli_need(top, case)
+                                      for case in _cases(grids))
     check_ceiling(need)
     if top is not None:
         check_harmonic_ceiling(top - 1)
+    cases = list(_cases(grids))
     cache = _cache_from(args)
     cache.extend_to(need)
     primes = primes_in(p_lo, p_hi) if scan else [p_lo]
-    workers = min(_workers(), MAX_WORKERS, len(primes)) if scan else 1
-    if workers > 1 and len(primes) * len(cases) >= FORK_MIN_CASES:
-        return _scan_forked(args, primes, cases, cache, workers)
-    records = [_judge(args.id, p, case, scan, cache) for p in primes for case in cases]
-    records.sort(key=ReportRecord.sort_key)
-    _emit_records(records, args)
-    return 1 if any(r.passed is False for r in records) else 0
+    workers = min(_workers(), MAX_WORKERS, len(primes))
+    return _scan(args, _chunks(primes, workers), cases, scan, cache)
+
+
+def _cases(grids: dict[str, range]):
+    """The grid's cases in the order of itertools.product, one at a time:
+    product first turns each range into a tuple, which for a range far past
+    a ceiling fills memory before the ceiling check can refuse it."""
+    if not grids:
+        yield {}
+        return
+    (name, values), *rest = grids.items()
+    for value in values:
+        for case in _cases(dict(rest)):
+            yield {name: value, **case}
 
 
 def _workers() -> int:
@@ -217,7 +215,7 @@ def _workers() -> int:
 
 def _chunks(primes: list[int], count: int) -> list[list[int]]:
     """Cut the ascending primes into at most count contiguous runs of about
-    equal work, one per worker, counting p^1.5 + 4000 for a prime: harmonic
+    equal work, one per process, counting p^1.5 + 4000 for a prime: harmonic
     sums and series grow with p, records do not.  On harmonic-sweep's grids
     cut for two workers (2-CPU host, Python 3.11.7, medians of 8 runs), the
     slower worker of each ran, summed over the grids, 12.9% past the mean at
@@ -242,38 +240,52 @@ class _WorkerCrash(Exception):
     and main() writes that traceback and exits EX_SOFTWARE."""
 
 
-def _scan_forked(args, primes: list[int], cases: list[dict], cache, workers: int) -> int:
-    """Judge a scan in forked workers and write their reports in order.
+def _judge_chunk(args, chunk: list[int], cases, scan: bool, cache) -> list[ReportRecord]:
+    """The records on every case at each prime of the chunk, in report order."""
+    records = [_judge(args.id, p, case, scan, cache) for p in chunk for case in cases]
+    records.sort(key=ReportRecord.sort_key)
+    return records
 
-    The primes are cut into one contiguous chunk per worker.  A worker
-    judges, sorts and serializes its chunk into its own anonymous file, and
-    its exit status says what the file holds (see _scan_worker).  The parent
-    judges nothing: it reaps the workers in chunk order, then copies the
-    files out in that order, which is the report's sort order, since chunks
-    end on prime boundaries.  The earliest chunk that did not finish ends the
-    command as a sequential run would end, and no report is written.  On any
-    exception of its own the parent kills and reaps every worker; a parent
-    killed by SIGKILL leaves each worker to finish its whole chunk and exit.
-    Workers are forked, not spawned, so that each starts from the parent's
-    imports and filled cache at no cost; a command runs no other thread.
-    Open files: one per worker, so at most MAX_WORKERS.
+
+def _scan(args, chunks: list[list[int]], cases: list[dict], scan: bool, cache) -> int:
+    """Judge the chunks of primes, the first in this process and each other
+    in a forked worker, and write their records in order.
+
+    With one chunk, or none (an empty report), nothing is forked and no file
+    is opened.  Otherwise each worker judges, sorts and serializes its chunk
+    into its own anonymous file, and its exit status says what the file
+    holds (see _scan_worker).  The parent does the same with its own chunk
+    while the workers run, reaps them in chunk order, then copies the files
+    out in that order, which is the report's, since chunks end on prime
+    boundaries.  The earliest chunk that did not finish ends the command as a
+    sequential run would end, and no report is written.  Any exception of the
+    parent, its own chunk's included, kills and reaps every worker and then
+    propagates; a parent killed by SIGKILL leaves each worker to finish its
+    whole chunk and exit.  Workers are forked, not spawned, so that each
+    starts from the parent's imports and filled cache at no cost; a command
+    runs no other thread.  Open files: one per chunk, so at most MAX_WORKERS.
     """
-    chunks = _chunks(primes, workers)
+    first, *rest = chunks or [[]]
     header = emit([], args.format)
-    pids, failed = [], False
+    pids = []
     try:
         with contextlib.ExitStack() as stack:
             files = [stack.enter_context(open(os.memfd_create("hclab-scan"), "w+",
                                               encoding="utf-8"))
-                     for _ in chunks]
+                     for _ in chunks] if rest else []
             sys.stdout.flush()
             sys.stderr.flush()
-            for chunk, fh in zip(chunks, files):
+            for chunk, fh in zip(rest, files[1:]):
                 pid = os.fork()
                 if pid == 0:
                     _scan_worker(args, chunk, cases, cache, fh, header)
                 pids.append(pid)
-            for chunk, fh in zip(chunks, files):
+            records = _judge_chunk(args, first, cases, scan, cache)
+            failed = any(r.passed is False for r in records)
+            if rest:
+                _write_batches(files[0], records, args.format, header)
+                files[0].seek(0)
+            for chunk, fh in zip(rest, files[1:]):
                 code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
                 pids.pop(0)
                 fh.seek(0)
@@ -288,6 +300,8 @@ def _scan_forked(args, primes: list[int], cases: list[dict], cache, workers: int
                 failed = failed or code == 1
             with _open_report(args) as out:
                 out.write(header)
+                if not rest:
+                    _write_batches(out, records, args.format, header)
                 for fh in files:
                     shutil.copyfileobj(fh, out)
             return 1 if failed else 0
@@ -300,18 +314,17 @@ def _scan_forked(args, primes: list[int], cases: list[dict], cache, workers: int
 
 
 def _scan_worker(args, chunk: list[int], cases, cache, fh, header) -> None:
-    """A forked worker's whole life: judge the chunk's primes, sort their
-    records and write them to fh, and leave through os._exit with a status
-    that says what fh holds: 0 the records, none failing; 1 the records,
-    some failing; 2 the one line _error_line gives in their place; or
-    EX_SOFTWARE the traceback of an exception no command expects.  Any other
-    way out, such as a BaseException, exits 3."""
+    """A forked worker's whole life: judge the chunk's primes as the parent
+    judges its own, write their sorted records to fh, and leave through
+    os._exit with a status that says what fh holds: 0 the records, none
+    failing; 1 the records, some failing; 2 the one line _error_line gives in
+    their place; or EX_SOFTWARE the traceback of an exception no command
+    expects.  Any other way out, such as a BaseException, exits 3."""
     code = 3
     try:
         cache.detach()
         try:
-            records = [_judge(args.id, p, case, True, cache) for p in chunk for case in cases]
-            records.sort(key=ReportRecord.sort_key)
+            records = _judge_chunk(args, chunk, cases, True, cache)
             _write_batches(fh, records, args.format, header)
             outcome = 1 if any(r.passed is False for r in records) else 0
         except Exception as exc:

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import re
+import resource
 import shlex
 import stat
 import subprocess
@@ -147,7 +148,11 @@ _CRASH_SCRIPT = """
 import sys
 from hclab import cli, congruences
 
+verify = congruences.verify_wolstenholme
+
 def broken(p):
+    if p < 2500:
+        return verify(p)
     raise TypeError(f"bug at p={p}")
 
 congruences.verify_wolstenholme = broken
@@ -157,15 +162,17 @@ cli.main()
 
 
 @pytest.mark.parametrize("argv, forked", [
-    (["verify", "wolstenholme", "--p", "7"], False),
-    # 429 odd primes: past FORK_MIN_CASES, so the scan forks two workers
+    (["verify", "wolstenholme", "--p", "2503"], False),
+    # two chunks, 3..2221 and 2237..2999: the bug is in the worker's
     (["scan", "wolstenholme", "--p-min", "3", "--p-max", "3000"], True),
+    # two chunks, the parent's from 2503: the bug is in the parent's own
+    (["scan", "wolstenholme", "--p-min", "2503", "--p-max", "3000"], False),
 ])
 def test_bug_exits_seventy_with_its_traceback(tmp_path, argv, forked):
-    """A verifier that raises TypeError is a bug, not a failed check: the
-    command exits 70, never 1, with the traceback on stderr, in one process
-    and from a forked worker, and writes no report."""
-    assert len(primes_in(3, 3000)) >= cli.FORK_MIN_CASES
+    """A verifier that raises TypeError from p = 2500 on is a bug, not a
+    failed check: the command exits 70, never 1, with the traceback on
+    stderr, in one process, from a forked worker and from the parent's own
+    chunk while a worker runs, and writes no report."""
     target = tmp_path / "report.json"
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -176,7 +183,7 @@ def test_bug_exits_seventy_with_its_traceback(tmp_path, argv, forked):
     )
     assert (proc.returncode, proc.stdout) == (70, "")
     assert proc.stderr.startswith("Traceback (most recent call last):\n")
-    assert "TypeError: bug at p=" in proc.stderr
+    assert "TypeError: bug at p=25" in proc.stderr
     assert ("in _scan_worker" in proc.stderr) == forked
     assert not target.exists()
 
@@ -341,6 +348,28 @@ def test_power_index_refused_unbuilt(capsys, tmp_path, argv):
     assert (code, out) == (2, "")
     assert re.fullmatch(r"error: needs Bernoulli index \d+\^19999999\*\d+( - 2)?, "
                         r"beyond ceiling 2500\n", err)
+    assert not cache.exists()
+
+
+def test_grid_past_the_ceiling_refused_before_it_is_built(tmp_path):
+    """A parameter range far past the Bernoulli ceiling is refused at its
+    first case past it, in one line, before the grid is built: building its
+    twenty million cases first ran out of memory under this address-space
+    limit."""
+    cache = tmp_path / "c.cache"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    limit = 1_500_000 * 1024
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "hclab.cli", "scan", "prop41", "--p-min", "3", "--p-max", "5",
+         "--n", "1:20000000", "--cache", str(cache)],
+        capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: needs Bernoulli index 5^12*4 - 2, beyond ceiling 2500\n"
     assert not cache.exists()
 
 

@@ -1,0 +1,139 @@
+#!/usr/bin/env python3
+"""Run the benchmark on a parent and a change revision in alternating pairs,
+and write BENCH_<workload>.json at the repository root.
+
+Usage, from the repository root:
+
+    python3 tools/bench_pairs.py --parent REV [--change REV] --workload NAME [NAME ...]
+        --pairs N --seed K --seconds S [--trace 0|1]
+
+Each revision is extracted with `git archive` into its own temporary
+directory (under $TMPDIR), so the working tree, the index and the refs are
+never touched, and its own perfbench/run.py runs there unchanged.  Pair i
+runs seed K + i on both sides; the parent runs first in even pairs and the
+change first in odd ones, so a host that drifts during a run leans on
+neither side.  To measure uncommitted changes, pass `--change $(git stash
+create)`: that makes a commit object of the working tree without changing
+it.
+
+Each BENCH file holds the two revisions, every env line and result line that
+run.py printed, and for each metric each side's median and quartiles over
+the pairs and the number of pairs the change won (ties count for neither),
+with the direction of "better" read from BENCHMARK.json.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def extract(sha: str, directory: Path) -> Path:
+    """The tree of sha, written under directory by `git archive`."""
+    tree = directory / sha
+    tree.mkdir()
+    archive = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+    return tree
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One perfbench/run.py run in tree: its env line and its result line."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=tree, capture_output=True, text=True,
+    )
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or len(lines) < 2:
+        raise SystemExit(f"run.py in {tree} exited {proc.returncode}:\n{proc.stderr}")
+    return {"env": json.loads(lines[0]), "result": json.loads(lines[-1])}
+
+
+def quartiles(values: list[float]) -> dict:
+    """The median and quartiles as perfbench/run.py computes them."""
+    if len(values) < 2:
+        return {"q1": values[0], "median": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def summary(pairs: list[dict], better: dict[str, str]) -> dict:
+    """Per metric: each side's quartiles over the pairs, and the change's wins."""
+    names = pairs[0]["parent"]["result"]["metrics"]
+    out = {}
+    for name in names:
+        values = {side: [p[side]["result"]["metrics"][name]["value"] for p in pairs]
+                  for side in SIDES}
+        sign = -1 if better.get(name) == "lower" else 1
+        wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+        out[name] = {
+            "unit": names[name]["unit"],
+            "better": better.get(name),
+            **{side: quartiles(values[side]) for side in SIDES},
+            "change_wins": wins,
+            "pairs": len(pairs),
+        }
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="the parent revision")
+    parser.add_argument("--change", default="HEAD", help="the change revision (HEAD)")
+    parser.add_argument("--workload", required=True, nargs="+")
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seed", type=int, required=True, help="the first pair's seed")
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = parser.parse_args()
+    shas = {side: git("rev-parse", "--verify", f"{getattr(args, side)}^{{commit}}")
+            for side in SIDES}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees = {side: extract(sha, Path(tmp)) for side, sha in shas.items()}
+        spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+        better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+        for workload in args.workload:
+            pairs = []
+            for i in range(args.pairs):
+                seed = args.seed + i
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                pair = {"seed": seed, "first": order[0]}
+                for side in order:
+                    pair[side] = run_once(trees[side], workload, seed, args.seconds, args.trace)
+                    print(f"{workload} pair {i + 1}/{args.pairs} {side}: "
+                          f"{json.dumps(pair[side]['result']['metrics'])}", file=sys.stderr)
+                pairs.append(pair)
+            report = {
+                "workload": workload,
+                "parent": shas["parent"],
+                "change": shas["change"],
+                "seconds": args.seconds,
+                "trace": args.trace,
+                "host": {"python": platform.python_version(), "machine": platform.machine()},
+                "metrics": summary(pairs, better),
+                "pairs": pairs,
+            }
+            path = ROOT / f"BENCH_{workload}.json"
+            path.write_text(json.dumps(report, indent=1) + "\n")
+            print(f"wrote {path}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
