@@ -48,15 +48,15 @@ _SIGKILL = 9  # POSIX; not importing `signal` keeps every command's start cheap
 # The exit code of a bug (sysexits.h), never the 1 of a failed check.
 EX_SOFTWARE = 70
 
-# The four worked examples reproduced by `selftest`: theorem id, arguments,
+# The four worked examples reproduced by `selftest`: theorem id, p, params,
 # the exact left-hand side, whose numerator is the paper's, and its valuation.
 GOLD_VECTORS = (
-    ("thm-ee10bis", dict(p=37, n=0, i=0),
+    ("thm-ee10bis", 37, dict(n=0, i=0),
      Fraction(1422091936194747472864459922257, 41704772176589465865841920000), 5),
-    ("thm-eecj", dict(p=37, n=1, i=1),
+    ("thm-eecj", 37, dict(n=1, i=1),
      Fraction(9356942544006649495921, 175168974229337088000), 4),
-    ("thm-eecj", dict(p=31, n=1, i=1), Fraction(1804176116127398723, 40110949726848000), 4),
-    ("thm-eecj", dict(p=5, n=1, i=2), Fraction(5625, 32), 4),
+    ("thm-eecj", 31, dict(n=1, i=1), Fraction(1804176116127398723, 40110949726848000), 4),
+    ("thm-eecj", 5, dict(n=1, i=2), Fraction(5625, 32), 4),
 )
 
 
@@ -106,14 +106,6 @@ def _write_batches(fh, records, fmt: str, header: str) -> None:
         fh.write(emit(records[start:start + EMIT_BATCH], fmt)[len(header):])
 
 
-def _emit_records(records, args) -> None:
-    """Write the report: a CSV header once, then the records in batches."""
-    header = emit([], args.format)
-    with _open_report(args) as fh:
-        fh.write(header)
-        _write_batches(fh, records, args.format, header)
-
-
 def _judge(theorem_id: str, p: int, args: dict, scan: bool, cache) -> ReportRecord:
     """The timed record on one case.  A scan skips a case that fails the
     theorem's hypothesis or whose verifier finds one violated; `verify` ends
@@ -127,7 +119,7 @@ def _judge(theorem_id: str, p: int, args: dict, scan: bool, cache) -> ReportReco
     except HypothesisViolated:
         if not scan:
             raise
-    return ReportRecord.skipped(theorem_id, p, theorem.case(args), "hypothesis")
+    return ReportRecord.skipped(theorem_id, p, args, "hypothesis")
 
 
 def _prime_bounds(args) -> tuple[int, int]:
@@ -378,13 +370,11 @@ def _cmd_classify_prime(args) -> int:
 def _cmd_selftest(args) -> int:
     cache = _cache_from(args)
     # one kernel call fills every read, as in _cmd_grid
-    cache.extend_to(max(cg.THEOREMS[theorem_id].bernoulli_need(case["p"], case)
-                        for theorem_id, case, *_ in GOLD_VECTORS))
+    cache.extend_to(max(cg.THEOREMS[theorem_id].bernoulli_need(p, params)
+                        for theorem_id, p, params, *_ in GOLD_VECTORS))
     ok = True
     records = []
-    for theorem_id, case, expected, expected_valuation in GOLD_VECTORS:
-        p = case["p"]
-        params = {k: v for k, v in case.items() if k != "p"}
+    for theorem_id, p, params, expected, expected_valuation in GOLD_VECTORS:
         record = _judge(theorem_id, p, params, False, cache)
         good = (record.lhs == expected and record.achieved_valuation == expected_valuation
                 and record.passed)
@@ -395,7 +385,8 @@ def _cmd_selftest(args) -> int:
             f"{params} v={record.achieved_valuation}"
         )
     if args.out:
-        _emit_records(records, args)
+        with _open_report(args) as fh:
+            fh.write(emit(records, args.format))
     return 0 if ok else 1
 
 
@@ -416,10 +407,10 @@ def _build_parser() -> argparse.ArgumentParser:
     grid.add_argument("id")
     for flag in ("--p", "--p-min", "--p-max"):
         grid.add_argument(flag, type=int)
-    flags = {n: "--" + n.replace("_", "-")
+    flags = {n: "--j-terms" if n == "J" else f"--{n}"
              for n in sorted({n for t in cg.THEOREMS.values() for n in t.params})}
-    for flag in flags.values():
-        grid.add_argument(flag, type=_parse_range)
+    for name, flag in flags.items():
+        grid.add_argument(flag, dest=name, type=_parse_range)
     grid.set_defaults(fn=_cmd_grid, flags=flags)
     for verb, text in (("verify", "run one congruence check"),
                        ("scan", "run a check over a parameter grid")):

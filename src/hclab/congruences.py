@@ -1,9 +1,10 @@
 """The verdict engine: one verifier per congruence claim, each judging one case.
 
 Every verifier computes its left-hand side exactly, takes the p-adic
-valuation, and compares against the claimed modulus exponent.  Theorems whose
-strength depends on side conditions (the tier ladders) resolve the largest
-provable tier first, then judge the congruence at that tier.  Verifiers that
+valuation, and compares against the claimed modulus exponent, which its
+`THEOREMS` row states, and nothing else does.  Theorems whose strength
+depends on side conditions (the tier ladders) resolve the largest provable
+tier first, then judge the congruence at that tier.  Verifiers that
 truncate a series read it through one running sum, `_truncated`: a case on
 the series read last, at no shorter a length, extends that sum, so cases
 taken in ascending length add each term once.
@@ -24,15 +25,18 @@ from .harmonic import harmonic
 from .primes import fermat_quotient, q_series, q_terms
 from .report import ReportRecord
 
+# The paper's equation labels in id order, remark0's and prop3's with exponents.
 EXPANSION_IDS = ("e10ee", "e10eed", "e10eee", "e10eeeff")
-REMARK0_IDS = ("e10eeez", "e10eeezz", "e9a", "e10eeea", "e10eeee", "e10eeeb")
-PROP3_IDS = ("e8bbf", "e10eeeb1", "e9bb", "e9bbs")
+REMARK0_IDS = {"e10eeez": 1, "e10eeezz": 2, "e9a": 2, "e10eeea": 2, "e10eeee": 2,
+               "e10eeeb": 2}
+PROP3_IDS = {"e8bbf": 2, "e10eeeb1": 2, "e9bb": 3, "e9bbs": 1}
 
 
-def _verdict(theorem_id, p, lhs, exponent, tier=None, **params) -> ReportRecord:
+def _verdict(theorem_id, p, lhs, tier=None, **params) -> ReportRecord:
+    required = THEOREMS[theorem_id].exponent(p, params, tier)
     v = vp(lhs, p)
-    return ReportRecord(theorem_id, p, params, required_exponent=exponent,
-                        achieved_valuation=v, tier=tier, passed=v >= exponent, lhs=lhs)
+    return ReportRecord(theorem_id, p, params, required_exponent=required,
+                        achieved_valuation=v, tier=tier, passed=v >= required, lhs=lhs)
 
 
 def _require(cond: bool, msg: str):
@@ -110,21 +114,21 @@ def coeff_z(p: int, n: int, h: int, cache: BernoulliCache) -> Fraction:
 def verify_wolstenholme(p: int) -> ReportRecord:
     """H_{p-1} == 0 (mod p^2) for p >= 5."""
     _require(p >= 5, "needs p >= 5")
-    return _verdict("wolstenholme", p, harmonic(1, p - 1), 2)
+    return _verdict("wolstenholme", p, harmonic(1, p - 1))
 
 
 def verify_wolstenholme_refined(p: int) -> ReportRecord:
     """H_{p-1} + (p/2) H^(2)_{p-1} == 0 (mod p^4) for p >= 7."""
     _require(p >= 7, "needs p >= 7")
     lhs = harmonic(1, p - 1) + Fraction(p, 2) * harmonic(2, p - 1)
-    return _verdict("wolstenholme-refined", p, lhs, 4)
+    return _verdict("wolstenholme-refined", p, lhs)
 
 
 def verify_eisenstein(p: int) -> ReportRecord:
     """H_{(p-1)/2} + 2 q_p == 0 (mod p) for odd p."""
     _require(p >= 3, "needs an odd prime")
     lhs = harmonic(1, (p - 1) // 2) + 2 * fermat_quotient(p)
-    return _verdict("eisenstein", p, lhs, 1)
+    return _verdict("eisenstein", p, lhs)
 
 
 def verify_lehmer(p: int) -> ReportRecord:
@@ -132,7 +136,7 @@ def verify_lehmer(p: int) -> ReportRecord:
     _require(p >= 3, "needs an odd prime")
     q = fermat_quotient(p)
     lhs = harmonic(1, (p - 1) // 2) + 2 * q - p * q * q
-    return _verdict("lehmer", p, lhs, 2)
+    return _verdict("lehmer", p, lhs)
 
 
 # -- p-adic expansions of the harmonic numbers --------------------------------
@@ -183,44 +187,46 @@ def verify_expansion_truncation(which: str, k: int, p: int, J: int) -> ReportRec
     if which != "e10ee":
         _require(p % 2 == 1, "needs odd p")
     lhs = _truncated(("expansion", which, k, p), _expansion_series(which, k, p), J)
-    return _verdict(f"expansion-{which}", p, lhs, J, k=k, J=J)
+    return _verdict(f"expansion-{which}", p, lhs, k=k, J=J)
 
 
+# e9a (cor-remark0-3), claimed mod p^2 as in the paper, holds mod p^3 for every
+# odd p and mod p^4 for p >= 2k + 5.  Pairing j with p - j and expanding
+# 1/(p - j)^m in powers of p/j gives, for odd m = 2k - 1, twice its left side:
+#   2 H^(m)_{p-1} + m p H^(m+1)_{p-1} = -sum_{i>=2} C(m+i-1, i) p^i H^(m+i)_{p-1}.
+# The i = 2 term's H^(2k+1)_{p-1} is 0 mod p, as p - 1 divides no odd order,
+# and mod p^2 for p >= 2k + 5 (prop3-3 at k + 1); the i = 3 term's
+# H^(2k+2)_{p-1} is 0 mod p once p - 1 > 2k + 2; every other term carries p^4.
 def verify_cor_remark0(which: str, k: int, p: int) -> ReportRecord:
     """The six two-term congruences read off from the expansions (odd p)."""
     _require(p % 2 == 1 and p >= 3, "needs odd p")
     _require(k >= 1, "needs k >= 1")
     half = (p - 1) // 2
     if which == "e10eeez":
-        lhs, exponent = harmonic(2 * k - 1, p - 1), 1
+        lhs = harmonic(2 * k - 1, p - 1)
     elif which == "e10eeezz":
         lhs = harmonic(2 * k - 1, p - 1) + p * (2 * k - 1) * harmonic(2 * k, half)
-        exponent = 2
     elif which == "e9a":
         lhs = harmonic(2 * k - 1, p - 1) + Fraction(p, 2) * (2 * k - 1) * harmonic(
             2 * k, p - 1
         )
-        exponent = 2
     elif which == "e10eeea":
         lhs = (
             harmonic(2 * k, p - 1)
             - 2 * harmonic(2 * k, half)
             - p * 2 * k * harmonic(2 * k + 1, half)
         )
-        exponent = 2
     elif which == "e10eeee":
         lhs = (2 ** (2 * k) - 1) * harmonic(2 * k, half) + p * Fraction(k, 2) * (
             2 ** (2 * k + 1) - 1
         ) * harmonic(2 * k + 1, half)
-        exponent = 2
     elif which == "e10eeeb":
         lhs = 2 * harmonic(2 * k, half) - (2 ** (2 * k + 1) - 1) * harmonic(
             2 * k, p - 1
         )
-        exponent = 2
     else:
         raise ValueError(f"unknown congruence {which!r}")
-    return _verdict(f"cor-remark0-{REMARK0_IDS.index(which) + 1}", p, lhs, exponent, k=k)
+    return _verdict(f"cor-remark0-{list(REMARK0_IDS).index(which) + 1}", p, lhs, k=k)
 
 
 # -- Bernoulli-valued congruences for H^(2k), H^(2k-1) ------------------------
@@ -237,21 +243,17 @@ def verify_thm_prop3(which: str, k: int, p: int, cache: BernoulliCache) -> Repor
     b = bernoulli(p - 1 - 2 * k, cache)
     if which == "e8bbf":
         lhs = harmonic(2 * k, p - 1) - p * Fraction(2 * k, 2 * k + 1) * b
-        exponent = 2
     elif which == "e10eeeb1":
         lhs = harmonic(2 * k, half) - p * Fraction(k * (2 ** (2 * k + 1) - 1),
                                                    2 * k + 1) * b
-        exponent = 2
     elif which == "e9bb":
         lhs = harmonic(2 * k - 1, p - 1) + p * p * Fraction(k * (2 * k - 1),
                                                             2 * k + 1) * b
-        exponent = 3
     elif which == "e9bbs":
         lhs = harmonic(2 * k + 1, half) - Fraction(2 * (1 - 4**k), 2 * k + 1) * b
-        exponent = 1
     else:
         raise ValueError(f"unknown congruence {which!r}")
-    return _verdict(f"prop3-{PROP3_IDS.index(which) + 1}", p, lhs, exponent, k=k)
+    return _verdict(f"prop3-{list(PROP3_IDS).index(which) + 1}", p, lhs, k=k)
 
 
 # -- the tier-ladder theorem for H^(j)_{p-1} ----------------------------------
@@ -293,14 +295,14 @@ def verify_thm_ee10bis(p: int, n: int, i: int, cache: BernoulliCache) -> ReportR
     _require(n >= 0 and i >= 0, "needs n, i >= 0")
     m = _ee10bis_tier(p, n, i, cache)
     lhs = _ee10bis_sum(p, i, 2 * n + 2, cache)
-    return _verdict("thm-ee10bis", p, lhs, 2 * n + m, tier=m, n=n, i=i)
+    return _verdict("thm-ee10bis", p, lhs, tier=m, n=n, i=i)
 
 
 def verify_cor_ee10biss(p: int, i: int, k: int, cache: BernoulliCache) -> ReportRecord:
     """The same series truncated at j < k is divisible by p^k (odd p)."""
     _require(p % 2 == 1 and p >= 3, "needs odd p")
     _require(i >= 0 and k >= 1, "needs i >= 0, k >= 1")
-    return _verdict("cor-ee10biss", p, _ee10bis_sum(p, i, k, cache), k, i=i, k=k)
+    return _verdict("cor-ee10biss", p, _ee10bis_sum(p, i, k, cache), i=i, k=k)
 
 
 # -- the half-index even-order ladder -----------------------------------------
@@ -353,7 +355,7 @@ def verify_thm_eecj(p: int, n: int, i: int, cache: BernoulliCache) -> ReportReco
     _require(n >= 1 and i >= 1, "needs n, i >= 1")
     m = _eecj_tier(p, n, i, cache)
     lhs = _eecj_sum(p, i, 2 * n, cache)
-    return _verdict("thm-eecj", p, lhs, 2 * n + m, tier=m, n=n, i=i)
+    return _verdict("thm-eecj", p, lhs, tier=m, n=n, i=i)
 
 
 def _eecjj_exponent(p: int, J: int) -> int:
@@ -371,7 +373,7 @@ def verify_cor_eecjj(p: int, J: int, cache: BernoulliCache) -> ReportRecord:
     where _eecjj_exponent drops it (odd p)."""
     _require(p % 2 == 1 and p >= 3, "needs odd p")
     _require(J >= 1, "needs J >= 1")
-    return _verdict("cor-eecjj", p, _eecj_sum(p, 1, J, cache), _eecjj_exponent(p, J), J=J)
+    return _verdict("cor-eecjj", p, _eecj_sum(p, 1, J, cache), J=J)
 
 
 # -- the odd-order half-index results -----------------------------------------
@@ -393,7 +395,7 @@ def verify_prop41(p: int, n: int, cache: BernoulliCache) -> ReportRecord:
             * (2 ** (2 * i + 1) - 1)
             * Fraction(p, 2) ** (2 * i)
         )
-    return _verdict("prop41", p, lhs, n, n=n)
+    return _verdict("prop41", p, lhs, n=n)
 
 
 def verify_prop42(p: int, n: int, h: int, cache: BernoulliCache) -> ReportRecord:
@@ -412,7 +414,7 @@ def verify_prop42(p: int, n: int, h: int, cache: BernoulliCache) -> ReportRecord
             * coeff_z(p, n, h + i, cache)
             * (2 ** (2 * h + 1) - Fraction(1, 2 ** (2 * i)))
         )
-    return _verdict("prop42", p, lhs, n - 1, n=n, h=h)
+    return _verdict("prop42", p, lhs, n=n, h=h)
 
 
 def _ee20_series(p: int, cache: BernoulliCache) -> Iterator[Fraction]:
@@ -438,7 +440,7 @@ def verify_thm_ee20(p: int, n: int, cache: BernoulliCache) -> ReportRecord:
     _require(p % 2 == 1 and p >= 3, "needs odd p")
     _require(n >= 1, "needs n >= 1")
     lhs = _truncated(("ee20", p, cache), _ee20_series(p, cache), n)
-    return _verdict("thm-ee20", p, lhs, n, n=n)
+    return _verdict("thm-ee20", p, lhs, n=n)
 
 
 def verify_intermediate_47(p: int, n: int, cache: BernoulliCache) -> ReportRecord:
@@ -460,7 +462,7 @@ def verify_intermediate_47(p: int, n: int, cache: BernoulliCache) -> ReportRecor
          for h in range(1, (n - 2) // 2 + 1)),
         Fraction(0),
     )
-    return _verdict("eq47", p, left - right, n, n=n)
+    return _verdict("eq47", p, left - right, n=n)
 
 
 def sun_congruence(p: int, cache: BernoulliCache) -> ReportRecord:
@@ -472,7 +474,7 @@ def sun_congruence(p: int, cache: BernoulliCache) -> ReportRecord:
         + Fraction(7, 12) * bernoulli(p - 3, cache) * p * p
         + 2 * (q - Fraction(q * q * p, 2) + Fraction(q**3 * p * p, 3))
     )
-    return _verdict("sun", p, lhs, 3)
+    return _verdict("sun", p, lhs)
 
 
 # -- the lemmas the expansions rest on ----------------------------------------
@@ -483,7 +485,7 @@ def verify_lemma_pb_1(p: int, n: int, cache: BernoulliCache) -> ReportRecord:
     _require(p % 2 == 1 and p >= 3, "needs odd p")
     _require(n >= 1, "needs n >= 1")
     lhs = p * bernoulli(_power_index(p, n, 0), cache) - (p - 1)
-    return _verdict("lemma-pb-1", p, lhs, n, n=n)
+    return _verdict("lemma-pb-1", p, lhs, n=n)
 
 
 def verify_lemma_pb_2(p: int, n: int, h: int, cache: BernoulliCache) -> ReportRecord:
@@ -494,7 +496,7 @@ def verify_lemma_pb_2(p: int, n: int, h: int, cache: BernoulliCache) -> ReportRe
     index = _power_index(p, n, h)
     _require(index >= 2, "needs p^(n-1)(p-1) - 2h >= 2")
     lhs = p * bernoulli(index, cache) - harmonic(2 * h, p - 1)
-    return _verdict("lemma-pb-2", p, lhs, 1, n=n, h=h)
+    return _verdict("lemma-pb-2", p, lhs, n=n, h=h)
 
 
 def verify_kummer(p: int, h: int, k: int, cache: BernoulliCache) -> ReportRecord:
@@ -505,7 +507,7 @@ def verify_kummer(p: int, h: int, k: int, cache: BernoulliCache) -> ReportRecord
     _require((h - k) % (p - 1) == 0 and h % (p - 1) != 0 and k % (p - 1) != 0,
              f"needs h == k mod {p - 1}, neither divisible by it")
     lhs = bernoulli(h, cache) / h - bernoulli(k, cache) / k
-    return _verdict("kummer", p, lhs, 1, h=h, k=k)
+    return _verdict("kummer", p, lhs, h=h, k=k)
 
 
 # -- the theorem table ----------------------------------------------------------
@@ -514,27 +516,27 @@ def verify_kummer(p: int, h: int, k: int, cache: BernoulliCache) -> ReportRecord
 class Theorem(NamedTuple):
     """What `verify` and `scan` know of one theorem id.
 
-    ``params`` name the grid parameters as their CLI flags do, in the order a
+    ``params`` name the grid parameters as its records do, in the order a
     scan nests them, the last innermost: a series truncated at its last param
     is then read at ascending lengths, one running sum per prime and values
-    of the other params.  ``run(p, args, cache)`` is the verdict on one case;
-    it calls its verifier by module-level name, so a profiler can wrap it.
+    of the other params.  A param's flag is its name, J's is --j-terms.
+    ``run(p, args, cache)`` is the verdict on one case; it calls its verifier
+    by module-level name, so a profiler can wrap it.  ``exponent(p, params,
+    tier)`` is the exponent the case claims, at the tier a ladder resolved
+    (None elsewhere); `_verdict` reads it, and no verifier states one.
     ``bernoulli_need(p, args)`` is the largest Bernoulli index one case reads
     at p, and at any smaller p (-1 for none); ``verify`` and ``scan`` fill
     the cache to its maximum over the cases at the grid's largest prime.
-    Scans skip cases failing
-    ``hypothesis`` and cases whose verifier raises HypothesisViolated, so
-    ``hypothesis`` states only what a verifier deliberately leaves unchecked.
+    Scans skip cases failing ``hypothesis`` and cases whose verifier raises
+    HypothesisViolated, so ``hypothesis`` states only what a verifier
+    deliberately leaves unchecked.
     """
 
     params: tuple[str, ...]
     run: Callable[[int, dict, BernoulliCache], ReportRecord]
+    exponent: Callable[[int, dict, int | None], int]
     bernoulli_need: Callable[[int, dict], int] = lambda p, a: -1
     hypothesis: Callable[[int, dict], bool] = lambda p, a: True
-
-    def case(self, args: dict) -> dict:
-        """The params a record on these arguments names (``j_terms`` as J)."""
-        return {"J" if n == "j_terms" else n: args[n] for n in self.params}
 
 
 def _ladder_need(offset: int):
@@ -555,52 +557,61 @@ def _pb_need(p: int, a: dict) -> int:
 
 
 THEOREMS: dict[str, Theorem] = {
-    "wolstenholme": Theorem((), lambda p, a, c: verify_wolstenholme(p)),
-    "wolstenholme-refined": Theorem((), lambda p, a, c: verify_wolstenholme_refined(p)),
-    "eisenstein": Theorem((), lambda p, a, c: verify_eisenstein(p)),
-    "lehmer": Theorem((), lambda p, a, c: verify_lehmer(p)),
+    "wolstenholme": Theorem((), lambda p, a, c: verify_wolstenholme(p), lambda p, a, t: 2),
+    "wolstenholme-refined": Theorem((), lambda p, a, c: verify_wolstenholme_refined(p),
+                                    lambda p, a, t: 4),
+    "eisenstein": Theorem((), lambda p, a, c: verify_eisenstein(p), lambda p, a, t: 1),
+    "lehmer": Theorem((), lambda p, a, c: verify_lehmer(p), lambda p, a, t: 2),
     **{f"expansion-{w}": Theorem(
-        ("k", "j_terms"),
-        lambda p, a, c, w=w: verify_expansion_truncation(w, a["k"], p, a["j_terms"]),
+        ("k", "J"),
+        lambda p, a, c, w=w: verify_expansion_truncation(w, a["k"], p, a["J"]),
+        lambda p, a, t: a["J"],
     ) for w in EXPANSION_IDS},
     **{f"cor-remark0-{idx}": Theorem(
         ("k",), lambda p, a, c, w=w: verify_cor_remark0(w, a["k"], p),
-    ) for idx, w in enumerate(REMARK0_IDS, start=1)},
+        lambda p, a, t, e=e: e,
+    ) for idx, (w, e) in enumerate(REMARK0_IDS.items(), start=1)},
     **{f"prop3-{idx}": Theorem(
         ("k",), lambda p, a, c, w=w: verify_thm_prop3(w, a["k"], p, c),
-        lambda p, a: p - 1 - 2 * a["k"],
-    ) for idx, w in enumerate(PROP3_IDS, start=1)},
+        lambda p, a, t, e=e: e, lambda p, a: p - 1 - 2 * a["k"],
+    ) for idx, (w, e) in enumerate(PROP3_IDS.items(), start=1)},
     "thm-ee10bis": Theorem(
-        ("i", "n"),
-        lambda p, a, c: verify_thm_ee10bis(p, a["n"], a["i"], c), _ladder_need(5),
+        ("i", "n"), lambda p, a, c: verify_thm_ee10bis(p, a["n"], a["i"], c),
+        lambda p, a, t: 2 * a["n"] + t, _ladder_need(5),
     ),
     "cor-ee10biss": Theorem(
         ("i", "k"), lambda p, a, c: verify_cor_ee10biss(p, a["i"], a["k"], c),
-        lambda p, a: a["k"] - 1,
+        lambda p, a, t: a["k"], lambda p, a: a["k"] - 1,
     ),
     "thm-eecj": Theorem(
-        ("i", "n"),
-        lambda p, a, c: verify_thm_eecj(p, a["n"], a["i"], c), _ladder_need(1),
+        ("i", "n"), lambda p, a, c: verify_thm_eecj(p, a["n"], a["i"], c),
+        lambda p, a, t: 2 * a["n"] + t, _ladder_need(1),
     ),
     "cor-eecjj": Theorem(
-        ("j_terms",), lambda p, a, c: verify_cor_eecjj(p, a["j_terms"], c),
-        lambda p, a: a["j_terms"] + 1,
+        ("J",), lambda p, a, c: verify_cor_eecjj(p, a["J"], c),
+        lambda p, a, t: _eecjj_exponent(p, a["J"]), lambda p, a: a["J"] + 1,
     ),
-    "prop41": Theorem(("n",), lambda p, a, c: verify_prop41(p, a["n"], c), _z_need),
-    "prop42": Theorem(("n", "h"), lambda p, a, c: verify_prop42(p, a["n"], a["h"], c), _z_need),
+    "prop41": Theorem(("n",), lambda p, a, c: verify_prop41(p, a["n"], c),
+                      lambda p, a, t: a["n"], _z_need),
+    "prop42": Theorem(("n", "h"), lambda p, a, c: verify_prop42(p, a["n"], a["h"], c),
+                      lambda p, a, t: a["n"] - 1, _z_need),
     "thm-ee20": Theorem(
         ("n",), lambda p, a, c: verify_thm_ee20(p, a["n"], c),
-        lambda p, a: a["n"] + 1,
+        lambda p, a, t: a["n"], lambda p, a: a["n"] + 1,
         hypothesis=lambda p, a: 2 * p > a["n"] + 1,
     ),
-    "eq47": Theorem(("n",), lambda p, a, c: verify_intermediate_47(p, a["n"], c), _z_need),
-    "sun": Theorem((), lambda p, a, c: sun_congruence(p, c), lambda p, a: p - 3),
-    "lemma-pb-1": Theorem(("n",), lambda p, a, c: verify_lemma_pb_1(p, a["n"], c), _pb_need),
+    "eq47": Theorem(("n",), lambda p, a, c: verify_intermediate_47(p, a["n"], c),
+                    lambda p, a, t: a["n"], _z_need),
+    "sun": Theorem((), lambda p, a, c: sun_congruence(p, c), lambda p, a, t: 3,
+                   lambda p, a: p - 3),
+    "lemma-pb-1": Theorem(("n",), lambda p, a, c: verify_lemma_pb_1(p, a["n"], c),
+                          lambda p, a, t: a["n"], _pb_need),
     "lemma-pb-2": Theorem(
-        ("n", "h"), lambda p, a, c: verify_lemma_pb_2(p, a["n"], a["h"], c), _pb_need,
+        ("n", "h"), lambda p, a, c: verify_lemma_pb_2(p, a["n"], a["h"], c),
+        lambda p, a, t: 1, _pb_need,
     ),
     "kummer": Theorem(
         ("h", "k"), lambda p, a, c: verify_kummer(p, a["h"], a["k"], c),
-        lambda p, a: max(a["h"], a["k"]),
+        lambda p, a, t: 1, lambda p, a: max(a["h"], a["k"]),
     ),
 }

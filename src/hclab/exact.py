@@ -49,9 +49,7 @@ def vp_int(n: int, p: int) -> int | float:
 
 
 def vp(x: Fraction | int, p: int) -> int | float:
-    """p-adic valuation of a rational: v_p(num) - v_p(den); INFINITE for 0."""
-    if isinstance(x, int):
-        return vp_int(x, p)
+    """p-adic valuation of a rational or int: v_p(num) - v_p(den); INFINITE for 0."""
     if x == 0:
         return INFINITE
     return vp_int(x.numerator, p) - vp_int(x.denominator, p)

@@ -3,13 +3,21 @@ equals the required exponent, so lowering the exponent, or raising it, fails
 here.  Each case runs through the theorem table, as `verify` does, and pins
 the exact left-hand side, taken where possible from routes the package does
 not use: Bernoulli numbers from Brent and Harvey's tangent triangle,
-harmonic numbers summed term by term and Fermat quotients divided out here."""
+harmonic numbers summed term by term and Fermat quotients divided out here.
+The two ids that are never sharp, cor-remark0-3 and cor-remark0-5, pin their
+least margins instead, and every exponent is checked to be stated once, in
+the theorem table."""
 
+import ast
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from hclab import cli
 from hclab import congruences as cg
+from hclab.primes import primes_in
 
 from oracles import tangent_triangle
 
@@ -39,8 +47,41 @@ def _valuation(x: Fraction, p: int) -> int:
     return v
 
 
+# B_1, and C_j = 2 B_{j+2} + (-1)^j B_{j+1} + 1/2 of thm-eecj at j = 0, 1 (B_3 = 0)
+_B1 = Fraction(-1, 2)
+_C0 = 2 * _bernoulli(2) + _B1 + Fraction(1, 2)
+_C1 = -_bernoulli(2) + Fraction(1, 2)
+
 # (theorem id, p, params, exact left-hand side, its exact value, sharp exponent)
 _SHARP = [
+    ("wolstenholme", 5, {}, _harmonic(1, 4), Fraction(25, 12), 2),
+    # The four expansions at J = 1: the value at J = 0 plus the j = 0 term.
+    # -H^(k)_{p-1} + (-1)^k H^(k)_{p-1}
+    ("expansion-e10ee", 3, {"k": 1, "J": 1}, -_harmonic(1, 2) - _harmonic(1, 2),
+     Fraction(-3), 1),
+    # -H^(2k)_{p-1} + 2 H^(2k)_{(p-1)/2}
+    ("expansion-e10eed", 3, {"k": 1, "J": 1}, -_harmonic(2, 2) + 2 * _harmonic(2, 1),
+     Fraction(3, 4), 1),
+    # -H^(k)_{p-1} + (1 + (-1)^k)/2^k H^(k)_{(p-1)/2}, whose second term is 0 at odd k
+    ("expansion-e10eee", 3, {"k": 1, "J": 1}, -_harmonic(1, 2), Fraction(-3, 2), 1),
+    # 2 (2^(2k) - 1) H^(2k)_{(p-1)/2}, and a j = 0 term of 0
+    ("expansion-e10eeeff", 3, {"k": 1, "J": 1}, 2 * 3 * _harmonic(2, 1), Fraction(6), 1),
+    # C(j+2i, 2i) B_j H^(j+2i+1)_{p-1} (-p)^j for j <= 2n + 1; tier 3, as 3 | n
+    ("thm-ee10bis", 3, {"n": 0, "i": 0}, _harmonic(1, 2) + _B1 * _harmonic(2, 2) * -3,
+     Fraction(27, 8), 3),
+    # the same series at j < k
+    ("cor-ee10biss", 3, {"i": 0, "k": 1}, _harmonic(1, 2), Fraction(3, 2), 1),
+    # C(j+2i-1, j+1) (2^(j+2i) - 1)/2^j C_j H^(j+2i)_{(p-1)/2} p^j for j < 2n; tier 0
+    ("thm-eecj", 3, {"n": 1, "i": 1},
+     3 * _C0 * _harmonic(2, 1) + Fraction(7, 2) * _C1 * _harmonic(3, 1) * 3, Fraction(9, 2), 2),
+    # the same series at i = 1 and j < J
+    ("cor-eecjj", 5, {"J": 1}, 3 * _C0 * _harmonic(2, 2), Fraction(5, 4), 1),
+    # H^(2h+1)_{(p-1)/2} + (2^(2h+1) - 2) B_{p^(n-1)(p-1)-2h}/(2h); the sum over
+    # i is empty at n = 2
+    ("prop42", 5, {"n": 2, "h": 1}, _harmonic(3, 2) + 6 * _bernoulli(18) / 2,
+     Fraction(176665, 1064), 1),
+    # the j = 0 term of the B/H series, (2 - 1)(4 - 1) 2/2 B_2 H_{(p-1)/2}, plus q_p
+    ("thm-ee20", 3, {"n": 1}, 3 * _bernoulli(2) * _harmonic(1, 1) + _q(3), Fraction(3, 2), 1),
     # p^n (2^(n+1) - 1)/2^n B_{p^(n-1)(p-1)-n}/n at n = 2, where delta and
     # the sum over h are empty
     ("eq47", 5, {"n": 2}, 5**2 * Fraction(7, 4) * _bernoulli(18) / 2,
@@ -88,6 +129,10 @@ _SHARP = [
 ]
 
 
+# The tier each ladder's sharp case resolves to; None for every other id.
+_TIER = {"thm-ee10bis": 3, "thm-eecj": 0}
+
+
 @pytest.mark.parametrize("theorem_id, p, args, lhs, value, exponent", _SHARP,
                          ids=[case[0] for case in _SHARP])
 def test_sharp_case(cache, theorem_id, p, args, lhs, value, exponent):
@@ -96,4 +141,87 @@ def test_sharp_case(cache, theorem_id, p, args, lhs, value, exponent):
     assert (record.theorem_id, record.p, record.params) == (theorem_id, p, args)
     assert record.lhs == value
     assert record.required_exponent == record.achieved_valuation == exponent
-    assert record.tier is None and record.passed is True
+    assert record.tier == _TIER.get(theorem_id) and record.passed is True
+
+
+def test_every_id_but_two_has_a_sharp_case():
+    never_sharp = {"cor-remark0-3", "cor-remark0-5"}
+    assert sorted(case[0] for case in _SHARP) == sorted(set(cg.THEOREMS) - never_sharp)
+
+
+@pytest.mark.parametrize("theorem_id, p, args", [case[:3] for case in _SHARP],
+                         ids=[case[0] for case in _SHARP])
+def test_table_exponent_mutants_fail(cache, monkeypatch, theorem_id, p, args):
+    """An exponent raised by one in the table fails the sharp case; one lowered
+    by one no longer equals its valuation."""
+    row = cg.THEOREMS[theorem_id]
+    for by in (1, -1):
+        mutant = row._replace(exponent=lambda p, a, t, by=by: row.exponent(p, a, t) + by)
+        monkeypatch.setitem(cg.THEOREMS, theorem_id, mutant)
+        record = cg.THEOREMS[theorem_id].run(p, dict(args), cache)
+        if by == 1:
+            assert record.passed is False
+        else:
+            assert record.required_exponent != record.achieved_valuation
+
+
+def test_remark0_least_margins(cache):
+    """cor-remark0-3 (e9a) and cor-remark0-5 (e10eeee) are claimed mod p^2 and
+    never sharp: on every odd p <= 293 and 1 <= k <= 6 the achieved valuation
+    passes the table's exponent by at least 1, and e9a's by at least 2 for
+    p >= 2k + 5 (the derivation is beside verify_cor_remark0).  These are
+    the least margins, each reached on the grid."""
+    margins = {"cor-remark0-3": {}, "cor-remark0-5": {}}
+    for k in range(1, 7):
+        for p in primes_in(3, 293):
+            for theorem_id, by_case in margins.items():
+                record = cg.THEOREMS[theorem_id].run(p, {"k": k}, cache)
+                by_case[p, k] = record.achieved_valuation - record.required_exponent
+    assert [len(by_case) for by_case in margins.values()] == [366, 366]
+    e9a = margins["cor-remark0-3"]
+    assert min(e9a.values()) == 1
+    assert min(m for (p, k), m in e9a.items() if p >= 2 * k + 5) == 2
+    assert min(margins["cor-remark0-5"].values()) == 1
+
+
+def test_exponent_stated_only_in_the_table():
+    """Each verifier makes one _verdict call, which passes exactly the id, p
+    and lhs by position and no exponent, and no function in congruences.py
+    assigns an exponent."""
+    tree = ast.parse(Path(cg.__file__).read_text(encoding="utf-8"))
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    verifiers = [f for f in functions
+                 if f.name.startswith("verify_") or f.name == "sun_congruence"]
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_verdict"]
+    assert len(calls) == len(verifiers) == 19
+    for call in calls:
+        assert len(call.args) == 3, ast.unparse(call)
+        assert not any(isinstance(arg, ast.Starred) for arg in call.args), ast.unparse(call)
+        assert "exponent" not in {kw.arg for kw in call.keywords}, ast.unparse(call)
+    assigned = [(f.name, node.lineno) for f in functions for node in ast.walk(f)
+                if isinstance(node, ast.Name) and node.id == "exponent"
+                and isinstance(node.ctx, ast.Store)]
+    assert assigned == []
+
+
+# One small grid for every id's params; J is the --j-terms flag.
+_GRID = {"n": "0:2", "i": "0:2", "k": "1:3", "h": "1:2", "J": "0:4"}
+
+
+@pytest.mark.parametrize("theorem_id", sorted(cg.THEOREMS))
+def test_record_exponent_from_the_record_alone(capsys, monkeypatch, tmp_path, theorem_id):
+    """The table's exponent, worked out from a scanned record's p, params and
+    tier alone, is the record's required_exponent."""
+    monkeypatch.setattr(cli, "_workers", lambda: 1)
+    theorem = cg.THEOREMS[theorem_id]
+    argv = ["scan", theorem_id, "--p-min", "2", "--p-max", "13",
+            "--cache", str(tmp_path / "c.cache")]
+    for name in theorem.params:
+        argv += ["--j-terms" if name == "J" else f"--{name}", _GRID[name]]
+    assert cli.run(argv) in (0, 1)
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    ok = [r for r in records if r["status"] == "ok"]
+    assert ok
+    for r in ok:
+        assert r["required_exponent"] == theorem.exponent(r["p"], r["params"], r["tier"]), r

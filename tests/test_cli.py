@@ -533,7 +533,8 @@ def test_case_need_reaches_ceiling(capsys, tmp_path, monkeypatch, argv, stored):
 
 def test_grid_flags_come_from_theorem_table(capsys, monkeypatch):
     """A theorem with a new parameter name needs no CLI edit."""
-    fake = cg.Theorem(("q",), lambda p, a, c: cg._verdict("fake", p, a["q"] * p, 1, q=a["q"]))
+    fake = cg.Theorem(("q",), lambda p, a, c: cg._verdict("fake", p, a["q"] * p, q=a["q"]),
+                      lambda p, a, t: 1)
     monkeypatch.setitem(cg.THEOREMS, "fake", fake)
     code, out, err = run_capture(capsys, ["verify", "fake", "--p", "7", "--q", "3"])
     assert code == 0, err
@@ -791,7 +792,7 @@ def test_scan_reading_no_bernoulli_leaves_cache_empty(capsys, tmp_path):
     assert code == 0 and path.read_text() == ""
 
 
-_NEED_GRID = {"n": "0:2", "i": "0:2", "k": "1:3", "h": "1:2", "j_terms": "0:4"}
+_NEED_GRID = {"n": "0:2", "i": "0:2", "k": "1:3", "h": "1:2", "J": "0:4"}
 
 
 # The "-None" in each id is kept from a since removed tier argument, so that
@@ -807,7 +808,7 @@ def test_scan_bernoulli_need_covers_reads(capsys, tmp_path_factory, monkeypatch,
     argv = ["scan", theorem_id, "--p-min", "2", "--p-max", "23",
             "--cache", str(tmp_path_factory.getbasetemp() / "need.cache")]
     for name in theorem.params:
-        argv += [f"--{name.replace('_', '-')}", _NEED_GRID[name]]
+        argv += ["--j-terms" if name == "J" else f"--{name}", _NEED_GRID[name]]
     code, _, err = run_capture(capsys, argv)
     assert code in (0, 1), err
     grids = [cli._parse_range(_NEED_GRID[name]) for name in theorem.params]
@@ -837,7 +838,7 @@ def test_harmonic_reads_stay_below_p(capsys, tmp_path, monkeypatch, theorem_id):
     argv = ["scan", theorem_id, "--p-min", "2", "--p-max", "23",
             "--cache", str(tmp_path / "c.cache")]
     for name in theorem.params:
-        argv += [f"--{name.replace('_', '-')}", _NEED_GRID[name]]
+        argv += ["--j-terms" if name == "J" else f"--{name}", _NEED_GRID[name]]
     code, _, err = run_capture(capsys, argv)
     assert code in (0, 1), err
     assert all(upto <= p - 1 for p, upto in reads)

@@ -19,7 +19,7 @@ from hclab import congruences as cg
 from hclab.cli import run
 from hclab.primes import primes_in
 
-_GRID = {"n": "0:2", "i": "0:2", "k": "1:3", "h": "1:2", "j_terms": "0:4"}
+_GRID = {"n": "0:2", "i": "0:2", "k": "1:3", "h": "1:2", "J": "0:4"}
 
 
 @pytest.fixture(autouse=True)
@@ -57,7 +57,7 @@ def _scan(capsys, monkeypatch, workers, argv):
 def _argv(theorem_id):
     argv = ["scan", theorem_id, "--p-min", "2", "--p-max", "31"]
     for name in cg.THEOREMS[theorem_id].params:
-        argv += [f"--{name.replace('_', '-')}", _GRID[name]]
+        argv += ["--j-terms" if name == "J" else f"--{name}", _GRID[name]]
     return argv
 
 

@@ -333,8 +333,7 @@ def test_scan_records_equal_verify_records(capsys, tmp_path, theorem_id):
         if r["status"] == "ok":
             assert code in (0, 1) and verified == [r], argv
         else:
-            args = {"j_terms" if name == "J" else name: v for name, v in r["params"].items()}
-            assert code == 2 or not theorem.hypothesis(r["p"], args), argv
+            assert code == 2 or not theorem.hypothesis(r["p"], r["params"]), argv
     assert statuses == {"ok", "skipped-hypothesis"}
 
 

@@ -20,21 +20,39 @@ Each BENCH file holds the two revisions, every env line and result line that
 run.py printed, and for each metric each side's median and quartiles over
 the pairs and the number of pairs the change won (ties count for neither),
 with the direction of "better" read from BENCHMARK.json.
+
+It also holds the process floor, taken before and after the pairs: for each
+revision, the median wall time of FLOOR_RUNS runs of each FLOOR command in
+run.py's environment for its commands (this one, less HCL_CACHE, with
+PYTHONPATH at the revision's src), and whether PYTHONDONTWRITEBYTECODE is set,
+in which case every hclab process compiles its modules from source.  Much of
+a short command's time is this floor, so a claim on setup_s or on a workload
+of short commands must show that the floor did not move.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+
+# The interpreter's own start, without `site`, and the import of the CLI.
+FLOOR = {
+    "python -c pass": ["-c", "pass"],
+    "python -S -c pass": ["-S", "-c", "pass"],
+    'python -c "import hclab.cli"': ["-c", "import hclab.cli"],
+}
+FLOOR_RUNS = 10
 
 
 def git(*args: str) -> str:
@@ -63,6 +81,23 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
     if proc.returncode != 0 or len(lines) < 2:
         raise SystemExit(f"run.py in {tree} exited {proc.returncode}:\n{proc.stderr}")
     return {"env": json.loads(lines[0]), "result": json.loads(lines[-1])}
+
+
+def floor(trees: dict[str, Path]) -> dict[str, dict[str, float]]:
+    """Per side, the median wall seconds of FLOOR_RUNS runs of each FLOOR
+    command, started as run.py starts its commands; the sides and commands
+    take turns within each run, so a drifting host leans on none of them."""
+    times = {side: {name: [] for name in FLOOR} for side in trees}
+    for _ in range(FLOOR_RUNS):
+        for side, tree in trees.items():
+            env = {k: v for k, v in os.environ.items() if k != "HCL_CACHE"}
+            env["PYTHONPATH"] = str(tree / "src")
+            for name, args in FLOOR.items():
+                t0 = time.perf_counter()
+                subprocess.run([sys.executable, *args], cwd=tree, env=env, check=True)
+                times[side][name].append(time.perf_counter() - t0)
+    return {side: {name: statistics.median(runs) for name, runs in by_name.items()}
+            for side, by_name in times.items()}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -109,6 +144,7 @@ def main() -> int:
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
         for workload in args.workload:
+            floor_before = floor(trees)
             pairs = []
             for i in range(args.pairs):
                 seed = args.seed + i
@@ -126,6 +162,12 @@ def main() -> int:
                 "seconds": args.seconds,
                 "trace": args.trace,
                 "host": {"python": platform.python_version(), "machine": platform.machine()},
+                "floor": {
+                    "runs": FLOOR_RUNS,
+                    "PYTHONDONTWRITEBYTECODE": "PYTHONDONTWRITEBYTECODE" in os.environ,
+                    "before": floor_before,
+                    "after": floor(trees),
+                },
                 "metrics": summary(pairs, better),
                 "pairs": pairs,
             }
