@@ -1,19 +1,23 @@
 """Exact Bernoulli numbers, a persistent cache, and irregular pairs.
 
 Every read of a Bernoulli number goes through a BernoulliCache that the
-caller passes in; there is no module-level store to fall back on.  Commands
-fill their cache from the tangent-number kernel in as few calls as possible,
-since the kernel rebuilds its triangle from B_0 on every call.  A wrong
-value would silently poison every downstream verdict, so the cache puts each
-even-index value B_2k it parses or computes through four checks:
+caller passes in; there is no module-level store to fall back on.  Missing
+values come from _kernels.bernoulli_extend: tangent numbers up to
+_kernels.SWITCH, Euler's zeta formula rounded against the Von Staudt-Clausen
+denominator above it.  A fill computes only the indices past the stored
+top, but each one pays for pi and the top index's powers, so commands still
+fill their cache in as few calls as they can.  A wrong value would silently
+poison every downstream verdict, so the cache puts each even-index value
+B_2k it parses or computes through four checks:
 
 - sign: B_2k has the sign (-1)^(k+1);
 - denominator: it is the product of the primes p with (p-1) | 2k;
 - full Von Staudt-Clausen: B_2k plus the sum of those 1/p is an integer;
 - magnitude: log|B_2k| is log 2 + log (2k)! - 2k log 2pi to within 1.
 
-The last three read one table, sieved once per process up to CEILING (or
-further, if a larger index is asked for), so each check is O(1) per index.
+The last three read the kernel's own Von Staudt-Clausen table
+(_kernels.von_staudt), sieved lazily and at least doubled each time it is
+outgrown, so each check is O(1) per index.
 """
 
 from __future__ import annotations
@@ -38,39 +42,11 @@ def check_ceiling(n: int) -> None:
         raise IndexCeilingExceeded(f"needs Bernoulli index {n}, beyond ceiling {CEILING}")
 
 
-# Von Staudt-Clausen data by index, filled for even indices only: the
-# denominator of B_n, the product of the primes p with (p-1) | n, and the sum
-# of den/p over those primes.  Built by _von_staudt_table, once per process.
-_vsc_dens: list[int] = []
-_vsc_sums: list[int] = []
-
-
-def _von_staudt_table(n: int) -> None:
-    """Sieve the Von Staudt-Clausen data up to max(n, CEILING), unless the
-    table already reaches n."""
-    global _vsc_dens, _vsc_sums
-    if n < len(_vsc_dens):
-        return
-    top = max(n, CEILING)
-    # p - 1 is even for odd p; p = 2 divides the denominator at every even index
-    steps = [(p, max(p - 1, 2)) for p in primes.primes_in(2, top + 1)]
-    dens = [1] * (top + 1)
-    for p, step in steps:
-        for i in range(step, top + 1, step):
-            dens[i] *= p
-    sums = [0] * (top + 1)
-    for p, step in steps:
-        for i in range(step, top + 1, step):
-            sums[i] += dens[i] // p
-    _vsc_dens, _vsc_sums = dens, sums
-
-
 def von_staudt_denominator(two_j: int) -> int:
     """Product of the primes p with (p-1) | two_j; the denominator of B_{two_j}."""
     if two_j < 2 or two_j % 2:
         raise ValueError("index must be a positive even integer")
-    _von_staudt_table(two_j)
-    return _vsc_dens[two_j]
+    return _kernels.von_staudt(two_j)[0]
 
 
 def _check_value(n: int, num: int, den: int) -> None:
@@ -87,8 +63,8 @@ def _check_value(n: int, num: int, den: int) -> None:
             raise ValueError(f"B_{n} must be {'positive' if n % 4 == 2 else 'negative'}")
         if den != von_staudt_denominator(n):
             raise ValueError(f"B_{n} denominator fails the Von Staudt-Clausen check")
-        # B_n + sum(1/p) is an integer; the table reaches n after the lookup
-        if (num + _vsc_sums[n]) % den:
+        # B_n + sum(1/p) is an integer
+        if (num + _kernels.von_staudt(n)[1]) % den:
             raise ValueError(f"B_{n} numerator fails the full Von Staudt-Clausen check")
         # |B_n| = 2 n! zeta(n) / (2 pi)^n, and 0 < log zeta(n) <= log(pi^2/6) < 0.5
         log_magnitude = log(2) + lgamma(n + 1) - n * log(2 * pi)

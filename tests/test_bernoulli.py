@@ -84,6 +84,17 @@ def test_von_staudt_sieve_matches_divisor_walk():
         assert von_staudt_denominator(n) == divisor_walk_denominator(n), n
 
 
+def test_von_staudt_table_grows_with_the_reads(monkeypatch):
+    """The kernel and the cache checks share one table, sieved only as far
+    as the reads need: to at most twice the highest index read."""
+    monkeypatch.setattr(hclab._kernels, "_vsc_dens", [])
+    monkeypatch.setattr(hclab._kernels, "_vsc_sums", [])
+    BernoulliCache().extend_to(7)
+    assert len(hclab._kernels._vsc_dens) <= 2 * 6 + 1
+    BernoulliCache().extend_to(300)
+    assert 300 < len(hclab._kernels._vsc_dens) <= 2 * 300 + 1
+
+
 def test_recurrence_full_range(cache):
     for n in range(601):
         assert check_recurrence(n, cache)

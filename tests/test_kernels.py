@@ -1,4 +1,5 @@
-"""The tangent-number Bernoulli kernel, against the classical recurrence."""
+"""The Bernoulli kernel, against the classical recurrence and, above the
+small indices, against the tangent numbers."""
 
 from fractions import Fraction
 from math import gcd
@@ -95,3 +96,34 @@ def test_bernoulli_extend_resumes_in_place():
     assert nums == fresh_n and dens == fresh_d
     _kernels.bernoulli_extend(nums, dens, 20)  # already stored: a no-op
     assert nums == fresh_n and dens == fresh_d
+
+
+@pytest.fixture(scope="module")
+def tangent_bernoulli():
+    """(num, den) of B_n for even n <= 1804, from the tangent numbers."""
+    t = _kernels.tangent_numbers(902)
+    out = {}
+    for n in range(2, 1805, 2):
+        k = n // 2
+        b = Fraction((-1) ** (k - 1) * n * t[k], 4**k * (4**k - 1))
+        out[n] = b.numerator, b.denominator
+    return out
+
+
+def test_euler_indices_match_tangent_numbers(tangent_bernoulli):
+    """Every even index from the switch through 1804 equals B_n from the
+    tangent numbers, filled in one call and resumed 0 -> 700 -> 1804.  At
+    1200, 1260, 1620 and 1680 the largest denominator so far grows; a
+    precision that followed it there instead of falling with n rounded them
+    wrong."""
+    one = [], []
+    _kernels.bernoulli_extend(*one, 1804)
+    resumed = [], []
+    for upto in (0, 700, 1804):
+        _kernels.bernoulli_extend(*resumed, upto)
+    assert resumed == one
+    nums, dens = one
+    for n in (1200, 1260, 1620, 1680):
+        assert (nums[n], dens[n]) == tangent_bernoulli[n], n
+    for n in range(_kernels.SWITCH + 2, 1805, 2):
+        assert (nums[n], dens[n]) == tangent_bernoulli[n], n

@@ -6,10 +6,12 @@ Usage, from the repository root:
 
     python3 tools/bench_pairs.py --parent REV [--change REV] --workload NAME [NAME ...]
         --pairs N --seed K --seconds S [--trace 0|1]
+    python3 tools/bench_pairs.py --parent REV [--change REV] --kernel
 
 Each revision is extracted with `git archive` into its own temporary
-directory (under $TMPDIR), so the working tree, the index and the refs are
-never touched, and its own perfbench/run.py runs there unchanged.  Pair i
+directory (under $TMPDIR, one per side, so a revision can be paired with
+itself), so the working tree, the index and the refs are never touched, and
+its own perfbench/run.py runs there unchanged.  Pair i
 runs seed K + i on both sides; the parent runs first in even pairs and the
 change first in odd ones, so a host that drifts during a run leans on
 neither side.  To measure uncommitted changes, pass `--change $(git stash
@@ -28,6 +30,12 @@ PYTHONPATH at the revision's src), and whether PYTHONDONTWRITEBYTECODE is set,
 in which case every hclab process compiles its modules from source.  Much of
 a short command's time is this floor, so a claim on setup_s or on a workload
 of short commands must show that the floor did not move.
+
+With --kernel it runs no workload and writes no file: it prints, for each
+revision, the median seconds of KERNEL_RUNS cold Bernoulli fills
+`BernoulliCache().extend_to(N)` at each N in KERNEL_N, each in a new process
+started like the floor's commands and timed around the fill alone, the sides
+taking turns within each run.
 """
 
 from __future__ import annotations
@@ -54,15 +62,22 @@ FLOOR = {
 }
 FLOOR_RUNS = 10
 
+KERNEL_N = (500, 1000, 1786, 2500)
+KERNEL_RUNS = 5
+KERNEL_FILL = (
+    "import sys, time; from hclab.bernoulli import BernoulliCache; "
+    "t = time.perf_counter(); BernoulliCache().extend_to(int(sys.argv[1])); "
+    "print(time.perf_counter() - t)"
+)
+
 
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
 
 
-def extract(sha: str, directory: Path) -> Path:
-    """The tree of sha, written under directory by `git archive`."""
-    tree = directory / sha
+def extract(sha: str, tree: Path) -> Path:
+    """The tree of sha, written into the new directory tree by `git archive`."""
     tree.mkdir()
     archive = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True,
                              capture_output=True).stdout
@@ -83,6 +98,14 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
     return {"env": json.loads(lines[0]), "result": json.loads(lines[-1])}
 
 
+def command_env(tree: Path) -> dict[str, str]:
+    """run.py's environment for its commands: this one, less HCL_CACHE, with
+    PYTHONPATH at the tree's src."""
+    env = {k: v for k, v in os.environ.items() if k != "HCL_CACHE"}
+    env["PYTHONPATH"] = str(tree / "src")
+    return env
+
+
 def floor(trees: dict[str, Path]) -> dict[str, dict[str, float]]:
     """Per side, the median wall seconds of FLOOR_RUNS runs of each FLOOR
     command, started as run.py starts its commands; the sides and commands
@@ -90,14 +113,31 @@ def floor(trees: dict[str, Path]) -> dict[str, dict[str, float]]:
     times = {side: {name: [] for name in FLOOR} for side in trees}
     for _ in range(FLOOR_RUNS):
         for side, tree in trees.items():
-            env = {k: v for k, v in os.environ.items() if k != "HCL_CACHE"}
-            env["PYTHONPATH"] = str(tree / "src")
+            env = command_env(tree)
             for name, args in FLOOR.items():
                 t0 = time.perf_counter()
                 subprocess.run([sys.executable, *args], cwd=tree, env=env, check=True)
                 times[side][name].append(time.perf_counter() - t0)
     return {side: {name: statistics.median(runs) for name, runs in by_name.items()}
             for side, by_name in times.items()}
+
+
+def kernel_table(trees: dict[str, Path]) -> str:
+    """A markdown table of each side's median cold-fill seconds at each N in
+    KERNEL_N, over KERNEL_RUNS runs; the sides take turns within each run."""
+    times = {side: {n: [] for n in KERNEL_N} for side in trees}
+    for _ in range(KERNEL_RUNS):
+        for n in KERNEL_N:
+            for side, tree in trees.items():
+                out = subprocess.run([sys.executable, "-c", KERNEL_FILL, str(n)], cwd=tree,
+                                     env=command_env(tree), check=True, capture_output=True,
+                                     text=True).stdout
+                times[side][n].append(float(out))
+    rows = ["| N | parent s | change s | change / parent |", "|---|---|---|---|"]
+    for n in KERNEL_N:
+        parent, change = (statistics.median(times[side][n]) for side in SIDES)
+        rows.append(f"| {n} | {parent:.4f} | {change:.4f} | {change / parent:.2f} |")
+    return "\n".join(rows)
 
 
 def quartiles(values: list[float]) -> dict:
@@ -131,16 +171,25 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="the parent revision")
     parser.add_argument("--change", default="HEAD", help="the change revision (HEAD)")
-    parser.add_argument("--workload", required=True, nargs="+")
-    parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seed", type=int, required=True, help="the first pair's seed")
-    parser.add_argument("--seconds", type=float, required=True)
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--workload", nargs="+")
+    mode.add_argument("--kernel", action="store_true",
+                      help="time cold Bernoulli fills instead of running a workload")
+    parser.add_argument("--pairs", type=int)
+    parser.add_argument("--seed", type=int, help="the first pair's seed")
+    parser.add_argument("--seconds", type=float)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
+    if args.workload and None in (args.pairs, args.seed, args.seconds):
+        parser.error("--workload needs --pairs, --seed and --seconds")
     shas = {side: git("rev-parse", "--verify", f"{getattr(args, side)}^{{commit}}")
             for side in SIDES}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        trees = {side: extract(sha, Path(tmp)) for side, sha in shas.items()}
+        trees = {side: extract(sha, Path(tmp) / side) for side, sha in shas.items()}
+        if args.kernel:
+            print(f"parent {shas['parent']}, change {shas['change']}")
+            print(kernel_table(trees))
+            return 0
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
         for workload in args.workload:
