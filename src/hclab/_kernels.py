@@ -28,7 +28,7 @@ from . import primes
 IMPLEMENTATION = "pure"
 
 # The largest index taken from tangent numbers.  Above it Euler's formula
-# needs few zeta terms: at most about 16 at n = 62.
+# needs zeta's odd terms only up to j = 7..19 at n = 62, by the fill's top.
 SWITCH = 60
 
 # Von Staudt-Clausen data by index, filled for even indices only: the

@@ -98,24 +98,18 @@ def test_bernoulli_extend_resumes_in_place():
     assert nums == fresh_n and dens == fresh_d
 
 
-@pytest.fixture(scope="module")
-def tangent_bernoulli():
-    """(num, den) of B_n for even n <= 1804, from the tangent numbers."""
+
+def test_euler_indices_match_tangent_numbers():
+    """Every even index from the switch through 1804 equals B_n from the
+    tangent numbers, filled in one call and resumed 0 -> 700 -> 1804.  The
+    largest denominator so far grows at 1200, 1260, 1620 and 1680, where a
+    precision tied to it instead of falling with n would plateau."""
     t = _kernels.tangent_numbers(902)
-    out = {}
+    want = {}
     for n in range(2, 1805, 2):
         k = n // 2
         b = Fraction((-1) ** (k - 1) * n * t[k], 4**k * (4**k - 1))
-        out[n] = b.numerator, b.denominator
-    return out
-
-
-def test_euler_indices_match_tangent_numbers(tangent_bernoulli):
-    """Every even index from the switch through 1804 equals B_n from the
-    tangent numbers, filled in one call and resumed 0 -> 700 -> 1804.  At
-    1200, 1260, 1620 and 1680 the largest denominator so far grows; a
-    precision that followed it there instead of falling with n rounded them
-    wrong."""
+        want[n] = b.numerator, b.denominator
     one = [], []
     _kernels.bernoulli_extend(*one, 1804)
     resumed = [], []
@@ -124,6 +118,6 @@ def test_euler_indices_match_tangent_numbers(tangent_bernoulli):
     assert resumed == one
     nums, dens = one
     for n in (1200, 1260, 1620, 1680):
-        assert (nums[n], dens[n]) == tangent_bernoulli[n], n
+        assert (nums[n], dens[n]) == want[n], n
     for n in range(_kernels.SWITCH + 2, 1805, 2):
-        assert (nums[n], dens[n]) == tangent_bernoulli[n], n
+        assert (nums[n], dens[n]) == want[n], n
