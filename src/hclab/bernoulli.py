@@ -6,9 +6,13 @@ values come from _kernels.bernoulli_extend: tangent numbers up to
 _kernels.SWITCH, Euler's zeta formula rounded against the Von Staudt-Clausen
 denominator above it.  A fill computes only the indices past the stored
 top, but each one pays for pi and the top index's powers, so commands still
-fill their cache in as few calls as they can.  A wrong value would silently
-poison every downstream verdict, so the cache puts each even-index value
-B_2k it parses or computes through four checks:
+fill their cache in as few calls as they can.  A long fill splits both its
+Euler indices and its file's decimal lines into runs of about equal cost,
+one per CPU the process may use (at most fork.MAX_WORKERS) and each worth at
+least _kernels.RUN_WEIGHT, every run after the first in a forked worker.
+Every value is still checked in the calling process: a wrong one would
+silently poison every downstream verdict, so the cache puts each even-index
+value B_2k it parses or computes through four checks:
 
 - sign: B_2k has the sign (-1)^(k+1);
 - denominator: it is the product of the primes p with (p-1) | 2k;
@@ -23,6 +27,7 @@ outgrown, so each check is O(1) per index.
 from __future__ import annotations
 
 import os
+import shutil
 import stat
 import sys
 from bisect import bisect_left
@@ -30,7 +35,7 @@ from contextlib import contextmanager, suppress
 from fractions import Fraction
 from math import gcd, lgamma, log, pi
 
-from . import _kernels, primes
+from . import _kernels, fork, primes
 from .errors import CacheFileCorrupt, IndexCeilingExceeded
 
 CEILING = 2500
@@ -97,10 +102,12 @@ class BernoulliCache:
     the file's lines but parses none; lines are
     parsed and checked in order, only as far as the highest index asked for,
     so a bad line is reported by the first read that reaches it.  Each fill
-    parses every stored line first, then rewrites the whole file and replaces
-    the old one atomically.  ``extend_to(n)`` fills exactly to n; ``get(n)``
-    past the stored run grows it geometrically, so single-index readers make
-    few kernel calls.
+    parses every stored line first, computes and checks the missing values,
+    then rewrites the whole file and replaces the old one atomically; a long
+    fill's kernel and rewrite each split their work across forked workers
+    (_kernels._euler_split, _store).  ``extend_to(n)`` fills exactly to n;
+    ``get(n)`` past the stored run grows it geometrically, so single-index
+    readers make few kernel calls.
     """
 
     def __init__(self, path=None):
@@ -186,20 +193,42 @@ class BernoulliCache:
 
     def _store(self):
         """Rewrite the file with every stored value, through a temporary file
-        in its directory that then replaces it: a write cut short leaves the
-        old file whole.  A symlinked path is followed, so the link stays and
-        its target is rewritten."""
+        in its directory that then replaces it: a write cut short, or a
+        worker that does not finish, leaves the old file whole.  The lines
+        are cut into contiguous runs of about equal cost, n^2 for index n
+        (decimal conversion is quadratic in the digits), one per process
+        (fork.processes), each worth at least _kernels.RUN_WEIGHT, so a
+        short file is written here alone.  Forked workers render every run
+        but the first into anonymous files while this process writes the
+        first, then their runs are copied after it in order, so no process
+        holds every line at once.  A symlinked path is followed, so the link
+        stays and its target is rewritten."""
         target = os.path.realpath(self._path)
         tmp = f"{target}.{os.getpid()}.tmp"
+        lines = range(len(self._nums))
+        weights = [i * i for i in lines]
+        count = fork.processes(sum(weights) // _kernels.RUN_WEIGHT)
+        first, *rest = fork.cut(lines, weights, count)
         try:
-            with open(tmp, "w", encoding="utf-8") as fh, any_digits():
-                for i, (num, den) in enumerate(zip(self._nums, self._dens)):
-                    fh.write(f"{i} {num}/{den}\n")
+            with open(tmp, "w", encoding="utf-8") as fh, fork.forked(
+                    "store", rest, self._render,
+                    lambda run: f"writing B_{run[0]}..B_{run[-1]}") as reap:
+                self._render(first, fh)
+                for _, part in reap():
+                    shutil.copyfileobj(part, fh)
             os.replace(tmp, target)
         except BaseException:
             with suppress(FileNotFoundError):
                 os.remove(tmp)
             raise
+
+    def _render(self, run: range, fh) -> int:
+        """Write the lines of the indices in run to fh; 0, a worker's
+        outcome."""
+        with any_digits():
+            for i in run:
+                fh.write(f"{i} {self._nums[i]}/{self._dens[i]}\n")
+        return 0
 
     def get(self, n: int) -> Fraction:
         if n < 0:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from hclab import cli
+from hclab import cli, fork
 from hclab import congruences as cg
 from hclab.primes import primes_in
 
@@ -213,7 +213,7 @@ _GRID = {"n": "0:2", "i": "0:2", "k": "1:3", "h": "1:2", "J": "0:4"}
 def test_record_exponent_from_the_record_alone(capsys, monkeypatch, tmp_path, theorem_id):
     """The table's exponent, worked out from a scanned record's p, params and
     tier alone, is the record's required_exponent."""
-    monkeypatch.setattr(cli, "_workers", lambda: 1)
+    monkeypatch.setattr(fork, "workers", lambda: 1)
     theorem = cg.THEOREMS[theorem_id]
     argv = ["scan", theorem_id, "--p-min", "2", "--p-max", "13",
             "--cache", str(tmp_path / "c.cache")]

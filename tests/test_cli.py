@@ -17,7 +17,7 @@ import pytest
 import hclab._kernels
 import hclab.bernoulli as bernoulli_mod
 import hclab.primes
-from hclab import cli
+from hclab import cli, fork
 from hclab import congruences as cg
 from hclab.bernoulli import BernoulliCache
 from hclab.cli import run
@@ -146,7 +146,7 @@ def test_fifo_cache_exit_two(tmp_path):
 
 _CRASH_SCRIPT = """
 import sys
-from hclab import cli, congruences
+from hclab import cli, congruences, fork
 
 verify = congruences.verify_wolstenholme
 
@@ -156,7 +156,7 @@ def broken(p):
     raise TypeError(f"bug at p={p}")
 
 congruences.verify_wolstenholme = broken
-cli._workers = lambda: 2
+fork.workers = lambda: 2
 cli.main()
 """
 
@@ -801,7 +801,7 @@ _NEED_GRID = {"n": "0:2", "i": "0:2", "k": "1:3", "h": "1:2", "J": "0:4"}
 def test_scan_bernoulli_need_covers_reads(capsys, tmp_path_factory, monkeypatch,
                                           theorem_id):
     """The up-front ceiling check must bound every index a scan reads."""
-    monkeypatch.setattr(cli, "_workers", lambda: 1)  # the reads are watched in this process
+    monkeypatch.setattr(fork, "workers", lambda: 1)  # the reads are watched in this process
     monkeypatch.setattr(cli, "BernoulliCache", _RecordingCache)
     monkeypatch.setattr(_RecordingCache, "largest", -1)
     theorem = cg.THEOREMS[theorem_id]
@@ -831,7 +831,7 @@ def test_harmonic_reads_stay_below_p(capsys, tmp_path, monkeypatch, theorem_id):
         reads.append((judged[-1], upto))
         return harmonic(order, upto)
 
-    monkeypatch.setattr(cli, "_workers", lambda: 1)  # the reads are watched in this process
+    monkeypatch.setattr(fork, "workers", lambda: 1)  # the reads are watched in this process
     monkeypatch.setattr(cli, "_judge", recording_judge)
     monkeypatch.setattr(cg, "harmonic", recording_harmonic)
     theorem = cg.THEOREMS[theorem_id]

@@ -4,8 +4,8 @@ the worker's file holds.  The same report bytes and exit code as one process,
 for every theorem; a chunk that raises, the parent's own or a worker's, or a
 worker that dies or exits with any other status, ends the command with one
 stderr line and no report, and a bug in a worker ends it uncaught; one chunk
-forks nothing; at most MAX_WORKERS processes, however many CPUs; no worker
-outlives the command."""
+forks nothing; at most fork.MAX_WORKERS processes, however many CPUs; no
+worker outlives the command."""
 
 import os
 import re
@@ -14,9 +14,10 @@ import time
 
 import pytest
 
-from hclab import cli
+from hclab import cli, fork
 from hclab import congruences as cg
 from hclab.cli import run
+from hclab.errors import WorkerCrash
 from hclab.primes import primes_in
 
 _GRID = {"n": "0:2", "i": "0:2", "k": "1:3", "h": "1:2", "J": "0:4"}
@@ -48,7 +49,7 @@ def forks(monkeypatch):
 
 
 def _scan(capsys, monkeypatch, workers, argv):
-    monkeypatch.setattr(cli, "_workers", lambda: workers)
+    monkeypatch.setattr(fork, "workers", lambda: workers)
     code = run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -65,7 +66,9 @@ def _argv(theorem_id):
 def test_forked_scan_matches_one_process(capsys, tmp_path, monkeypatch, forks, theorem_id):
     """Two and three processes (one and two workers) give one process's exit
     code, stderr and bytes, in JSON on stdout and in CSV through --out, and
-    the same cache file."""
+    the same cache file.  Each run fills its own empty cache on as many CPUs,
+    and no fill here (to B_930 at most) is worth a forked worker, so the
+    scans' workers are the only forks."""
     for fmt, to_file in (("json", False), ("csv", True)):
         runs = []
         for workers in (1, 2, 3):
@@ -295,7 +298,7 @@ def test_unexpected_worker_error_ends_uncaught_with_its_traceback(capsys, tmp_pa
     argv = ["scan", "wolstenholme", "--p-min", "5", "--p-max", "97", "--out", str(target)]
     with pytest.raises(TypeError, match="bug at p=53"):
         _scan(capsys, monkeypatch, 1, argv)
-    with pytest.raises(cli._WorkerCrash) as crash:
+    with pytest.raises(WorkerCrash) as crash:
         _scan(capsys, monkeypatch, 2, argv)
     text = str(crash.value)
     assert text.startswith("Traceback (most recent call last):\n")
@@ -322,7 +325,7 @@ def test_many_cpus_fork_at_most_max_workers(capsys, monkeypatch, forks):
     sequential = _scan(capsys, monkeypatch, 1, argv)
     monkeypatch.setattr(os, "memfd_create", counting_memfd)
     assert _scan(capsys, monkeypatch, 10_000, argv) == sequential
-    assert len(memfds) == len(forks) + 1 == cli.MAX_WORKERS < len(primes_in(5, 97))
+    assert len(memfds) == len(forks) + 1 == fork.MAX_WORKERS < len(primes_in(5, 97))
 
 
 @pytest.mark.parametrize("count", [1, 2, 5, 8, 12, 100])

@@ -15,7 +15,7 @@ from math import comb
 
 import pytest
 
-from hclab import cli
+from hclab import cli, fork
 from hclab import congruences as cg
 from hclab.bernoulli import BernoulliCache
 from hclab.cli import run
@@ -369,7 +369,7 @@ def test_scan_reads_each_term_once(capsys, tmp_path, monkeypatch, argv, groups, 
         harmonic_reads.append((order, upto))
         return harmonic(order, upto)
 
-    monkeypatch.setattr(cli, "_workers", lambda: 1)  # the reads are counted in this process
+    monkeypatch.setattr(fork, "workers", lambda: 1)  # the reads are counted in this process
     monkeypatch.setattr(cg, "harmonic", counting_harmonic)
     code = run(argv + ["--cache", str(tmp_path / "c.cache")])
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]

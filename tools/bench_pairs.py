@@ -31,11 +31,18 @@ in which case every hclab process compiles its modules from source.  Much of
 a short command's time is this floor, so a claim on setup_s or on a workload
 of short commands must show that the floor did not move.
 
-With --kernel it runs no workload and writes no file: it prints, for each
-revision, the median seconds of KERNEL_RUNS cold Bernoulli fills
-`BernoulliCache().extend_to(N)` at each N in KERNEL_N, each in a new process
-started like the floor's commands and timed around the fill alone, the sides
-taking turns within each run.
+With --kernel it runs no workload and writes no file at the root: it
+prints, for each revision, the median seconds over KERNEL_RUNS runs of
+
+- a cold fill in memory, `BernoulliCache().extend_to(N)`, at each N in
+  KERNEL_N;
+- a cold fill of a new cache file, `BernoulliCache(path).extend_to(N)`
+  (kernel, checks and store), at each N in FILE_N;
+- a fresh load and full parse of the file that fill wrote to FILE_N[-1],
+  `BernoulliCache(path).get(N)`;
+
+each in a new process started like the floor's commands and timed around
+that call alone, the sides taking turns within each run.
 """
 
 from __future__ import annotations
@@ -63,12 +70,17 @@ FLOOR = {
 FLOOR_RUNS = 10
 
 KERNEL_N = (500, 1000, 1786, 2500)
+FILE_N = (1786, 2500)
 KERNEL_RUNS = 5
-KERNEL_FILL = (
+# Each prints the seconds of one cache call on index argv[1] and the cache
+# file argv[2], or no file if that is empty.
+_TIMED = (
     "import sys, time; from hclab.bernoulli import BernoulliCache; "
-    "t = time.perf_counter(); BernoulliCache().extend_to(int(sys.argv[1])); "
-    "print(time.perf_counter() - t)"
+    "n, path = int(sys.argv[1]), sys.argv[2] or None; "
+    "t = time.perf_counter(); BernoulliCache(path).{}(n); print(time.perf_counter() - t)"
 )
+KERNEL_FILL = _TIMED.format("extend_to")
+KERNEL_LOAD = _TIMED.format("get")
 
 
 def git(*args: str) -> str:
@@ -122,21 +134,28 @@ def floor(trees: dict[str, Path]) -> dict[str, dict[str, float]]:
             for side, by_name in times.items()}
 
 
-def kernel_table(trees: dict[str, Path]) -> str:
-    """A markdown table of each side's median cold-fill seconds at each N in
-    KERNEL_N, over KERNEL_RUNS runs; the sides take turns within each run."""
-    times = {side: {n: [] for n in KERNEL_N} for side in trees}
+def kernel_table(trees: dict[str, Path], tmp: Path) -> str:
+    """A markdown table of each side's median seconds over KERNEL_RUNS runs
+    of each timed cache call (see the module docstring), its cache files in
+    tmp; the sides take turns within each run."""
+    jobs = [(f"fill to {n} in memory", KERNEL_FILL, n, False) for n in KERNEL_N]
+    jobs += [(f"fill to {n} of a new file", KERNEL_FILL, n, True) for n in FILE_N]
+    jobs.append((f"load and parse a file to {FILE_N[-1]}", KERNEL_LOAD, FILE_N[-1], True))
+    times = {side: {label: [] for label, *_ in jobs} for side in trees}
     for _ in range(KERNEL_RUNS):
-        for n in KERNEL_N:
+        for label, code, n, on_file in jobs:
             for side, tree in trees.items():
-                out = subprocess.run([sys.executable, "-c", KERNEL_FILL, str(n)], cwd=tree,
-                                     env=command_env(tree), check=True, capture_output=True,
-                                     text=True).stdout
-                times[side][n].append(float(out))
-    rows = ["| N | parent s | change s | change / parent |", "|---|---|---|---|"]
-    for n in KERNEL_N:
-        parent, change = (statistics.median(times[side][n]) for side in SIDES)
-        rows.append(f"| {n} | {parent:.4f} | {change:.4f} | {change / parent:.2f} |")
+                path = tmp / f"{side}-{n}.cache" if on_file else None
+                if path and code is KERNEL_FILL:
+                    path.unlink(missing_ok=True)
+                out = subprocess.run([sys.executable, "-c", code, str(n), str(path or "")],
+                                     cwd=tree, env=command_env(tree), check=True,
+                                     capture_output=True, text=True).stdout
+                times[side][label].append(float(out))
+    rows = ["| timed | parent s | change s | change / parent |", "|---|---|---|---|"]
+    for label, *_ in jobs:
+        parent, change = (statistics.median(times[side][label]) for side in SIDES)
+        rows.append(f"| {label} | {parent:.4f} | {change:.4f} | {change / parent:.2f} |")
     return "\n".join(rows)
 
 
@@ -188,7 +207,7 @@ def main() -> int:
         trees = {side: extract(sha, Path(tmp) / side) for side, sha in shas.items()}
         if args.kernel:
             print(f"parent {shas['parent']}, change {shas['change']}")
-            print(kernel_table(trees))
+            print(kernel_table(trees, Path(tmp)))
             return 0
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
