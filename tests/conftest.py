@@ -1,3 +1,4 @@
+import os
 import sys
 
 import pytest
@@ -25,6 +26,20 @@ def kernel_calls(monkeypatch):
 
     monkeypatch.setattr(_kernels, "bernoulli_extend", counting)
     return calls
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of every worker forked during the test."""
+    pids = []
+    fork = os.fork
+
+    def counting():
+        pids.append(fork())
+        return pids[-1]
+
+    monkeypatch.setattr(os, "fork", counting)
+    return pids
 
 
 @pytest.fixture

@@ -2,9 +2,9 @@
 and the cache file's decimal lines are cut into runs of about equal cost,
 one per CPU, the first done by the filling process.  The same values and
 file bytes as one process; a fill too short to be worth a worker
-(_kernels.RUN_WEIGHT) forks nothing; a worker that raises, dies or hands back too few values ends
-the command as a scan worker does, leaving the old file whole and no worker
-behind."""
+(_kernels.RUN_WEIGHT) forks nothing; a worker that raises, dies or hands
+back too few values ends the command as a scan worker does, leaving the old
+file whole and no worker behind."""
 
 import os
 import signal
@@ -26,20 +26,6 @@ def _reaped():
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pid of every worker forked."""
-    pids = []
-    fork_ = os.fork
-
-    def counting():
-        pids.append(fork_())
-        return pids[-1]
-
-    monkeypatch.setattr(os, "fork", counting)
-    return pids
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +62,7 @@ def test_split_fill_matches_one_process(tmp_path, monkeypatch, forks, start, top
         if start == 0:
             assert forked == 2 * (workers - 1)
         runs.append((cache._nums, cache._dens, path.read_bytes()))
-        assert sorted(f.name for f in tmp_path.iterdir() if f.suffix == ".tmp") == []
+        assert [f.name for f in tmp_path.iterdir() if f.suffix == ".tmp"] == []
     assert len(runs[0][0]) == top + 1
     assert runs[1] == runs[0]
     assert runs[2] == runs[0]

@@ -34,20 +34,6 @@ def _forking(tmp_path, monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pid of every worker the parent forked."""
-    pids = []
-    fork = os.fork
-
-    def counting():
-        pids.append(fork())
-        return pids[-1]
-
-    monkeypatch.setattr(os, "fork", counting)
-    return pids
-
-
 def _scan(capsys, monkeypatch, workers, argv):
     monkeypatch.setattr(fork, "workers", lambda: workers)
     code = run(argv)
