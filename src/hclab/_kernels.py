@@ -9,13 +9,14 @@ evaluated in fixed point and rounded against the Von Staudt-Clausen
 denominator D_n (Fillebrown, Faster computation of Bernoulli numbers,
 J. Algorithms 13, 1992); _euler_numerators states the method and its error
 bound.  Each index above SWITCH is computed on its own, so a fill resumes at
-the stored top and computes only the missing indices, and a long fill
-splits them into runs of about equal cost across the CPUs it may use
-(_euler_split).
+the stored top and computes only the missing indices, and bernoulli_range
+computes any contiguous run of them: BernoulliCache.extend_to splits a long
+fill into such runs across processes, and this module forks nothing.
 
 The kernel lives in its own module, and bernoulli.py calls it as
 ``_kernels.bernoulli_extend(...)`` looked up at call time, so that a
-profiler can replace this module attribute to time and count every call.
+profiler can replace this module attribute to time and count every call the
+filling process makes; a fill's forked workers call bernoulli_range.
 IMPLEMENTATION names the kernel in benchmark environment reports.
 """
 
@@ -25,24 +26,13 @@ from itertools import accumulate, islice
 from math import factorial, gcd, isqrt
 from operator import mul
 
-from . import fork, primes
-from .errors import CommandError
+from . import primes
 
 IMPLEMENTATION = "pure"
 
 # The largest index taken from tangent numbers.  Above it Euler's formula
 # needs zeta's odd terms only up to j = 7..19 at n = 62, by the fill's top.
 SWITCH = 60
-
-# The least work worth a forked worker, counted as n^2 summed over a run's
-# indices: the cost of an index grows about as n^2, in the kernel and in its
-# decimal line.  On a shared 2-CPU host (Python 3.11.7, medians of 9) one
-# fork and reap took about 3.6 ms.  The kernel's indices 62..1000 (weight
-# 1.7e8) took 28 ms in one process and 20 ms in two, 62..1200 (2.9e8) about
-# the same in both, and 62..1400 (4.6e8) 63 and 45 ms; the file's lines
-# 0..800 (1.7e8) took 6.8 and 7.3 ms, 0..1000 (3.3e8) 12.4 and 11.3 ms, and
-# 0..1400 (9.2e8) 32.5 and 24.9 ms.
-RUN_WEIGHT = 2 * 10**8
 
 # Von Staudt-Clausen data by index, filled for even indices only: the
 # denominator of B_n, the product of the primes p with (p-1) | n, and the sum
@@ -205,60 +195,21 @@ def _euler_numerators(low: int, top: int) -> list[int]:
     return out[::-1]
 
 
-def _euler_split(low: int, top: int) -> list[int]:
-    """_euler_numerators(low, top), with the even indices cut into contiguous
-    runs of about equal cost, n^2 at index n, one per process
-    (fork.processes), each worth at least RUN_WEIGHT.  This process computes
-    the first run and a forked worker each other one, which hands back its
-    numerators as int.to_bytes, each after its byte count: linear time, where
-    decimal is quadratic.  A worker that hands back fewer values than its
-    run ends the fill, as a killed one does."""
-    von_staudt(top)  # sieved once, before any fork, for every run and the checks
-    indices = range(low, top + 1, 2)
-    weights = [n * n for n in indices]
-    first, *rest = fork.cut(indices, weights, fork.processes(sum(weights) // RUN_WEIGHT))
-    with fork.forked("fill", rest, _euler_worker,
-                     lambda run: f"computing B_{run[0]}..B_{run[-1]}") as reap:
-        out = _euler_numerators(first[0], first[-1])
-        for run, (_, fh) in zip(rest, reap()):
-            data, at, values = fh.buffer.read(), 0, []
-            while at < len(data):
-                size = int.from_bytes(data[at:at + 4], "little")
-                values.append(int.from_bytes(data[at + 4:at + 4 + size], "little"))
-                at += 4 + size
-            if len(values) != len(run):
-                raise CommandError(f"error: a fill worker handed back {len(values)} of the "
-                                   f"{len(run)} values B_{run[0]}..B_{run[-1]}")
-            out += values
-    return out
-
-
-def _euler_worker(run: range, fh) -> int:
-    """A fill worker's run: its numerators, each as a 4-byte little-endian
-    byte count and then its bytes, written under fh's text layer; 0, the
-    worker's outcome."""
-    for num in _euler_numerators(run[0], run[-1]):
-        size = (num.bit_length() + 7) // 8
-        fh.buffer.write(size.to_bytes(4, "little") + num.to_bytes(size, "little"))
-    return 0
-
-
-def bernoulli_extend(nums: list[int], dens: list[int], upto: int) -> None:
-    """Append reduced Bernoulli fractions B_len..B_upto to nums and dens in place.
+def bernoulli_range(start: int, upto: int) -> tuple[list[int], list[int]]:
+    """Reduced Bernoulli fractions B_start..B_upto, as (numerators,
+    denominators); both empty when upto < start.
 
     Up to SWITCH, B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), reduced by one
     gcd; above it, B_n = (-1)^(n/2+1) N_n / D_n with N_n from
-    _euler_numerators, already in lowest terms by Von Staudt-Clausen, split
-    across processes by _euler_split.  Only the missing indices are computed
-    (the tangent triangle, to at most T_{SWITCH/2}, is rebuilt whenever any
-    of them are small), and nothing is appended until all of them are in.
+    _euler_numerators, already in lowest terms by Von Staudt-Clausen.  Only
+    the indices asked for are computed (the tangent triangle, to at most
+    T_{SWITCH/2}, is rebuilt whenever any of them are small).
     """
-    start = len(nums)
-    if upto < start:
-        return
+    nums: list[int] = []
+    dens: list[int] = []
     t = tangent_numbers(min(upto, SWITCH) // 2) if start <= SWITCH else []
     low, top = max(start + start % 2, SWITCH + 2), upto - upto % 2
-    euler = iter(_euler_split(low, top) if low <= top else [])
+    euler = iter(_euler_numerators(low, top) if low <= top else [])
     for m in range(start, upto + 1):
         k, odd = divmod(m, 2)
         if m == 0:
@@ -279,3 +230,12 @@ def bernoulli_extend(nums: list[int], dens: list[int], upto: int) -> None:
                 num = -num
         nums.append(num)
         dens.append(den)
+    return nums, dens
+
+
+def bernoulli_extend(nums: list[int], dens: list[int], upto: int) -> None:
+    """Append B_len(nums)..B_upto to nums and dens in place, from
+    bernoulli_range: nothing is appended until all of them are in."""
+    more_nums, more_dens = bernoulli_range(len(nums), upto)
+    nums += more_nums
+    dens += more_dens

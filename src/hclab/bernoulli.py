@@ -6,10 +6,11 @@ values come from _kernels.bernoulli_extend: tangent numbers up to
 _kernels.SWITCH, Euler's zeta formula rounded against the Von Staudt-Clausen
 denominator above it.  A fill computes only the indices past the stored
 top, but each one pays for pi and the top index's powers, so commands still
-fill their cache in as few calls as they can.  A long fill splits both its
-Euler indices and its file's decimal lines into runs of about equal cost,
-one per CPU the process may use (at most fork.MAX_WORKERS) and each worth at
-least _kernels.RUN_WEIGHT, every run after the first in a forked worker.
+fill their cache in as few calls as they can.  A long fill is cut once into
+contiguous runs of about equal cost, one per CPU the process may use (at
+most fork.MAX_WORKERS) and each worth at least RUN_WEIGHT; each process,
+the filling one and a forked worker per run after the first, computes the
+missing values of its run and renders its run's lines of the file.
 Every value is still checked in the calling process: a wrong one would
 silently poison every downstream verdict, so the cache puts each even-index
 value B_2k it parses or computes through four checks:
@@ -26,19 +27,29 @@ outgrown, so each check is O(1) per index.
 
 from __future__ import annotations
 
+import marshal
 import os
 import shutil
 import stat
 import sys
 from bisect import bisect_left
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from fractions import Fraction
 from math import gcd, lgamma, log, pi
 
 from . import _kernels, fork, primes
-from .errors import CacheFileCorrupt, IndexCeilingExceeded
+from .errors import CacheFileCorrupt, CommandError, IndexCeilingExceeded
 
 CEILING = 2500
+
+# The least work worth a forked fill worker, over a run's lines: n^2 to
+# render line n, plus n^2 more when B_n is computed.  On a shared 2-CPU host
+# (Python 3.11.7, medians of 9 in new processes) one worker took a cold file
+# fill to B_800 (weight 3.4e8) from 26 to 20 ms, to B_1070 (8.2e8) from 50
+# to 37 ms, and rewrote a file of B_0..B_800 (1.7e8) in 9.7 ms against 8.2,
+# of B_0..B_1340 (8.1e8) in 29.7 against 36.5.  Below 8e8 it saves a few ms
+# for as much CPU time again, so a cold fill forks from about B_1070.
+RUN_WEIGHT = 4 * 10**8
 
 
 def check_ceiling(n: int) -> None:
@@ -92,6 +103,13 @@ def any_digits():
             sys.set_int_max_str_digits(limit)
 
 
+def _write_lines(fh, run: range, nums: list[int], dens: list[int]) -> None:
+    """Write the cache lines of the indices in run, valued nums[0]/dens[0] on."""
+    with any_digits():
+        for i, num, den in zip(run, nums, dens):
+            fh.write(f"{i} {num}/{den}\n")
+
+
 class BernoulliCache:
     """Growing store of exact B_n, optionally mirrored to a text file.
 
@@ -102,10 +120,10 @@ class BernoulliCache:
     the file's lines but parses none; lines are
     parsed and checked in order, only as far as the highest index asked for,
     so a bad line is reported by the first read that reaches it.  Each fill
-    parses every stored line first, computes and checks the missing values,
-    then rewrites the whole file and replaces the old one atomically; a long
-    fill's kernel and rewrite each split their work across forked workers
-    (_kernels._euler_split, _store).  ``extend_to(n)`` fills exactly to n;
+    parses every stored line first, computes the missing values and rewrites
+    the whole file into a temporary one, checks the new values, and then
+    replaces the old file atomically; a long fill splits across forked
+    workers (extend_to).  ``extend_to(n)`` fills exactly to n;
     ``get(n)`` past the stored run grows it geometrically, so single-index
     readers make few kernel calls.
     """
@@ -170,65 +188,79 @@ class BernoulliCache:
                 todo.pop()
 
     def extend_to(self, n: int):
-        """Store B_0..B_n, computing what is missing and rewriting the file."""
+        """Store B_0..B_n, computing what is missing and rewriting the file.
+
+        The lines to write, or for an in-memory cache the indices to compute,
+        are cut into contiguous runs of about equal weight (RUN_WEIGHT), one
+        per process (fork.processes).  This process computes and writes the
+        first run while a forked worker does each other one (_fill_run),
+        then appends the workers' values and copies their lines after its
+        own in run order, so no process holds every line at once.  The lines
+        go to a temporary file in the file's directory, which replaces the
+        file once every new value has passed its checks: a fill that fails
+        in any process leaves the stored values and the old file as they
+        were.  A symlinked path is followed, so the link stays and its
+        target is rewritten."""
         check_ceiling(n)
         self._parse_through(n)
         old = len(self._nums)
         if n < old:
             return
-        _kernels.bernoulli_extend(self._nums, self._dens, n)
+        lines = range(0 if self._mirrored else old, n + 1)
+        weights = [i * i * ((i >= old) + self._mirrored) for i in lines]
+        first, *rest = fork.cut(lines, weights, fork.processes(sum(weights) // RUN_WEIGHT))
+        if rest:
+            _kernels.von_staudt(n)  # sieved once, before any fork, for every run and the checks
+        target = self._mirrored and os.path.realpath(self._path)
+        tmp = target and f"{target}.{os.getpid()}.tmp"
         try:
+            with (open(tmp, "w", encoding="utf-8") if tmp else nullcontext() as fh,
+                  fork.forked("fill", rest, self._fill_run,
+                              lambda run: f"filling B_{run[0]}..B_{run[-1]}") as reap):
+                _kernels.bernoulli_extend(self._nums, self._dens, first[-1])
+                if tmp:
+                    _write_lines(fh, first, self._nums, self._dens)
+                    fh.flush()
+                for run, (_, part) in zip(rest, reap()):
+                    nums, dens = marshal.loads(
+                        part.buffer.read(int.from_bytes(part.buffer.read(8), "little")))
+                    want = max(run[-1] + 1 - len(self._nums), 0)
+                    if len(nums) != want:
+                        raise CommandError(f"error: a fill worker handed back {len(nums)} of "
+                                           f"the {want} values B_{len(self._nums)}..B_{run[-1]}")
+                    self._nums += nums
+                    self._dens += dens
+                    if tmp:
+                        shutil.copyfileobj(part.buffer, fh.buffer)
             for i in range(old, n + 1):
                 _check_value(i, self._nums[i], self._dens[i])
-        except ValueError:
+            if tmp:
+                os.replace(tmp, target)
+        except BaseException:
             del self._nums[old:], self._dens[old:]
+            if tmp:
+                with suppress(FileNotFoundError):
+                    os.remove(tmp)
             raise
+
+    def _fill_run(self, run: range, fh) -> int:
+        """A fill worker's run: the values of its indices past the stored
+        top, written to fh as one marshal blob after its 8-byte length (linear
+        time, where decimal is quadratic), then, for a mirrored cache, the
+        run's lines; 0, the worker's outcome."""
+        start = max(run[0], len(self._nums))
+        nums, dens = _kernels.bernoulli_range(start, run[-1])
+        blob = marshal.dumps((nums, dens))
+        fh.buffer.write(len(blob).to_bytes(8, "little"))
+        fh.buffer.write(blob)
         if self._mirrored:
-            self._store()
+            _write_lines(fh, run, self._nums[run[0]:] + nums, self._dens[run[0]:] + dens)
+        return 0
 
     def detach(self):
         """Keep later fills in memory only: a forked scan worker reads its
         parent's cache and must never rewrite the parent's file."""
         self._mirrored = False
-
-    def _store(self):
-        """Rewrite the file with every stored value, through a temporary file
-        in its directory that then replaces it: a write cut short, or a
-        worker that does not finish, leaves the old file whole.  The lines
-        are cut into contiguous runs of about equal cost, n^2 for index n
-        (decimal conversion is quadratic in the digits), one per process
-        (fork.processes), each worth at least _kernels.RUN_WEIGHT, so a
-        short file is written here alone.  Forked workers render every run
-        but the first into anonymous files while this process writes the
-        first, then their runs are copied after it in order, so no process
-        holds every line at once.  A symlinked path is followed, so the link
-        stays and its target is rewritten."""
-        target = os.path.realpath(self._path)
-        tmp = f"{target}.{os.getpid()}.tmp"
-        lines = range(len(self._nums))
-        weights = [i * i for i in lines]
-        count = fork.processes(sum(weights) // _kernels.RUN_WEIGHT)
-        first, *rest = fork.cut(lines, weights, count)
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh, fork.forked(
-                    "store", rest, self._render,
-                    lambda run: f"writing B_{run[0]}..B_{run[-1]}") as reap:
-                self._render(first, fh)
-                for _, part in reap():
-                    shutil.copyfileobj(part, fh)
-            os.replace(tmp, target)
-        except BaseException:
-            with suppress(FileNotFoundError):
-                os.remove(tmp)
-            raise
-
-    def _render(self, run: range, fh) -> int:
-        """Write the lines of the indices in run to fh; 0, a worker's
-        outcome."""
-        with any_digits():
-            for i in run:
-                fh.write(f"{i} {self._nums[i]}/{self._dens[i]}\n")
-        return 0
 
     def get(self, n: int) -> Fraction:
         if n < 0:

@@ -9,6 +9,7 @@ import pytest
 import hclab._kernels
 import hclab.bernoulli as bernoulli_mod
 from hclab import congruences as cg
+from hclab import fork
 from hclab.bernoulli import (
     CEILING,
     BernoulliCache,
@@ -354,9 +355,11 @@ def test_computed_numerator_is_checked(monkeypatch):
     assert c.high_water == 2
 
 
-def test_cache_file_reaches_ceiling(tmp_path, kernel_calls):
+def test_cache_file_reaches_ceiling(tmp_path, monkeypatch, kernel_calls):
     """The documented limit is reachable under every check: one kernel call
-    fills a file to CEILING, and reloading it checks every index again."""
+    fills a file to CEILING, and reloading it checks every index again.  On
+    one CPU, so that the filling process computes every index."""
+    monkeypatch.setattr(fork, "workers", lambda: 1)
     path = tmp_path / "ceiling.cache"
     filled = BernoulliCache(path=str(path))
     filled.extend_to(CEILING)

@@ -51,6 +51,11 @@ def test_package_import_graph_is_acyclic():
     assert left == {}, f"on an import cycle, or importing one: {sorted(left)}"
 
 
+def test_kernel_is_pure_arithmetic():
+    """The Bernoulli kernel forks nothing and raises no command's error: a
+    long fill is split across processes by the cache that calls it."""
+    assert _package_imports(TREES["_kernels"]) & {"fork", "errors"} == set()
+
 
 def test_submodule_import_gives_the_module():
     """The package root binds no function over a submodule of the same name."""

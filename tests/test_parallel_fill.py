@@ -1,10 +1,11 @@
-"""Bernoulli fills split across forked workers: the Euler kernel's indices
-and the cache file's decimal lines are cut into runs of about equal cost,
-one per CPU, the first done by the filling process.  The same values and
-file bytes as one process; a fill too short to be worth a worker
-(_kernels.RUN_WEIGHT) forks nothing; a worker that raises, dies or hands
-back too few values ends the command as a scan worker does, leaving the old
-file whole and no worker behind."""
+"""Bernoulli fills split across forked workers: a fill's lines, or an
+in-memory cache's missing indices, are cut once into runs of about equal
+cost, one per CPU, and each process computes and renders its own run, the
+first done by the filling process.  The same values and file bytes as one
+process; a fill too short to be worth a worker (bernoulli.RUN_WEIGHT) forks
+nothing; a worker that raises, dies or hands back too few values ends the
+command as a scan worker does, leaving the old values, the old file whole
+and no worker behind."""
 
 import os
 import signal
@@ -14,10 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from hclab import _kernels, fork
+from hclab import _kernels, bernoulli, fork
 from hclab.bernoulli import BernoulliCache
 from hclab.cli import run
-from hclab.errors import EX_SOFTWARE, WorkerCrash
+from hclab.errors import EX_SOFTWARE, CommandError, WorkerCrash
 
 
 @pytest.fixture(autouse=True)
@@ -41,9 +42,9 @@ def file_to_700(tmp_path_factory):
 @pytest.mark.parametrize("start, top", [(0, 2500), (700, 1786), (1786, 1790)])
 def test_split_fill_matches_one_process(tmp_path, monkeypatch, forks, start, top):
     """Filling B_start+1..B_top on 1, 2 and 3 CPUs gives the same values and
-    the same file.  The kernel's runs and the store's each fork at most one
-    worker per CPU after the first, and a fill from nothing to 2500 forks
-    exactly that many for both."""
+    the same file, and an in-memory fill from the same values gives the same
+    values.  Each fill forks at most one worker per CPU after the first, and
+    one from nothing to 2500 forks exactly that many."""
     monkeypatch.setattr(fork, "workers", lambda: 1)
     base = tmp_path / "base.cache"
     if start:
@@ -54,13 +55,16 @@ def test_split_fill_matches_one_process(tmp_path, monkeypatch, forks, start, top
         path = tmp_path / f"{workers}.cache"
         if start:
             path.write_bytes(base.read_bytes())
-        before = len(forks)
-        cache = BernoulliCache(path=str(path))
-        cache.extend_to(top)
-        forked = len(forks) - before
-        assert forked <= 2 * (workers - 1)
-        if start == 0:
-            assert forked == 2 * (workers - 1)
+        memory = BernoulliCache(path=str(path))
+        memory.detach()
+        for cache in (BernoulliCache(path=str(path)), memory):
+            before = len(forks)
+            cache.extend_to(top)
+            forked = len(forks) - before
+            assert forked <= workers - 1
+            if start == 0:
+                assert forked == workers - 1
+        assert (memory._nums, memory._dens) == (cache._nums, cache._dens)
         runs.append((cache._nums, cache._dens, path.read_bytes()))
         assert [f.name for f in tmp_path.iterdir() if f.suffix == ".tmp"] == []
     assert len(runs[0][0]) == top + 1
@@ -72,8 +76,8 @@ def test_split_fill_matches_one_process(tmp_path, monkeypatch, forks, start, top
 def test_short_fill_forks_nothing(tmp_path, monkeypatch, workers):
     """A fill that ends at or below SWITCH, from nothing or from a stored
     run, makes no os.fork call and opens no anonymous file; nor does one to
-    B_1000, whose kernel weighs under RUN_WEIGHT and its file's lines under
-    twice that."""
+    B_1000, whose lines weigh under twice RUN_WEIGHT, in a file or in
+    memory."""
     def refused(*args):
         raise AssertionError("no fork and no anonymous file on a short fill")
 
@@ -86,6 +90,7 @@ def test_short_fill_forks_nothing(tmp_path, monkeypatch, workers):
     assert len(path.read_text().splitlines()) == _kernels.SWITCH + 1
     BernoulliCache(path=str(path)).extend_to(1000)
     assert len(path.read_text().splitlines()) == 1001
+    BernoulliCache().extend_to(1000)
 
 
 def _in_worker(parent, action, fn):
@@ -120,30 +125,62 @@ def _fill_2000(capsys, monkeypatch, tmp_path, file_to_700):
     return (code, *capsys.readouterr())
 
 
+# Where a fill worker can fail: in its kernel call, or while writing its
+# lines of the store (the cache file).
+_STEPS = {"kernel": (_kernels, "bernoulli_range"), "store": (bernoulli, "_write_lines")}
+
+
+def _fail_in_worker(monkeypatch, where, action):
+    owner, name = _STEPS[where]
+    monkeypatch.setattr(owner, name, _in_worker(os.getpid(), action, getattr(owner, name)))
+
+
 def test_killed_fill_worker_ends_in_one_line(capsys, tmp_path, monkeypatch, forks,
                                               file_to_700):
-    """A kernel worker killed by a signal stores nothing."""
-    monkeypatch.setattr(_kernels, "_euler_numerators",
-                        _in_worker(os.getpid(), _kill, _kernels._euler_numerators))
-    code, out, err = _fill_2000(capsys, monkeypatch, tmp_path, file_to_700)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: a fill worker ended with signal 9 while computing B_")
-    assert err.endswith("..B_2000\n") and len(err.splitlines()) == 1
+    """A worker killed by a signal, while computing its values or while
+    writing its lines, stores nothing."""
+    for where in _STEPS:
+        with monkeypatch.context() as mp:
+            _fail_in_worker(mp, where, _kill)
+            code, out, err = _fill_2000(capsys, mp, tmp_path, file_to_700)
+        assert (code, out) == (2, ""), where
+        assert err.startswith("error: a fill worker ended with signal 9 while filling B_")
+        assert err.endswith("..B_2000\n") and len(err.splitlines()) == 1
+    assert len(forks) == 2
+
+
+@pytest.mark.parametrize("mirrored", [True, False])
+def test_killed_fill_worker_leaves_the_old_values(tmp_path, monkeypatch, forks, file_to_700,
+                                                  mirrored):
+    """The filling process appends its own run before it reaps; a killed
+    worker still leaves the cache, in a file or in memory, at its old top."""
+    path = tmp_path / "c.cache"
+    path.write_bytes(file_to_700)
+    cache = BernoulliCache(path=str(path))
+    if not mirrored:
+        cache.detach()
+    monkeypatch.setattr(fork, "workers", lambda: 2)
+    _fail_in_worker(monkeypatch, "kernel", _kill)
+    with pytest.raises(CommandError, match="ended with signal 9"):
+        cache.extend_to(2000)
     assert len(forks) == 1
+    assert (cache.high_water, len(cache._nums), len(cache._dens)) == (700, 701, 701)
+    assert path.read_bytes() == file_to_700
+    assert [f.name for f in tmp_path.iterdir()] == [path.name]
 
 
 def test_short_fill_worker_ends_in_one_line(capsys, tmp_path, monkeypatch, forks,
                                              file_to_700):
     """A worker that exits 0 but hands back one value fewer than its run
     stores nothing."""
-    euler = _kernels._euler_numerators
+    kernel = _kernels.bernoulli_range
     parent = os.getpid()
 
-    def short(low, top):
-        values = euler(low, top)
-        return values[:-1] if os.getpid() != parent else values
+    def short(start, upto):
+        nums, dens = kernel(start, upto)
+        return (nums[:-1], dens[:-1]) if os.getpid() != parent else (nums, dens)
 
-    monkeypatch.setattr(_kernels, "_euler_numerators", short)
+    monkeypatch.setattr(_kernels, "bernoulli_range", short)
     code, out, err = _fill_2000(capsys, monkeypatch, tmp_path, file_to_700)
     assert (code, out) == (2, "")
     assert err.startswith("error: a fill worker handed back ")
@@ -151,29 +188,13 @@ def test_short_fill_worker_ends_in_one_line(capsys, tmp_path, monkeypatch, forks
     assert len(forks) == 1
 
 
-def test_killed_store_worker_ends_in_one_line(capsys, tmp_path, monkeypatch, forks,
-                                               file_to_700):
-    """The kernel's worker finishes; the store's dies while rendering."""
-    monkeypatch.setattr(BernoulliCache, "_render",
-                        _in_worker(os.getpid(), _kill, BernoulliCache._render))
-    code, out, err = _fill_2000(capsys, monkeypatch, tmp_path, file_to_700)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: a store worker ended with signal 9 while writing B_")
-    assert err.endswith("..B_2000\n") and len(err.splitlines()) == 1
-    assert len(forks) == 2
-
-
-@pytest.mark.parametrize("where", ["kernel", "store"])
+@pytest.mark.parametrize("where", list(_STEPS))
 def test_fill_worker_bug_leaves_run_with_its_traceback(capsys, tmp_path, monkeypatch,
                                                         forks, file_to_700, where):
-    """An exception no command expects in a kernel or store worker leaves
-    run() uncaught, carrying the worker's traceback."""
-    if where == "kernel":
-        monkeypatch.setattr(_kernels, "_euler_numerators",
-                            _in_worker(os.getpid(), _bug, _kernels._euler_numerators))
-    else:
-        monkeypatch.setattr(BernoulliCache, "_render",
-                            _in_worker(os.getpid(), _bug, BernoulliCache._render))
+    """An exception no command expects in a fill worker, in its kernel call
+    or while writing its lines, leaves run() uncaught, carrying the
+    worker's traceback."""
+    _fail_in_worker(monkeypatch, where, _bug)
     with pytest.raises(WorkerCrash) as crash:
         _fill_2000(capsys, monkeypatch, tmp_path, file_to_700)
     text = str(crash.value)
@@ -181,28 +202,29 @@ def test_fill_worker_bug_leaves_run_with_its_traceback(capsys, tmp_path, monkeyp
     assert "in _worker" in text and "in wrapped" in text
     assert text.endswith("TypeError: bug in a fill worker")
     assert capsys.readouterr() == ("", "")
+    assert len(forks) == 1
 
 
 _BUG_SCRIPT = """
 import os
 from hclab import _kernels, cli, fork
 
-euler = _kernels._euler_numerators
+kernel = _kernels.bernoulli_range
 parent = os.getpid()
 
-def broken(low, top):
+def broken(start, upto):
     if os.getpid() != parent:
-        raise TypeError(f"bug at B_{top}")
-    return euler(low, top)
+        raise TypeError(f"bug at B_{upto}")
+    return kernel(start, upto)
 
-_kernels._euler_numerators = broken
+_kernels.bernoulli_range = broken
 fork.workers = lambda: 2
 cli.main()
 """
 
 
 def test_fill_worker_bug_exits_seventy(tmp_path, file_to_700):
-    """`hclab bernoulli 2000` whose kernel worker has a bug exits 70 with the
+    """`hclab bernoulli 2000` whose fill worker has a bug exits 70 with the
     worker's traceback, and leaves the old file whole."""
     path = tmp_path / "c.cache"
     path.write_bytes(file_to_700)
@@ -214,7 +236,7 @@ def test_fill_worker_bug_exits_seventy(tmp_path, file_to_700):
     )
     assert (proc.returncode, proc.stdout) == (EX_SOFTWARE, "")
     assert proc.stderr.startswith("Traceback (most recent call last):\n")
-    assert "in _euler_worker" in proc.stderr
+    assert "in _fill_run" in proc.stderr
     assert proc.stderr.endswith("TypeError: bug at B_2000\n")
     assert path.read_bytes() == file_to_700
     assert [f.name for f in tmp_path.iterdir()] == [path.name]
