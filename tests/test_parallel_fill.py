@@ -135,18 +135,28 @@ def _fail_in_worker(monkeypatch, where, action):
     monkeypatch.setattr(owner, name, _in_worker(os.getpid(), action, getattr(owner, name)))
 
 
+def _killed_in(where, capsys, tmp_path, monkeypatch, file_to_700):
+    _fail_in_worker(monkeypatch, where, _kill)
+    code, out, err = _fill_2000(capsys, monkeypatch, tmp_path, file_to_700)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a fill worker ended with signal 9 while filling B_")
+    assert err.endswith("..B_2000\n") and len(err.splitlines()) == 1
+
+
 def test_killed_fill_worker_ends_in_one_line(capsys, tmp_path, monkeypatch, forks,
                                               file_to_700):
-    """A worker killed by a signal, while computing its values or while
-    writing its lines, stores nothing."""
-    for where in _STEPS:
-        with monkeypatch.context() as mp:
-            _fail_in_worker(mp, where, _kill)
-            code, out, err = _fill_2000(capsys, mp, tmp_path, file_to_700)
-        assert (code, out) == (2, ""), where
-        assert err.startswith("error: a fill worker ended with signal 9 while filling B_")
-        assert err.endswith("..B_2000\n") and len(err.splitlines()) == 1
-    assert len(forks) == 2
+    """A worker killed by a signal while computing its values stores
+    nothing."""
+    _killed_in("kernel", capsys, tmp_path, monkeypatch, file_to_700)
+    assert len(forks) == 1
+
+
+def test_killed_store_worker_ends_in_one_line(capsys, tmp_path, monkeypatch, forks,
+                                               file_to_700):
+    """A worker that computed its values and is killed by a signal while
+    writing its lines of the store stores nothing."""
+    _killed_in("store", capsys, tmp_path, monkeypatch, file_to_700)
+    assert len(forks) == 1
 
 
 @pytest.mark.parametrize("mirrored", [True, False])
