@@ -6,11 +6,11 @@ values come from _kernels.bernoulli_extend: tangent numbers up to
 _kernels.SWITCH, Euler's zeta formula rounded against the Von Staudt-Clausen
 denominator above it.  A fill computes only the indices past the stored
 top, but each one pays for pi and the top index's powers, so commands still
-fill their cache in as few calls as they can.  A long fill is cut once into
-contiguous runs of about equal cost, one per CPU the process may use (at
-most fork.MAX_WORKERS) and each worth at least RUN_WEIGHT; each process,
-the filling one and a forked worker per run after the first, computes the
-missing values of its run and renders its run's lines of the file.
+fill their cache in as few calls as they can.  A fill's missing indices are
+cut once into contiguous runs of about equal cost, one per CPU the process
+may use (at most fork.MAX_WORKERS) and each worth at least RUN_WEIGHT; each
+process, the filling one and a forked worker per run after the first,
+computes and renders its run, appended to a copy of the stored file's bytes.
 Every value is still checked in the calling process: a wrong one would
 silently poison every downstream verdict, so the cache puts each even-index
 value B_2k it parses or computes through four checks:
@@ -42,14 +42,12 @@ from .errors import CacheFileCorrupt, CommandError, IndexCeilingExceeded
 
 CEILING = 2500
 
-# The least work worth a forked fill worker, over a run's lines: n^2 to
-# render line n, plus n^2 more when B_n is computed.  On a shared 2-CPU host
-# (Python 3.11.7, medians of 9 in new processes) one worker took a cold file
-# fill to B_800 (weight 3.4e8) from 26 to 20 ms, to B_1070 (8.2e8) from 50
-# to 37 ms, and rewrote a file of B_0..B_800 (1.7e8) in 9.7 ms against 8.2,
-# of B_0..B_1340 (8.1e8) in 29.7 against 36.5.  Below 8e8 it saves a few ms
-# for as much CPU time again, so a cold fill forks from about B_1070.
-RUN_WEIGHT = 4 * 10**8
+# The least work worth a forked fill worker, over a run's missing indices:
+# n^2 for B_n.  One worker took a cold fill to B_1000 (weight 3.3e8) from
+# 28.0 to 27.1 ms in a file and 31.0 to 23.3 in memory, to B_1070 (4.1e8)
+# from 47.0 to 31.4 and 34.8 to 24.9 ms (shared 2-CPU host, Python 3.11.7,
+# medians of 15 in new processes), so a fill from nothing forks from there.
+RUN_WEIGHT = 2 * 10**8
 
 
 def check_ceiling(n: int) -> None:
@@ -103,11 +101,16 @@ def any_digits():
             sys.set_int_max_str_digits(limit)
 
 
+def _stamp_of(st: os.stat_result) -> tuple:
+    """What tells a file's bytes from those of a changed or replaced one."""
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
 def _write_lines(fh, run: range, nums: list[int], dens: list[int]) -> None:
-    """Write the cache lines of the indices in run, valued nums[0]/dens[0] on."""
+    """Write the cache lines of run's indices, valued nums[0]/dens[0] on, to binary fh."""
     with any_digits():
         for i, num, den in zip(run, nums, dens):
-            fh.write(f"{i} {num}/{den}\n")
+            fh.write(f"{i} {num}/{den}\n".encode())
 
 
 class BernoulliCache:
@@ -117,15 +120,12 @@ class BernoulliCache:
     strictly increasing and contiguous from 0 (odd indices stored as 0/1).
     The path must name a regular file, or a symlink to one, or nothing yet;
     a fill writes through a symlink to its target.  Opening the cache reads
-    the file's lines but parses none; lines are
-    parsed and checked in order, only as far as the highest index asked for,
-    so a bad line is reported by the first read that reaches it.  Each fill
-    parses every stored line first, computes the missing values and rewrites
-    the whole file into a temporary one, checks the new values, and then
-    replaces the old file atomically; a long fill splits across forked
-    workers (extend_to).  ``extend_to(n)`` fills exactly to n;
-    ``get(n)`` past the stored run grows it geometrically, so single-index
-    readers make few kernel calls.
+    the file's lines but parses none; lines are parsed and checked in order,
+    only as far as the highest index asked for, so a bad line is reported by
+    the first read that reaches it.  Each fill parses every stored line
+    first, then appends the new ones to a copy of the file that replaces it
+    atomically (extend_to).  ``extend_to(n)`` fills exactly to n; ``get(n)``
+    past the stored run grows it geometrically, so readers make few fills.
     """
 
     def __init__(self, path=None):
@@ -134,6 +134,7 @@ class BernoulliCache:
         # (line number, raw line) of each stored line not yet parsed, the
         # next one last
         self._unparsed: list[tuple[int, bytes]] = []
+        self._stamp = None  # _stamp_of the file read or last written, if any
         self._path = path
         self._mirrored = path is not None
         if path is not None:
@@ -156,6 +157,7 @@ class BernoulliCache:
         if not stat.S_ISREG(mode):
             raise CacheFileCorrupt(f"{self._path}: not a regular file")
         with open(self._path, "rb") as fh:
+            self._stamp = _stamp_of(os.fstat(fh.fileno()))
             lines = fh.read().split(b"\n")
         self._unparsed = [(lineno, raw) for lineno, raw in enumerate(lines, start=1)
                           if raw.strip()][::-1]
@@ -188,54 +190,52 @@ class BernoulliCache:
                 todo.pop()
 
     def extend_to(self, n: int):
-        """Store B_0..B_n, computing what is missing and rewriting the file.
+        """Store B_0..B_n, computing what is missing and appending its lines.
 
-        The lines to write, or for an in-memory cache the indices to compute,
-        are cut into contiguous runs of about equal weight (RUN_WEIGHT), one
-        per process (fork.processes).  This process computes and writes the
-        first run while a forked worker does each other one (_fill_run),
-        then appends the workers' values and copies their lines after its
-        own in run order, so no process holds every line at once.  The lines
-        go to a temporary file in the file's directory, which replaces the
-        file once every new value has passed its checks: a fill that fails
-        in any process leaves the stored values and the old file as they
-        were.  A symlinked path is followed, so the link stays and its
-        target is rewritten."""
+        The missing indices are cut into runs of about equal weight, one per
+        process (fork.processes).  This process computes the first run while
+        a forked worker computes and renders each other one (_fill_run), then
+        writes the stored bytes (_copy_stored), its run's lines and the
+        workers' lines in run order to a temporary file beside the file (a
+        symlink's target), which replaces it once every new value has passed
+        its checks: a fill that fails in any process leaves the stored values
+        and the old file as they were."""
         check_ceiling(n)
         self._parse_through(n)
         old = len(self._nums)
         if n < old:
             return
-        lines = range(0 if self._mirrored else old, n + 1)
-        weights = [i * i * ((i >= old) + self._mirrored) for i in lines]
-        first, *rest = fork.cut(lines, weights, fork.processes(sum(weights) // RUN_WEIGHT))
+        missing = range(old, n + 1)
+        weights = [i * i for i in missing]
+        first, *rest = fork.cut(missing, weights, fork.processes(sum(weights) // RUN_WEIGHT))
         if rest:
             _kernels.von_staudt(n)  # sieved once, before any fork, for every run and the checks
         target = self._mirrored and os.path.realpath(self._path)
         tmp = target and f"{target}.{os.getpid()}.tmp"
         try:
-            with (open(tmp, "w", encoding="utf-8") if tmp else nullcontext() as fh,
+            with (open(tmp, "wb") if tmp else nullcontext() as fh,
                   fork.forked("fill", rest, self._fill_run,
                               lambda run: f"filling B_{run[0]}..B_{run[-1]}") as reap):
                 _kernels.bernoulli_extend(self._nums, self._dens, first[-1])
                 if tmp:
-                    _write_lines(fh, first, self._nums, self._dens)
-                    fh.flush()
+                    self._copy_stored(target, fh)
+                    _write_lines(fh, first, self._nums[old:], self._dens[old:])
                 for run, (_, part) in zip(rest, reap()):
                     nums, dens = marshal.loads(
                         part.buffer.read(int.from_bytes(part.buffer.read(8), "little")))
-                    want = max(run[-1] + 1 - len(self._nums), 0)
-                    if len(nums) != want:
+                    if len(nums) != len(run):
                         raise CommandError(f"error: a fill worker handed back {len(nums)} of "
-                                           f"the {want} values B_{len(self._nums)}..B_{run[-1]}")
+                                           f"the {len(run)} values B_{run[0]}..B_{run[-1]}")
                     self._nums += nums
                     self._dens += dens
                     if tmp:
-                        shutil.copyfileobj(part.buffer, fh.buffer)
-            for i in range(old, n + 1):
+                        shutil.copyfileobj(part.buffer, fh)
+            for i in missing:
                 _check_value(i, self._nums[i], self._dens[i])
             if tmp:
+                stamp = _stamp_of(os.stat(tmp))
                 os.replace(tmp, target)
+                self._stamp = stamp
         except BaseException:
             del self._nums[old:], self._dens[old:]
             if tmp:
@@ -243,18 +243,29 @@ class BernoulliCache:
                     os.remove(tmp)
             raise
 
+    def _copy_stored(self, target: str, out) -> None:
+        """Copy the stored bytes to out, ending their last line, unless the file
+        changed since this cache read it: new lines could then leave a gap."""
+        if self._stamp:
+            with open(target, "rb") as src:
+                if _stamp_of(os.fstat(src.fileno())) != self._stamp:
+                    raise CommandError(f"error: {self._path} changed after this command "
+                                       "read it; nothing was written")
+                stored = src.read()
+            out.write(stored)
+            if stored and not stored.endswith(b"\n"):
+                out.write(b"\n")
+
     def _fill_run(self, run: range, fh) -> int:
-        """A fill worker's run: the values of its indices past the stored
-        top, written to fh as one marshal blob after its 8-byte length (linear
-        time, where decimal is quadratic), then, for a mirrored cache, the
-        run's lines; 0, the worker's outcome."""
-        start = max(run[0], len(self._nums))
-        nums, dens = _kernels.bernoulli_range(start, run[-1])
+        """A fill worker's run: its values, written to fh as one marshal blob
+        after its 8-byte length (linear time, where decimal is quadratic),
+        then, for a mirrored cache, their lines; 0, the worker's outcome."""
+        nums, dens = _kernels.bernoulli_range(run[0], run[-1])
         blob = marshal.dumps((nums, dens))
         fh.buffer.write(len(blob).to_bytes(8, "little"))
         fh.buffer.write(blob)
         if self._mirrored:
-            _write_lines(fh, run, self._nums[run[0]:] + nums, self._dens[run[0]:] + dens)
+            _write_lines(fh.buffer, run, nums, dens)
         return 0
 
     def detach(self):
@@ -267,8 +278,9 @@ class BernoulliCache:
             raise ValueError("index must be non-negative")
         if n >= len(self._nums):
             if n > self.high_water:
-                # at least double the stored run, up to CEILING: a reader
-                # stepping up one index at a time then costs O(log n) kernel calls
+                # at least double the stored run, up to CEILING: each fill pays for pi, top
+                # powers and a file copy, and filling exactly to n took get(0..2500) over a
+                # file from 0.35 to 12.2 s, in memory get(0..600) from 0.03 to 0.07 s
                 self.extend_to(max(n, min(2 * self.high_water, CEILING)))
             else:
                 self._parse_through(n)

@@ -60,11 +60,11 @@ def harmonic(order: int, upto: int) -> Fraction:
 
     A read returns the cursor sitting at upto, or advances the cursor with
     the largest index below upto; when no cursor is below, it starts one
-    from 0, replacing the lower cursor if the order already has two.  An
-    advance adds its terms as one binary-split block kept over the lcm of its
-    range, so a read normalises one Fraction however many terms it adds.
-    Nothing is stored until the block is summed: a read that raises leaves
-    every cursor as it was.
+    from 0, replacing the higher cursor (one an earlier command may have left
+    far up) if the order already has two.  An advance adds its terms as one
+    binary-split block over the lcm of its range, so a read normalises one
+    Fraction however many terms it adds.  Nothing is stored until the block
+    is summed: a read that raises leaves every cursor as it was.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -81,7 +81,7 @@ def harmonic(order: int, upto: int) -> Fraction:
     if start is not None:
         del row[start]
     elif len(row) == 2:
-        del row[min(row)]
+        del row[max(row)]
     row[upto] = value
     _cursors[order] = row
     return value

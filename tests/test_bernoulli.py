@@ -18,7 +18,7 @@ from hclab.bernoulli import (
     is_irregular_pair,
     von_staudt_denominator,
 )
-from hclab.errors import CacheFileCorrupt, HypothesisViolated, IndexCeilingExceeded
+from hclab.errors import CacheFileCorrupt, CommandError, HypothesisViolated, IndexCeilingExceeded
 from hclab.exact import is_prime, vp
 from hclab.primes import primes_in
 
@@ -209,7 +209,7 @@ def test_cache_file_roundtrip(tmp_path):
 
 
 class _WriteFailsPartway:
-    """A text file that takes three writes, then fails as a full disk would."""
+    """A file that takes three writes, then fails as a full disk would."""
 
     def __init__(self, fh):
         self.fh, self.writes = fh, 0
@@ -246,6 +246,49 @@ def test_interrupted_fill_leaves_old_file(tmp_path, monkeypatch):
     assert path.read_bytes() == before
     assert [f.name for f in tmp_path.iterdir()] == [path.name]
     assert BernoulliCache(path=str(path)).high_water == 10
+
+
+def test_fill_ends_a_last_line_without_newline(tmp_path):
+    """A stored file whose last line lacks its newline gets one before the
+    new lines, so the filled file loads and reads to its top."""
+    path = tmp_path / "bern.cache"
+    BernoulliCache(path=str(path)).extend_to(20)
+    whole = path.read_bytes()
+    path.write_bytes(whole[:whole.index(b"\n11 ")])
+    BernoulliCache(path=str(path)).extend_to(20)
+    assert path.read_bytes() == whole
+    assert BernoulliCache(path=str(path)).get(20) == Fraction(-174611, 330)
+
+
+def _append_a_line(path):
+    with open(path, "ab") as fh:
+        fh.write(b"11 0/1\n")
+
+
+def _fill_with_another_cache(path):
+    other = BernoulliCache(path=str(path))
+    other.extend_to(20)
+    other.extend_to(25)  # its own second fill appends to its first
+
+
+@pytest.mark.parametrize("change", [_fill_with_another_cache, _append_a_line])
+def test_fill_over_a_changed_file_writes_nothing(tmp_path, change):
+    """A file replaced or changed after this cache read it is not appended
+    to, which could leave a gap in its indices: the fill ends in one line
+    and leaves the other file byte for byte."""
+    path = tmp_path / "bern.cache"
+    BernoulliCache(path=str(path)).extend_to(10)
+    stale = BernoulliCache(path=str(path))
+    assert stale.get(10) == Fraction(5, 66)
+    change(path)
+    other = path.read_bytes()
+    with pytest.raises(CommandError) as exc:
+        stale.extend_to(30)
+    assert str(exc.value) == (f"error: {path} changed after this command read it; "
+                              "nothing was written")
+    assert path.read_bytes() == other
+    assert [f.name for f in tmp_path.iterdir()] == [path.name]
+    assert (stale.high_water, len(stale._nums)) == (10, 11)
 
 
 def test_cache_rejects_corruption(tmp_path):

@@ -126,10 +126,34 @@ def test_scan_cursors_hold_two_values(empty_memo):
                                  (p - 1) // 2: _oracle(2, (p - 1) // 2)}
 
 
-def test_read_below_both_cursors_restarts_the_lower(empty_memo):
+def test_read_below_both_cursors_replaces_the_higher(empty_memo):
+    """A read below both cursors starts from 0 and takes the place of the
+    cursor farther from it."""
     for n in (60, 40, 20):
         harmonic(1, n)
-    assert empty_memo[1] == {20: _oracle(1, 20), 60: _oracle(1, 60)}
+    assert empty_memo[1] == {20: _oracle(1, 20), 40: _oracle(1, 40)}
+
+
+def test_scan_after_high_reads_adds_each_term_once(empty_memo, monkeypatch):
+    """High reads, as an earlier command in the process leaves them, do not
+    make a later scan from p = 3 restart its reads from 0: each of its two
+    read streams sums its terms once."""
+    block = harmonic_module._block
+    terms = []
+
+    def counting(order, start, upto):
+        if upto - start == 1:  # a leaf: one term of the sum
+            terms.append(upto)
+        return block(order, start, upto)
+
+    harmonic(3, 3000)
+    harmonic(3, 1500)
+    monkeypatch.setattr(harmonic_module, "_block", counting)
+    for p in _PRIMES:
+        assert harmonic(3, p - 1) == _oracle(3, p - 1)
+        assert harmonic(3, (p - 1) // 2) == _oracle(3, (p - 1) // 2)
+    top = _PRIMES[-1] - 1
+    assert len(terms) <= top + top // 2
 
 
 def test_memo_stays_small(empty_memo):

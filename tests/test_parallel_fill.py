@@ -93,6 +93,32 @@ def test_short_fill_forks_nothing(tmp_path, monkeypatch, workers):
     BernoulliCache().extend_to(1000)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_resumed_fill_renders_only_new_lines(tmp_path, monkeypatch, forks, file_to_700,
+                                             workers):
+    """A fill over a stored B_0..B_700 renders B_701..B_2000 alone, each
+    line once, in whichever process computes it; the stored lines are
+    copied as they are."""
+    path = tmp_path / "c.cache"
+    path.write_bytes(file_to_700)
+    rendered = tmp_path / "rendered"
+    write_lines = bernoulli._write_lines
+
+    def recording(fh, run, nums, dens):
+        with open(rendered, "a") as log:  # from every process
+            log.write(f"{run[0]} {run[-1]}\n")
+        write_lines(fh, run, nums, dens)
+
+    monkeypatch.setattr(bernoulli, "_write_lines", recording)
+    monkeypatch.setattr(fork, "workers", lambda: workers)
+    BernoulliCache(path=str(path)).extend_to(2000)
+    assert len(forks) == workers - 1
+    runs = sorted(tuple(map(int, line.split())) for line in rendered.read_text().splitlines())
+    assert len(runs) == workers
+    assert [i for low, high in runs for i in range(low, high + 1)] == list(range(701, 2001))
+    assert path.read_bytes().startswith(file_to_700)
+
+
 def _in_worker(parent, action, fn):
     """fn, with action() run first in any process but parent."""
     def wrapped(*args):
