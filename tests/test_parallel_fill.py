@@ -1,11 +1,11 @@
-"""Bernoulli fills split across forked workers: a fill's lines, or an
-in-memory cache's missing indices, are cut once into runs of about equal
-cost, one per CPU, and each process computes and renders its own run, the
-first done by the filling process.  The same values and file bytes as one
-process; a fill too short to be worth a worker (bernoulli.RUN_WEIGHT) forks
-nothing; a worker that raises, dies or hands back too few values ends the
-command as a scan worker does, leaving the old values, the old file whole
-and no worker behind."""
+"""Bernoulli fills split across forked workers: a fill's missing indices,
+in a file or in memory, are cut once into runs of about equal cost, one per
+CPU, and each process computes and renders its own run, the first done by
+the filling process, which copies the stored lines ahead of them as they
+are.  The same values and file bytes as one process; a fill too short to be
+worth a worker (bernoulli.RUN_WEIGHT) forks nothing; a worker that raises,
+dies or hands back too few values ends the command as a scan worker does,
+leaving the old values, the old file whole and no worker behind."""
 
 import os
 import signal
@@ -76,8 +76,8 @@ def test_split_fill_matches_one_process(tmp_path, monkeypatch, forks, start, top
 def test_short_fill_forks_nothing(tmp_path, monkeypatch, workers):
     """A fill that ends at or below SWITCH, from nothing or from a stored
     run, makes no os.fork call and opens no anonymous file; nor does one to
-    B_1000, whose lines weigh under twice RUN_WEIGHT, in a file or in
-    memory."""
+    B_1000, whose missing indices weigh under twice RUN_WEIGHT, in a file or
+    in memory."""
     def refused(*args):
         raise AssertionError("no fork and no anonymous file on a short fill")
 
