@@ -152,7 +152,7 @@ def _cmd_grid(args) -> int:
     # numbers H_n with n <= p - 1, and one kernel call then fills the grid's
     # Bernoulli need.
     top = largest_prime(p_lo, p_hi)
-    need = -1 if top is None else max(theorem.bernoulli_need(top, case)
+    need = -1 if top is None else max(cg.bernoulli_need(args.id, top, case)
                                       for case in _cases(grids))
     check_ceiling(need)
     if top is not None:
@@ -278,7 +278,7 @@ def _cmd_classify_prime(args) -> int:
 def _cmd_selftest(args) -> int:
     cache = _cache_from(args)
     # one kernel call fills every read, as in _cmd_grid
-    cache.extend_to(max(cg.THEOREMS[theorem_id].bernoulli_need(p, params)
+    cache.extend_to(max(cg.bernoulli_need(theorem_id, p, params)
                         for theorem_id, p, params, *_ in GOLD_VECTORS))
     ok = True
     records = []

@@ -1,18 +1,17 @@
 """The verdict engine: one verifier per congruence claim, each judging one case.
 
-Every verifier computes its left-hand side exactly, takes the p-adic
-valuation, and compares against the claimed modulus exponent, which its
-`THEOREMS` row states, and nothing else does.  Theorems whose strength
-depends on side conditions (the tier ladders) resolve the largest provable
-tier first, then judge the congruence at that tier.  Verifiers that
-truncate a series read it through one running sum, `_truncated`: a case on
-the series read last, at no shorter a length, extends that sum, so cases
-taken in ascending length add each term once.
+Each left-hand side is stated once, as the `Term`s one function per id builds
+in its `THEOREMS` row, which also states the claimed exponent.  A verifier
+sums its terms exactly and compares their p-adic valuation with that
+exponent; the Bernoulli numbers a case reads are derived from the terms.
+The tier ladders resolve the largest provable tier first, then judge the
+congruence at that tier.  A series read at ascending lengths adds each term
+once: a case whose terms extend those summed last adds only the new ones.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from itertools import count, islice
 from math import comb
@@ -22,14 +21,11 @@ from .bernoulli import CEILING, BernoulliCache, bernoulli, is_irregular_pair
 from .errors import HypothesisViolated, IndexCeilingExceeded
 from .exact import vp
 from .harmonic import harmonic
-from .primes import fermat_quotient, q_series, q_terms
+from .primes import fermat_quotient
 from .report import ReportRecord
 
-# The paper's equation labels in id order, remark0's and prop3's with exponents.
+# The paper's equation labels in id order; remark0's and prop3's are below.
 EXPANSION_IDS = ("e10ee", "e10eed", "e10eee", "e10eeeff")
-REMARK0_IDS = {"e10eeez": 1, "e10eeezz": 2, "e9a": 2, "e10eeea": 2, "e10eeee": 2,
-               "e10eeeb": 2}
-PROP3_IDS = {"e8bbf": 2, "e10eeeb1": 2, "e9bb": 3, "e9bbs": 1}
 
 
 def _verdict(theorem_id, p, lhs, tier=None, **params) -> ReportRecord:
@@ -44,50 +40,79 @@ def _require(cond: bool, msg: str):
         raise HypothesisViolated(msg)
 
 
-# The series read last: (key, length, its left-hand side there, its unread terms).
-# Process-wide, like the harmonic cursors: the key holds everything a sum
-# depends on, so a caller can only ever extend a sum it would have computed.
+class Term(NamedTuple):
+    """One term of a left-hand side, c H^(m)_u B_b q_p^q: h = (m, u) with u
+    p - 1 or (p - 1)/2, and h or b None where the term has no such factor.
+    The coefficient c is rational, with its powers of p folded in."""
+
+    c: Fraction | int
+    h: tuple[int, int] | None = None
+    b: int | None = None
+    q: int = 0
+
+
+def _value(terms: Iterable[Term], p: int, cache: BernoulliCache | None) -> Fraction:
+    """The exact sum of the terms.  Each distinct harmonic number is read and
+    multiplied once, by the sum of its terms' cofactors c B_b q_p^q."""
+    cofactors, q = {}, None
+    for c, h, b, e in terms:
+        if b is not None:
+            c *= bernoulli(b, cache)
+        if e:
+            q = fermat_quotient(p) if q is None else q
+            c *= q**e
+        cofactors[h] = cofactors.get(h, 0) + c
+    return sum((c if h is None else c * harmonic(*h) for h, c in cofactors.items()),
+               Fraction(0))
+
+
+# The sum read last: (p, cache, its terms, their sum).  Process-wide, like
+# the harmonic cursors.
 _running: tuple | None = None
 
 
-def _truncated(key: tuple, series: Iterator[Fraction], length: int) -> Fraction:
-    """The left-hand side of the series named ``key`` at ``length`` terms.
-
-    ``series`` yields the left-hand side at length 0, then the terms j = 0,
-    1, ...; ``key`` names everything they depend on, the cache object
-    included.  If the series read last has this key and a length no greater,
-    its sum is extended and ``series`` is never started; otherwise the sum
-    restarts from ``series``.  The slot is cleared before summing, so a sum
-    that raises leaves nothing stale behind.
-    """
+def _lhs(theorem_id: str, p: int, cache: BernoulliCache | None, **params) -> Fraction:
+    """The left-hand side of one case, summed from its row's terms.  If the
+    sum read last, at this p and cache, was over a prefix of these terms, as
+    a series truncated shorter is, only the further terms are summed.  The
+    slot is cleared first, so a sum that raises leaves nothing stale."""
     global _running
+    terms = list(THEOREMS[theorem_id].terms(p, **params))
     last, _running = _running, None
-    if last is not None and last[0] == key and last[1] <= length:
-        _, done, lhs, series = last
-    else:
-        done, lhs = 0, next(series)
-    lhs = sum(islice(series, length - done), lhs)
-    _running = (key, length, lhs, series)
+    done, lhs = 0, 0
+    if last and last[:2] == (p, cache) and terms[:len(last[2])] == last[2]:
+        done, lhs = len(last[2]), last[3]
+    lhs += _value(terms[done:], p, cache)
+    _running = (p, cache, terms, lhs)
     return lhs
+
+
+def _head(series: Iterator[list[Term]], length: int) -> Iterator[Term]:
+    """The terms of a series at ``length``; it yields those at length 0, then j = 0, 1, ..."""
+    return (t for terms in islice(series, max(length + 1, 0)) for t in terms)
 
 
 # -- coefficient families -----------------------------------------------------
 
 
+def _c_terms(j: int, c: Fraction, h=None) -> list[Term]:
+    """c C_j H, with C_j = 2 B_{j+2} + (-1)^j B_{j+1} + 1/2 (one harmonic read h)."""
+    return [Term(2 * c, h, j + 2), Term((-1) ** j * c, h, j + 1), Term(c / 2, h)]
+
+
 def coeff_c(j: int, cache: BernoulliCache) -> Fraction:
     """2 B_{j+2} + (-1)^j B_{j+1} + 1/2; equals 1/3 at j = 0 and j = 1."""
-    return (
-        2 * bernoulli(j + 2, cache)
-        + (-1) ** j * bernoulli(j + 1, cache)
-        + Fraction(1, 2)
-    )
+    return _value(_c_terms(j, Fraction(1)), 0, cache)
+
+
+def _a(h: int) -> Fraction:
+    """coeff_a(h) / B_{2h+2}."""
+    return Fraction(4 * (2 ** (2 * h + 2) - 1), (2 * h + 1) * (2 * h + 2))
 
 
 def coeff_a(h: int, cache: BernoulliCache) -> Fraction:
     """4 (2^(2h+2) - 1) B_{2h+2} / ((2h+1)(2h+2)); equals -1/6 at h = 1."""
-    return Fraction(4 * (2 ** (2 * h + 2) - 1), (2 * h + 1) * (2 * h + 2)) * bernoulli(
-        2 * h + 2, cache
-    )
+    return _value([Term(_a(h), b=2 * h + 2)], 0, cache)
 
 
 def _power_index(p: int, n: int, h: int) -> int:
@@ -97,15 +122,19 @@ def _power_index(p: int, n: int, h: int) -> int:
     p = 3, n = 10^7 that alone took 3-4 s, before any digit was written."""
     if n - 1 >= (CEILING + 2 * h).bit_length():
         less = f" - {2 * h}" if h else ""
-        raise IndexCeilingExceeded(
-            f"needs Bernoulli index {p}^{n - 1}*{p - 1}{less}, beyond ceiling {CEILING}"
-        )
+        raise IndexCeilingExceeded(f"needs Bernoulli index {p}^{n - 1}*{p - 1}{less}, "
+                                   f"beyond ceiling {CEILING}")
     return p ** (n - 1) * (p - 1) - 2 * h
+
+
+def _z(c, p: int, n: int, h: int) -> Term:
+    """c coeff_z(p, n, h)."""
+    return Term(Fraction(c, 2 * h), b=_power_index(p, n, h))
 
 
 def coeff_z(p: int, n: int, h: int, cache: BernoulliCache) -> Fraction:
     """B_{p^(n-1)(p-1) - 2h} / (2h)."""
-    return bernoulli(_power_index(p, n, h), cache) / (2 * h)
+    return _value([_z(1, p, n, h)], p, cache)
 
 
 # -- classical congruences ----------------------------------------------------
@@ -114,63 +143,57 @@ def coeff_z(p: int, n: int, h: int, cache: BernoulliCache) -> Fraction:
 def verify_wolstenholme(p: int) -> ReportRecord:
     """H_{p-1} == 0 (mod p^2) for p >= 5."""
     _require(p >= 5, "needs p >= 5")
-    return _verdict("wolstenholme", p, harmonic(1, p - 1))
+    return _verdict("wolstenholme", p, _lhs("wolstenholme", p, None))
 
 
 def verify_wolstenholme_refined(p: int) -> ReportRecord:
     """H_{p-1} + (p/2) H^(2)_{p-1} == 0 (mod p^4) for p >= 7."""
     _require(p >= 7, "needs p >= 7")
-    lhs = harmonic(1, p - 1) + Fraction(p, 2) * harmonic(2, p - 1)
-    return _verdict("wolstenholme-refined", p, lhs)
+    return _verdict("wolstenholme-refined", p, _lhs("wolstenholme-refined", p, None))
 
 
 def verify_eisenstein(p: int) -> ReportRecord:
     """H_{(p-1)/2} + 2 q_p == 0 (mod p) for odd p."""
     _require(p >= 3, "needs an odd prime")
-    lhs = harmonic(1, (p - 1) // 2) + 2 * fermat_quotient(p)
-    return _verdict("eisenstein", p, lhs)
+    return _verdict("eisenstein", p, _lhs("eisenstein", p, None))
 
 
 def verify_lehmer(p: int) -> ReportRecord:
     """H_{(p-1)/2} + 2 q_p - p q_p^2 == 0 (mod p^2) for odd p."""
     _require(p >= 3, "needs an odd prime")
-    q = fermat_quotient(p)
-    lhs = harmonic(1, (p - 1) // 2) + 2 * q - p * q * q
-    return _verdict("lehmer", p, lhs)
+    return _verdict("lehmer", p, _lhs("lehmer", p, None))
 
 
 # -- p-adic expansions of the harmonic numbers --------------------------------
 
 
-def _expansion_series(which: str, k: int, p: int) -> Iterator[Fraction]:
-    """The left-hand side of one of the four expansions at J = 0, then its
-    terms j = 0, 1, ...
-
-    Each term multiplies one harmonic number by a rational coefficient formed
-    from integers first, so it costs one multiplication of large fractions.
-    """
+def _expansion_series(which: str, k: int, p: int) -> Iterator[list[Term]]:
+    """The terms of one of the four expansions at J = 0, then those of j = 0,
+    1, ...: a harmonic number times a rational coefficient; none for k < 1."""
+    if k < 1:
+        return
     half = (p - 1) // 2
     if which == "e10ee":
-        yield -harmonic(k, p - 1)
+        yield [Term(-1, (k, p - 1))]
         for j in count():
-            yield (-1) ** k * comb(j + k - 1, j) * p**j * harmonic(k + j, p - 1)
+            yield [Term((-1) ** k * comb(j + k - 1, j) * p**j, (k + j, p - 1))]
     elif which == "e10eed":
-        yield -harmonic(2 * k, p - 1)
-        yield 2 * harmonic(2 * k, half)
+        yield [Term(-1, (2 * k, p - 1))]
+        yield [Term(2, (2 * k, half))]
         for j in count(1):
-            yield comb(j + 2 * k - 1, j) * p**j * harmonic(2 * k + j, half)
+            yield [Term(comb(j + 2 * k - 1, j) * p**j, (2 * k + j, half))]
     elif which == "e10eee":
-        yield -harmonic(k, p - 1)
-        yield Fraction(1 + (-1) ** k, 2**k) * harmonic(k, half)
+        yield [Term(-1, (k, p - 1))]
+        yield [Term(Fraction(1 + (-1) ** k, 2**k), (k, half))]
         for j in count(1):
-            yield (Fraction((-1) ** k * comb(j + k - 1, j) * p**j, 2 ** (j + k))
-                   * harmonic(k + j, half))
-    else:  # e10eeeff
-        yield 2 * (2 ** (2 * k) - 1) * harmonic(2 * k, half)
-        yield Fraction(0)
+            yield [Term(Fraction((-1) ** k * comb(j + k - 1, j) * p**j, 2 ** (j + k)),
+                        (k + j, half))]
+    else:  # e10eeeff, whose j = 0 term is 0
+        yield [Term(2 * (2 ** (2 * k) - 1), (2 * k, half))]
+        yield []
         for j in count(1):
-            yield (Fraction(comb(j + 2 * k - 1, j) * (2 ** (2 * k + j) - 1) * p**j, 2**j)
-                   * harmonic(2 * k + j, half))
+            yield [Term(Fraction(comb(j + 2 * k - 1, j) * (2 ** (2 * k + j) - 1) * p**j, 2**j),
+                        (2 * k + j, half))]
 
 
 def verify_expansion_truncation(which: str, k: int, p: int, J: int) -> ReportRecord:
@@ -186,8 +209,26 @@ def verify_expansion_truncation(which: str, k: int, p: int, J: int) -> ReportRec
     _require(J >= 0, "needs J >= 0")
     if which != "e10ee":
         _require(p % 2 == 1, "needs odd p")
-    lhs = _truncated(("expansion", which, k, p), _expansion_series(which, k, p), J)
+    lhs = _lhs(f"expansion-{which}", p, None, k=k, J=J)
     return _verdict(f"expansion-{which}", p, lhs, k=k, J=J)
+
+
+# The paper's labels of remark0's congruences in id order, each with its
+# exponent and its terms at p, k and half = (p - 1)/2.
+REMARK0_IDS = {
+    "e10eeez": (1, lambda p, k, half: [Term(1, (2 * k - 1, p - 1))]),
+    "e10eeezz": (2, lambda p, k, half: [Term(1, (2 * k - 1, p - 1)),
+                                        Term(p * (2 * k - 1), (2 * k, half))]),
+    "e9a": (2, lambda p, k, half: [Term(1, (2 * k - 1, p - 1)),
+                                   Term(Fraction(p, 2) * (2 * k - 1), (2 * k, p - 1))]),
+    "e10eeea": (2, lambda p, k, half: [Term(1, (2 * k, p - 1)), Term(-2, (2 * k, half)),
+                                       Term(-p * 2 * k, (2 * k + 1, half))]),
+    "e10eeee": (2, lambda p, k, half: [
+        Term(2 ** (2 * k) - 1, (2 * k, half)),
+        Term(p * Fraction(k, 2) * (2 ** (2 * k + 1) - 1), (2 * k + 1, half))]),
+    "e10eeeb": (2, lambda p, k, half: [Term(2, (2 * k, half)),
+                                       Term(-(2 ** (2 * k + 1) - 1), (2 * k, p - 1))]),
+}
 
 
 # e9a (cor-remark0-3), claimed mod p^2 as in the paper, holds mod p^3 for every
@@ -201,35 +242,26 @@ def verify_cor_remark0(which: str, k: int, p: int) -> ReportRecord:
     """The six two-term congruences read off from the expansions (odd p)."""
     _require(p % 2 == 1 and p >= 3, "needs odd p")
     _require(k >= 1, "needs k >= 1")
-    half = (p - 1) // 2
-    if which == "e10eeez":
-        lhs = harmonic(2 * k - 1, p - 1)
-    elif which == "e10eeezz":
-        lhs = harmonic(2 * k - 1, p - 1) + p * (2 * k - 1) * harmonic(2 * k, half)
-    elif which == "e9a":
-        lhs = harmonic(2 * k - 1, p - 1) + Fraction(p, 2) * (2 * k - 1) * harmonic(
-            2 * k, p - 1
-        )
-    elif which == "e10eeea":
-        lhs = (
-            harmonic(2 * k, p - 1)
-            - 2 * harmonic(2 * k, half)
-            - p * 2 * k * harmonic(2 * k + 1, half)
-        )
-    elif which == "e10eeee":
-        lhs = (2 ** (2 * k) - 1) * harmonic(2 * k, half) + p * Fraction(k, 2) * (
-            2 ** (2 * k + 1) - 1
-        ) * harmonic(2 * k + 1, half)
-    elif which == "e10eeeb":
-        lhs = 2 * harmonic(2 * k, half) - (2 ** (2 * k + 1) - 1) * harmonic(
-            2 * k, p - 1
-        )
-    else:
+    if which not in REMARK0_IDS:
         raise ValueError(f"unknown congruence {which!r}")
-    return _verdict(f"cor-remark0-{list(REMARK0_IDS).index(which) + 1}", p, lhs, k=k)
+    theorem_id = f"cor-remark0-{list(REMARK0_IDS).index(which) + 1}"
+    return _verdict(theorem_id, p, _lhs(theorem_id, p, None, k=k), k=k)
 
 
 # -- Bernoulli-valued congruences for H^(2k), H^(2k-1) ------------------------
+
+# The paper's labels of prop3's congruences in id order, each with its exponent
+# and its terms at p, k >= 1, half = (p - 1)/2 and b = p - 1 - 2k.
+PROP3_IDS = {
+    "e8bbf": (2, lambda p, k, half, b: [Term(1, (2 * k, p - 1)),
+                                        Term(-p * Fraction(2 * k, 2 * k + 1), b=b)]),
+    "e10eeeb1": (2, lambda p, k, half, b: [
+        Term(1, (2 * k, half)), Term(-p * Fraction(k * (2 ** (2 * k + 1) - 1), 2 * k + 1), b=b)]),
+    "e9bb": (3, lambda p, k, half, b: [
+        Term(1, (2 * k - 1, p - 1)), Term(p * p * Fraction(k * (2 * k - 1), 2 * k + 1), b=b)]),
+    "e9bbs": (1, lambda p, k, half, b: [Term(1, (2 * k + 1, half)),
+                                        Term(-Fraction(2 * (1 - 4**k), 2 * k + 1), b=b)]),
+}
 
 
 def verify_thm_prop3(which: str, k: int, p: int, cache: BernoulliCache) -> ReportRecord:
@@ -239,21 +271,10 @@ def verify_thm_prop3(which: str, k: int, p: int, cache: BernoulliCache) -> Repor
         _require(p >= 2 * k + 3 or p == 2 * k + 1, "needs p >= 2k+3 or p = 2k+1")
     else:
         _require(p >= 2 * k + 3, "needs p >= 2k+3")
-    half = (p - 1) // 2
-    b = bernoulli(p - 1 - 2 * k, cache)
-    if which == "e8bbf":
-        lhs = harmonic(2 * k, p - 1) - p * Fraction(2 * k, 2 * k + 1) * b
-    elif which == "e10eeeb1":
-        lhs = harmonic(2 * k, half) - p * Fraction(k * (2 ** (2 * k + 1) - 1),
-                                                   2 * k + 1) * b
-    elif which == "e9bb":
-        lhs = harmonic(2 * k - 1, p - 1) + p * p * Fraction(k * (2 * k - 1),
-                                                            2 * k + 1) * b
-    elif which == "e9bbs":
-        lhs = harmonic(2 * k + 1, half) - Fraction(2 * (1 - 4**k), 2 * k + 1) * b
-    else:
+    if which not in PROP3_IDS:
         raise ValueError(f"unknown congruence {which!r}")
-    return _verdict(f"prop3-{list(PROP3_IDS).index(which) + 1}", p, lhs, k=k)
+    theorem_id = f"prop3-{list(PROP3_IDS).index(which) + 1}"
+    return _verdict(theorem_id, p, _lhs(theorem_id, p, cache, k=k), k=k)
 
 
 # -- the tier-ladder theorem for H^(j)_{p-1} ----------------------------------
@@ -271,17 +292,13 @@ def _ee10bis_tier(p: int, n: int, i: int, cache: BernoulliCache) -> int:
     return 1
 
 
-def _ee10bis_series(p: int, i: int, cache: BernoulliCache) -> Iterator[Fraction]:
-    """0, then C(j+2i,2i) B_j H^(j+2i+1)_{p-1} (-p)^j for j = 0, 1, ..."""
-    yield Fraction(0)
+def _ee10bis_series(p: int, i: int) -> Iterator[list[Term]]:
+    """None, then C(j+2i,2i) B_j H^(j+2i+1)_{p-1} (-p)^j, j = 0, 1, ...; or nothing (i < 0)."""
+    if i < 0:
+        return
+    yield []
     for j in count():
-        yield (comb(j + 2 * i, 2 * i) * (-p) ** j * bernoulli(j, cache)
-               * harmonic(j + 2 * i + 1, p - 1))
-
-
-def _ee10bis_sum(p: int, i: int, length: int, cache: BernoulliCache) -> Fraction:
-    """The thm-ee10bis series at j < length; cor-ee10biss reads the same sum."""
-    return _truncated(("ee10bis", p, i, cache), _ee10bis_series(p, i, cache), length)
+        yield [Term(comb(j + 2 * i, 2 * i) * (-p) ** j, (j + 2 * i + 1, p - 1), j)]
 
 
 def verify_thm_ee10bis(p: int, n: int, i: int, cache: BernoulliCache) -> ReportRecord:
@@ -294,7 +311,7 @@ def verify_thm_ee10bis(p: int, n: int, i: int, cache: BernoulliCache) -> ReportR
     _require(p >= 2, "needs a prime")
     _require(n >= 0 and i >= 0, "needs n, i >= 0")
     m = _ee10bis_tier(p, n, i, cache)
-    lhs = _ee10bis_sum(p, i, 2 * n + 2, cache)
+    lhs = _lhs("thm-ee10bis", p, cache, n=n, i=i)
     return _verdict("thm-ee10bis", p, lhs, tier=m, n=n, i=i)
 
 
@@ -302,7 +319,7 @@ def verify_cor_ee10biss(p: int, i: int, k: int, cache: BernoulliCache) -> Report
     """The same series truncated at j < k is divisible by p^k (odd p)."""
     _require(p % 2 == 1 and p >= 3, "needs odd p")
     _require(i >= 0 and k >= 1, "needs i >= 0, k >= 1")
-    return _verdict("cor-ee10biss", p, _ee10bis_sum(p, i, k, cache), i=i, k=k)
+    return _verdict("cor-ee10biss", p, _lhs("cor-ee10biss", p, cache, i=i, k=k), i=i, k=k)
 
 
 # -- the half-index even-order ladder -----------------------------------------
@@ -329,19 +346,16 @@ def _eecj_tier(p: int, n: int, i: int, cache: BernoulliCache) -> int:
     return 0
 
 
-def _eecj_series(p: int, i: int, cache: BernoulliCache) -> Iterator[Fraction]:
-    """0, then C(j+2i-1,j+1) (2^(j+2i)-1)/2^j C_j H^(j+2i)_{(p-1)/2} p^j for
-    j = 0, 1, ..."""
-    yield Fraction(0)
+def _eecj_series(p: int, i: int) -> Iterator[list[Term]]:
+    """None, then C(j+2i-1,j+1) (2^(j+2i)-1)/2^j C_j H^(j+2i)_{(p-1)/2} p^j for
+    j = 0, 1, ..., or nothing for i < 1."""
+    if i < 1:
+        return
+    yield []
     half = (p - 1) // 2
     for j in count():
-        yield (Fraction(comb(j + 2 * i - 1, j + 1) * (2 ** (j + 2 * i) - 1) * p**j, 2**j)
-               * coeff_c(j, cache) * harmonic(j + 2 * i, half))
-
-
-def _eecj_sum(p: int, i: int, length: int, cache: BernoulliCache) -> Fraction:
-    """The thm-eecj series at j < length; cor-eecjj reads the same sum at i = 1."""
-    return _truncated(("eecj", p, i, cache), _eecj_series(p, i, cache), length)
+        c = Fraction(comb(j + 2 * i - 1, j + 1) * (2 ** (j + 2 * i) - 1) * p**j, 2**j)
+        yield _c_terms(j, c, (j + 2 * i, half))
 
 
 def verify_thm_eecj(p: int, n: int, i: int, cache: BernoulliCache) -> ReportRecord:
@@ -354,7 +368,7 @@ def verify_thm_eecj(p: int, n: int, i: int, cache: BernoulliCache) -> ReportReco
     _require(p >= 3, "needs odd p")
     _require(n >= 1 and i >= 1, "needs n, i >= 1")
     m = _eecj_tier(p, n, i, cache)
-    lhs = _eecj_sum(p, i, 2 * n, cache)
+    lhs = _lhs("thm-eecj", p, cache, n=n, i=i)
     return _verdict("thm-eecj", p, lhs, tier=m, n=n, i=i)
 
 
@@ -373,10 +387,18 @@ def verify_cor_eecjj(p: int, J: int, cache: BernoulliCache) -> ReportRecord:
     where _eecjj_exponent drops it (odd p)."""
     _require(p % 2 == 1 and p >= 3, "needs odd p")
     _require(J >= 1, "needs J >= 1")
-    return _verdict("cor-eecjj", p, _eecj_sum(p, 1, J, cache), J=J)
+    return _verdict("cor-eecjj", p, _lhs("cor-eecjj", p, cache, J=J), J=J)
 
 
 # -- the odd-order half-index results -----------------------------------------
+
+
+def _prop41(p: int, n: int) -> list[Term]:
+    # the Bernoulli tail (1 <= i < (n+1)/2) first: its index is refused unbuilt
+    return ([_z((2 ** (2 * i + 1) - 1) * Fraction(p, 2) ** (2 * i), p, n, i)
+             for i in range(1, n // 2 + 1)] + [Term(1, (1, (p - 1) // 2))]
+            + [Term(Fraction(2 * (-p) ** j, j + 1), q=j + 1) for j in range(n)]
+            + [Term(2 * p ** (n - 1), q=1)] * (p == n + 1))
 
 
 def verify_prop41(p: int, n: int, cache: BernoulliCache) -> ReportRecord:
@@ -385,17 +407,7 @@ def verify_prop41(p: int, n: int, cache: BernoulliCache) -> ReportRecord:
     _require(p % 2 == 1 and p >= 3, "needs odd p")
     _require(n >= 1, "needs n >= 1")
     _require(2 * p > n + 1, "needs p > (n+1)/2")
-    q = fermat_quotient(p)
-    lhs = harmonic(1, (p - 1) // 2) + 2 * q_series(q, p, n)
-    if p == n + 1:
-        lhs += 2 * q * p ** (n - 1)
-    for i in range(1, n // 2 + 1):  # 1 <= i < (n+1)/2
-        lhs += (
-            coeff_z(p, n, i, cache)
-            * (2 ** (2 * i + 1) - 1)
-            * Fraction(p, 2) ** (2 * i)
-        )
-    return _verdict("prop41", p, lhs, n=n)
+    return _verdict("prop41", p, _lhs("prop41", p, cache, n=n), n=n)
 
 
 def verify_prop42(p: int, n: int, h: int, cache: BernoulliCache) -> ReportRecord:
@@ -404,28 +416,18 @@ def verify_prop42(p: int, n: int, h: int, cache: BernoulliCache) -> ReportRecord
     _require(h >= 1, "needs h >= 1")
     _require(n + 1 > 2 * h, "needs (n+1)/2 > h")
     _require(2 * p > n + 1, "needs p > (n+1)/2")
-    lhs = harmonic(2 * h + 1, (p - 1) // 2) + (2 ** (2 * h + 1) - 2) * coeff_z(
-        p, n, h, cache
-    )
-    for i in range(1, (n - 1) // 2 + 1):
-        lhs += (
-            Fraction(p) ** (2 * i)
-            * comb(2 * i + 2 * h, 2 * i)
-            * coeff_z(p, n, h + i, cache)
-            * (2 ** (2 * h + 1) - Fraction(1, 2 ** (2 * i)))
-        )
-    return _verdict("prop42", p, lhs, n=n, h=h)
+    return _verdict("prop42", p, _lhs("prop42", p, cache, n=n, h=h), n=n, h=h)
 
 
-def _ee20_series(p: int, cache: BernoulliCache) -> Iterator[Fraction]:
-    """0, then the terms j = 0, 1, ... of the B/H series plus the q_p series."""
-    yield Fraction(0)
+def _ee20_series(p: int) -> Iterator[list[Term]]:
+    """None, then the terms j = 0, 1, ... of the B/H series and of the q_p
+    series, (-1)^j q_p^(j+1) p^j / (j+1)."""
+    yield []
     half = (p - 1) // 2
-    q = q_terms(fermat_quotient(p), p)
     for j in count():
         coeff = Fraction((2 ** (j + 1) - 1) * (2 ** (j + 2) - 1) * 2 * p**j,
                          (j + 1) * (j + 2) * 2**j)
-        yield coeff * bernoulli(j + 2, cache) * harmonic(j + 1, half) + next(q)
+        yield [Term(coeff, (j + 1, half), j + 2), Term(Fraction((-p) ** j, j + 1), q=j + 1)]
 
 
 def verify_thm_ee20(p: int, n: int, cache: BernoulliCache) -> ReportRecord:
@@ -439,8 +441,20 @@ def verify_thm_ee20(p: int, n: int, cache: BernoulliCache) -> ReportRecord:
     """
     _require(p % 2 == 1 and p >= 3, "needs odd p")
     _require(n >= 1, "needs n >= 1")
-    lhs = _truncated(("ee20", p, cache), _ee20_series(p, cache), n)
-    return _verdict("thm-ee20", p, lhs, n=n)
+    return _verdict("thm-ee20", p, _lhs("thm-ee20", p, cache, n=n), n=n)
+
+
+def _eq47(p: int, n: int) -> list[Term]:
+    """(2 q delta + p Z_{n/2} (2^(n+1)-1)/2^n) p^(n-1) less the sum over h of
+    (2^(2h+1)-1) (p/2)^(2h) (A_h H^(2h+1)_{(p-1)/2} - Z_h); none for n < 2."""
+    if n < 2:
+        return []
+    terms = [_z(p**n * Fraction(2 ** (n + 1) - 1, 2**n), p, n, n // 2)]
+    terms += [Term(2 * p ** (n - 1), q=1)] * (p == n + 1)
+    for h in range(1, (n - 2) // 2 + 1):
+        c = (2 ** (2 * h + 1) - 1) * Fraction(p, 2) ** (2 * h)
+        terms += [Term(-c * _a(h), (2 * h + 1, (p - 1) // 2), 2 * h + 2), _z(c, p, n, h)]
+    return terms
 
 
 def verify_intermediate_47(p: int, n: int, cache: BernoulliCache) -> ReportRecord:
@@ -448,33 +462,13 @@ def verify_intermediate_47(p: int, n: int, cache: BernoulliCache) -> ReportRecor
     _require(p % 2 == 1 and p >= 3, "needs odd p")
     _require(n >= 2 and n % 2 == 0, "needs even n >= 2")
     _require(2 * p > n + 1, "needs p > (n+1)/2")
-    half = (p - 1) // 2
-    q = fermat_quotient(p)
-    delta = 1 if p == n + 1 else 0
-    left = (
-        2 * q * delta
-        + p * coeff_z(p, n, n // 2, cache) * Fraction(2 ** (n + 1) - 1, 2**n)
-    ) * Fraction(p) ** (n - 1)
-    right = sum(
-        ((2 ** (2 * h + 1) - 1)
-         * Fraction(p, 2) ** (2 * h)
-         * (coeff_a(h, cache) * harmonic(2 * h + 1, half) - coeff_z(p, n, h, cache))
-         for h in range(1, (n - 2) // 2 + 1)),
-        Fraction(0),
-    )
-    return _verdict("eq47", p, left - right, n=n)
+    return _verdict("eq47", p, _lhs("eq47", p, cache, n=n), n=n)
 
 
 def sun_congruence(p: int, cache: BernoulliCache) -> ReportRecord:
     """H_{(p-1)/2} + (7/12) B_{p-3} p^2 + 2(q - q^2 p/2 + q^3 p^2/3) mod p^3."""
     _require(p >= 5, "needs p >= 5")
-    q = fermat_quotient(p)
-    lhs = (
-        harmonic(1, (p - 1) // 2)
-        + Fraction(7, 12) * bernoulli(p - 3, cache) * p * p
-        + 2 * (q - Fraction(q * q * p, 2) + Fraction(q**3 * p * p, 3))
-    )
-    return _verdict("sun", p, lhs)
+    return _verdict("sun", p, _lhs("sun", p, cache))
 
 
 # -- the lemmas the expansions rest on ----------------------------------------
@@ -484,8 +478,7 @@ def verify_lemma_pb_1(p: int, n: int, cache: BernoulliCache) -> ReportRecord:
     """p B_{p^(n-1)(p-1)} == p - 1 (mod p^n) for odd p and n >= 1."""
     _require(p % 2 == 1 and p >= 3, "needs odd p")
     _require(n >= 1, "needs n >= 1")
-    lhs = p * bernoulli(_power_index(p, n, 0), cache) - (p - 1)
-    return _verdict("lemma-pb-1", p, lhs, n=n)
+    return _verdict("lemma-pb-1", p, _lhs("lemma-pb-1", p, cache, n=n), n=n)
 
 
 def verify_lemma_pb_2(p: int, n: int, h: int, cache: BernoulliCache) -> ReportRecord:
@@ -493,10 +486,8 @@ def verify_lemma_pb_2(p: int, n: int, h: int, cache: BernoulliCache) -> ReportRe
     h >= 1, where the Bernoulli index is at least 2."""
     _require(p % 2 == 1 and p >= 3, "needs odd p")
     _require(n >= 1 and h >= 1, "needs n, h >= 1")
-    index = _power_index(p, n, h)
-    _require(index >= 2, "needs p^(n-1)(p-1) - 2h >= 2")
-    lhs = p * bernoulli(index, cache) - harmonic(2 * h, p - 1)
-    return _verdict("lemma-pb-2", p, lhs, n=n, h=h)
+    _require(_power_index(p, n, h) >= 2, "needs p^(n-1)(p-1) - 2h >= 2")
+    return _verdict("lemma-pb-2", p, _lhs("lemma-pb-2", p, cache, n=n, h=h), n=n, h=h)
 
 
 def verify_kummer(p: int, h: int, k: int, cache: BernoulliCache) -> ReportRecord:
@@ -506,8 +497,7 @@ def verify_kummer(p: int, h: int, k: int, cache: BernoulliCache) -> ReportRecord
     _require(h >= 2 and k >= 2 and h % 2 == 0 and k % 2 == 0, "needs even h, k >= 2")
     _require((h - k) % (p - 1) == 0 and h % (p - 1) != 0 and k % (p - 1) != 0,
              f"needs h == k mod {p - 1}, neither divisible by it")
-    lhs = bernoulli(h, cache) / h - bernoulli(k, cache) / k
-    return _verdict("kummer", p, lhs, h=h, k=k)
+    return _verdict("kummer", p, _lhs("kummer", p, cache, h=h, k=k), h=h, k=k)
 
 
 # -- the theorem table ----------------------------------------------------------
@@ -523,95 +513,105 @@ class Theorem(NamedTuple):
     ``run(p, args, cache)`` is the verdict on one case; it calls its verifier
     by module-level name, so a profiler can wrap it.  ``exponent(p, params,
     tier)`` is the exponent the case claims, at the tier a ladder resolved
-    (None elsewhere); `_verdict` reads it, and no verifier states one.
-    ``bernoulli_need(p, args)`` is the largest Bernoulli index one case reads
-    at p, and at any smaller p (-1 for none); ``verify`` and ``scan`` fill
-    the cache to its maximum over the cases at the grid's largest prime.
-    Scans skip cases failing ``hypothesis`` and cases whose verifier raises
-    HypothesisViolated, so ``hypothesis`` states only what a verifier
-    deliberately leaves unchecked.
+    (None elsewhere).  ``terms(p, **args)`` builds the terms of one case's
+    left-hand side, which its verifier sums; ``tier_need(p, args)`` is the
+    largest Bernoulli index a ladder reads to resolve its tier.  These are
+    the only statements of each.  Scans skip cases failing ``hypothesis``
+    and cases whose verifier raises HypothesisViolated, so ``hypothesis``
+    states only what a verifier deliberately leaves unchecked.
     """
 
     params: tuple[str, ...]
     run: Callable[[int, dict, BernoulliCache], ReportRecord]
     exponent: Callable[[int, dict, int | None], int]
-    bernoulli_need: Callable[[int, dict], int] = lambda p, a: -1
+    terms: Callable[..., Iterable[Term]] = lambda p, **a: ()
     hypothesis: Callable[[int, dict], bool] = lambda p, a: True
+    tier_need: Callable[[int, dict], int] = lambda p, a: -1
 
 
-def _ladder_need(offset: int):
-    """The series reads B_{2n+1}; resolving the tier reads B_{2n+2} (thm-eecj)
-    and B_{p-2n-2i-offset}, to test for an irregular pair."""
-    return lambda p, a: max(2 * a["n"] + 2, p - 2 * a["n"] - 2 * a["i"] - offset)
-
-
-def _z_need(p: int, a: dict) -> int:
-    # coeff_z(p, n, h' >= h) reads B_{p^(n-1)(p-1) - 2h'}; n < 2 reads none
-    return _power_index(p, a["n"], a.get("h", 1)) if a["n"] >= 2 else -1
-
-
-def _pb_need(p: int, a: dict) -> int:
-    # lemma-pb-1 reads B_{p^(n-1)(p-1)}, lemma-pb-2 that index less 2h
-    h = a.get("h", 0)
-    return _power_index(p, a["n"], h) if a["n"] >= 1 and h >= 0 else -1
+def bernoulli_need(theorem_id: str, p: int, args: dict) -> int:
+    """The largest Bernoulli index one case reads at p, and at any smaller p
+    (-1 for none), from its terms and tier reads, evaluating none and checking
+    no hypothesis; `verify` and `scan` fill to its maximum at the top prime."""
+    row = THEOREMS[theorem_id]
+    return max([row.tier_need(p, args),
+                *(t.b for t in row.terms(p, **args) if t.b is not None)])
 
 
 THEOREMS: dict[str, Theorem] = {
-    "wolstenholme": Theorem((), lambda p, a, c: verify_wolstenholme(p), lambda p, a, t: 2),
-    "wolstenholme-refined": Theorem((), lambda p, a, c: verify_wolstenholme_refined(p),
-                                    lambda p, a, t: 4),
-    "eisenstein": Theorem((), lambda p, a, c: verify_eisenstein(p), lambda p, a, t: 1),
-    "lehmer": Theorem((), lambda p, a, c: verify_lehmer(p), lambda p, a, t: 2),
+    "wolstenholme": Theorem((), lambda p, a, c: verify_wolstenholme(p), lambda p, a, t: 2,
+                            lambda p: [Term(1, (1, p - 1))]),
+    "wolstenholme-refined": Theorem(
+        (), lambda p, a, c: verify_wolstenholme_refined(p), lambda p, a, t: 4,
+        lambda p: [Term(1, (1, p - 1)), Term(Fraction(p, 2), (2, p - 1))]),
+    "eisenstein": Theorem((), lambda p, a, c: verify_eisenstein(p), lambda p, a, t: 1,
+                          lambda p: [Term(1, (1, (p - 1) // 2)), Term(2, q=1)]),
+    "lehmer": Theorem((), lambda p, a, c: verify_lehmer(p), lambda p, a, t: 2,
+                      lambda p: [Term(1, (1, (p - 1) // 2)), Term(2, q=1), Term(-p, q=2)]),
     **{f"expansion-{w}": Theorem(
         ("k", "J"),
         lambda p, a, c, w=w: verify_expansion_truncation(w, a["k"], p, a["J"]),
-        lambda p, a, t: a["J"],
+        lambda p, a, t: a["J"], lambda p, k, J, w=w: _head(_expansion_series(w, k, p), J),
     ) for w in EXPANSION_IDS},
     **{f"cor-remark0-{idx}": Theorem(
         ("k",), lambda p, a, c, w=w: verify_cor_remark0(w, a["k"], p),
-        lambda p, a, t, e=e: e,
-    ) for idx, (w, e) in enumerate(REMARK0_IDS.items(), start=1)},
+        lambda p, a, t, e=e: e, lambda p, k, f=f: f(p, k, (p - 1) // 2),
+    ) for idx, (w, (e, f)) in enumerate(REMARK0_IDS.items(), start=1)},
+    # none for k < 1, where a coefficient would not be rational
     **{f"prop3-{idx}": Theorem(
         ("k",), lambda p, a, c, w=w: verify_thm_prop3(w, a["k"], p, c),
-        lambda p, a, t, e=e: e, lambda p, a: p - 1 - 2 * a["k"],
-    ) for idx, (w, e) in enumerate(PROP3_IDS.items(), start=1)},
+        lambda p, a, t, e=e: e,
+        lambda p, k, f=f: f(p, k, (p - 1) // 2, p - 1 - 2 * k) if k >= 1 else [],
+    ) for idx, (w, (e, f)) in enumerate(PROP3_IDS.items(), start=1)},
+    # tier_need, the one read stated by hand: the irregular-pair test reads
+    # B_{p-2n-2i-5} or B_{p-2n-2i-1}, and thm-eecj's condition B_{2n+2}.
     "thm-ee10bis": Theorem(
         ("i", "n"), lambda p, a, c: verify_thm_ee10bis(p, a["n"], a["i"], c),
-        lambda p, a, t: 2 * a["n"] + t, _ladder_need(5),
+        lambda p, a, t: 2 * a["n"] + t,
+        lambda p, i, n: _head(_ee10bis_series(p, i), 2 * n + 2),
+        tier_need=lambda p, a: p - 2 * a["n"] - 2 * a["i"] - 5,
     ),
     "cor-ee10biss": Theorem(
         ("i", "k"), lambda p, a, c: verify_cor_ee10biss(p, a["i"], a["k"], c),
-        lambda p, a, t: a["k"], lambda p, a: a["k"] - 1,
+        lambda p, a, t: a["k"], lambda p, i, k: _head(_ee10bis_series(p, i), k),
     ),
     "thm-eecj": Theorem(
         ("i", "n"), lambda p, a, c: verify_thm_eecj(p, a["n"], a["i"], c),
-        lambda p, a, t: 2 * a["n"] + t, _ladder_need(1),
+        lambda p, a, t: 2 * a["n"] + t, lambda p, i, n: _head(_eecj_series(p, i), 2 * n),
+        tier_need=lambda p, a: max(2 * a["n"] + 2, p - 2 * a["n"] - 2 * a["i"] - 1),
     ),
     "cor-eecjj": Theorem(
         ("J",), lambda p, a, c: verify_cor_eecjj(p, a["J"], c),
-        lambda p, a, t: _eecjj_exponent(p, a["J"]), lambda p, a: a["J"] + 1,
+        lambda p, a, t: _eecjj_exponent(p, a["J"]), lambda p, J: _head(_eecj_series(p, 1), J),
     ),
     "prop41": Theorem(("n",), lambda p, a, c: verify_prop41(p, a["n"], c),
-                      lambda p, a, t: a["n"], _z_need),
-    "prop42": Theorem(("n", "h"), lambda p, a, c: verify_prop42(p, a["n"], a["h"], c),
-                      lambda p, a, t: a["n"] - 1, _z_need),
+                      lambda p, a, t: a["n"], _prop41),
+    # none for n < 2 or h < 1, where no case is judged
+    "prop42": Theorem(
+        ("n", "h"), lambda p, a, c: verify_prop42(p, a["n"], a["h"], c),
+        lambda p, a, t: a["n"] - 1,
+        lambda p, n, h: [Term(1, (2 * h + 1, (p - 1) // 2)), _z(2 ** (2 * h + 1) - 2, p, n, h)] + [
+            _z(p ** (2 * i) * comb(2 * i + 2 * h, 2 * i) * (2 ** (2 * h + 1) - Fraction(1, 4**i)),
+               p, n, h + i) for i in range(1, (n - 1) // 2 + 1)] if n >= 2 and h >= 1 else []),
     "thm-ee20": Theorem(
         ("n",), lambda p, a, c: verify_thm_ee20(p, a["n"], c),
-        lambda p, a, t: a["n"], lambda p, a: a["n"] + 1,
+        lambda p, a, t: a["n"], lambda p, n: _head(_ee20_series(p), n),
         hypothesis=lambda p, a: 2 * p > a["n"] + 1,
     ),
     "eq47": Theorem(("n",), lambda p, a, c: verify_intermediate_47(p, a["n"], c),
-                    lambda p, a, t: a["n"], _z_need),
-    "sun": Theorem((), lambda p, a, c: sun_congruence(p, c), lambda p, a, t: 3,
-                   lambda p, a: p - 3),
-    "lemma-pb-1": Theorem(("n",), lambda p, a, c: verify_lemma_pb_1(p, a["n"], c),
-                          lambda p, a, t: a["n"], _pb_need),
+                    lambda p, a, t: a["n"], _eq47),
+    "sun": Theorem((), lambda p, a, c: sun_congruence(p, c), lambda p, a, t: 3, lambda p: [
+        Term(1, (1, (p - 1) // 2)), Term(Fraction(7, 12) * p * p, b=p - 3),
+        Term(2, q=1), Term(-p, q=2), Term(Fraction(2 * p * p, 3), q=3)]),
+    # the lemmas read nothing for n < 1
+    "lemma-pb-1": Theorem(
+        ("n",), lambda p, a, c: verify_lemma_pb_1(p, a["n"], c), lambda p, a, t: a["n"],
+        lambda p, n: [Term(p, b=_power_index(p, n, 0)), Term(1 - p)] if n >= 1 else []),
     "lemma-pb-2": Theorem(
         ("n", "h"), lambda p, a, c: verify_lemma_pb_2(p, a["n"], a["h"], c),
-        lambda p, a, t: 1, _pb_need,
-    ),
+        lambda p, a, t: 1, lambda p, n, h: [Term(p, b=_power_index(p, n, h)),
+                                            Term(-1, (2 * h, p - 1))] if n >= 1 else []),
     "kummer": Theorem(
-        ("h", "k"), lambda p, a, c: verify_kummer(p, a["h"], a["k"], c),
-        lambda p, a, t: 1, lambda p, a: max(a["h"], a["k"]),
-    ),
+        ("h", "k"), lambda p, a, c: verify_kummer(p, a["h"], a["k"], c), lambda p, a, t: 1,
+        lambda p, h, k: [Term(Fraction(1, h), b=h), Term(Fraction(-1, k), b=k)] if h * k else []),
 }

@@ -3,9 +3,7 @@ logarithmic series."""
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from fractions import Fraction
-from itertools import count, islice
 from math import isqrt
 from typing import NamedTuple
 
@@ -65,14 +63,7 @@ def classify(p: int) -> PrimeClass:
     )
 
 
-def q_terms(q: int, p: int) -> Iterator[Fraction]:
-    """(-1)^j q^(j+1) p^j / (j+1) for j = 0, 1, ...: the terms of
-    log(1 + p q) / p."""
-    for j in count():
-        yield Fraction((-1) ** j * q ** (j + 1) * p**j, j + 1)
-
-
 def q_series(q: int, p: int, n: int) -> Fraction:
-    """The sum of the first n of q_terms(q, p), i.e. log(1 + p q) / p through
-    p^(n-1); with q = q_p, the Fermat-quotient series of prop41."""
-    return sum(islice(q_terms(q, p), n), Fraction(0))
+    """The sum of (-1)^j q^(j+1) p^j / (j+1) for j < n, i.e. log(1 + p q) / p
+    through p^(n-1); with q = q_p, the Fermat-quotient series of prop41."""
+    return sum((Fraction((-1) ** j * q ** (j + 1) * p**j, j + 1) for j in range(n)), Fraction(0))

@@ -165,6 +165,78 @@ def test_table_exponent_mutants_fail(cache, monkeypatch, theorem_id, p, args):
             assert record.required_exponent != record.achieved_valuation
 
 
+# Further pinned cases for terms a sharp case cannot tell apart: at p = 3 every
+# H^(m)_{(p-1)/2} is H_1 = 1, so a term's harmonic order can move unseen, and
+# e10eee's j = 0 term, (1 + (-1)^k)/2^k H^(k)_{(p-1)/2}, is 0 at odd k.
+# (theorem id, p, params, exact left-hand side, its exact value)
+_MORE = [
+    ("expansion-e10eed", 5, {"k": 1, "J": 1}, -_harmonic(2, 4) + 2 * _harmonic(2, 2),
+     Fraction(155, 144)),
+    ("expansion-e10eee", 5, {"k": 2, "J": 1}, -_harmonic(2, 4) + Fraction(2, 4) * _harmonic(2, 2),
+     Fraction(-115, 144)),
+    ("expansion-e10eeeff", 5, {"k": 1, "J": 1}, 2 * 3 * _harmonic(2, 2), Fraction(15, 2)),
+    ("thm-eecj", 5, {"n": 1, "i": 1},
+     3 * _C0 * _harmonic(2, 2) + Fraction(7, 2) * _C1 * _harmonic(3, 2) * 5, Fraction(125, 16)),
+    ("thm-ee20", 5, {"n": 1}, 3 * _bernoulli(2) * _harmonic(1, 2) + _q(5), Fraction(15, 4)),
+    ("cor-remark0-2", 5, {"k": 1}, _harmonic(1, 4) + 5 * _harmonic(2, 2), Fraction(25, 3)),
+    ("cor-remark0-4", 5, {"k": 2}, _harmonic(4, 4) - 2 * _harmonic(4, 2) - 20 * _harmonic(5, 2),
+     Fraction(-449375, 20736)),
+    ("cor-remark0-6", 5, {"k": 2}, 2 * _harmonic(4, 2) - 31 * _harmonic(4, 4),
+     Fraction(-649375, 20736)),
+]
+
+
+def _mutated(terms, i: int, how: str) -> list:
+    """The terms with term i dropped, its sign flipped or its harmonic order
+    raised by one."""
+    terms = list(terms)
+    if how == "drop":
+        del terms[i]
+    elif how == "flip":
+        terms[i] = terms[i]._replace(c=-terms[i].c)
+    else:
+        terms[i] = terms[i]._replace(h=(terms[i].h[0] + 1, terms[i].h[1]))
+    return terms
+
+
+@pytest.mark.parametrize("theorem_id, p, args", [case[:3] for case in _SHARP],
+                         ids=[case[0] for case in _SHARP])
+def test_table_lhs_mutants_fail(cache, monkeypatch, theorem_id, p, args):
+    """Each term of the sharp case, dropped, with its sign flipped or with its
+    harmonic order moved by one in the theorem table, changes the pinned lhs
+    or the verdict of the sharp case or of a case of _MORE.  A term on B_3, or
+    on any B_n with odd n >= 3, is 0 at every case: mutating it leaves every
+    left-hand side as it is, so it has no mutant."""
+    row = cg.THEOREMS[theorem_id]
+    pinned = [(q, a, value) for t, q, a, _, value, *_ in _SHARP + _MORE if t == theorem_id]
+    for q, a, value in pinned:
+        monkeypatch.setattr(cg, "_running", None)
+        assert row.run(q, dict(a), cache).lhs == value
+    terms = list(row.terms(p, **args))
+    assert terms
+    for i, term in enumerate(terms):
+        if term.b is not None and term.b >= 3 and term.b % 2:
+            continue
+        for how in ("drop", "flip", "shift") if term.h else ("drop", "flip"):
+            mutant = row._replace(  # at, not i, which names a param
+                terms=lambda p, at=i, how=how, **a: _mutated(row.terms(p, **a), at, how))
+            monkeypatch.setitem(cg.THEOREMS, theorem_id, mutant)
+            caught = []
+            for q, a, value in pinned:
+                monkeypatch.setattr(cg, "_running", None)
+                record = mutant.run(q, dict(a), cache)
+                caught.append(record.lhs != value or record.passed is False)
+            assert any(caught), (theorem_id, i, term, how)
+
+
+@pytest.mark.parametrize("theorem_id, p, args, lhs, value", _MORE,
+                         ids=[case[0] for case in _MORE])
+def test_more_pins(cache, theorem_id, p, args, lhs, value):
+    """Each further pin holds, taken from the routes the package does not use."""
+    assert lhs == value
+    assert cg.THEOREMS[theorem_id].run(p, dict(args), cache).lhs == value
+
+
 def test_remark0_least_margins(cache):
     """cor-remark0-3 (e9a) and cor-remark0-5 (e10eeee) are claimed mod p^2 and
     never sharp: on every odd p <= 293 and 1 <= k <= 6 the achieved valuation

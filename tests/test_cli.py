@@ -813,7 +813,54 @@ def test_scan_bernoulli_need_covers_reads(capsys, tmp_path_factory, monkeypatch,
     assert code in (0, 1), err
     grids = [cli._parse_range(_NEED_GRID[name]) for name in theorem.params]
     cases = [dict(zip(theorem.params, combo)) for combo in itertools.product(*grids)]
-    assert _RecordingCache.largest <= max(theorem.bernoulli_need(23, case) for case in cases)
+    assert _RecordingCache.largest <= max(cg.bernoulli_need(theorem_id, 23, case)
+                                          for case in cases)
+
+
+# For each id, a scan none of whose cases is skipped: (--p-min, --p-max, params).
+# kummer's hypothesis ties p to h and k, so its grid is one case; lemma-pb-2
+# starts at p = 5, where p^(n-1)(p-1) - 2h >= 2 for n = 1.
+_EXACT_GRID = {
+    **{t: (5, 13, {}) for t in ("wolstenholme", "eisenstein", "lehmer", "sun")},
+    "wolstenholme-refined": (7, 13, {}),
+    **{f"expansion-{w}": (3, 13, {"k": "1:2", "J": "0:3"}) for w in cg.EXPANSION_IDS},
+    **{f"cor-remark0-{i}": (3, 13, {"k": "1:2"}) for i in range(1, 7)},
+    **{f"prop3-{i}": (5, 13, {"k": "1"}) for i in range(1, 5)},
+    # below p = 7 the series, not the irregular-pair test, sets the need
+    "thm-ee10bis": (2, 5, {"n": "0:2", "i": "0:2"}),
+    "cor-ee10biss": (3, 13, {"i": "0:1", "k": "1:4"}),
+    "thm-eecj": (3, 13, {"n": "1:2", "i": "1:2"}),
+    "cor-eecjj": (3, 13, {"J": "1:4"}),
+    "prop41": (3, 13, {"n": "1:2"}),
+    "prop42": (3, 7, {"n": "2", "h": "1"}),
+    "thm-ee20": (3, 13, {"n": "1:4"}),
+    "eq47": (3, 7, {"n": "2"}),
+    "lemma-pb-1": (3, 7, {"n": "1:2"}),
+    "lemma-pb-2": (5, 7, {"n": "1:2", "h": "1"}),
+    "kummer": (11, 11, {"h": "2", "k": "12"}),
+}
+
+
+@pytest.mark.parametrize("theorem_id", sorted(cg.THEOREMS))
+def test_scan_bernoulli_need_is_read(capsys, tmp_path_factory, monkeypatch, theorem_id):
+    """On a grid whose cases are all judged, the largest Bernoulli index a scan
+    reads is the need derived from the terms and tier reads, so the fill holds
+    nothing no case reads (thm-ee10bis once declared B_{2n+2} and read B_{2n+1})."""
+    monkeypatch.setattr(fork, "workers", lambda: 1)  # the reads are watched in this process
+    monkeypatch.setattr(cli, "BernoulliCache", _RecordingCache)
+    monkeypatch.setattr(_RecordingCache, "largest", -1)
+    p_min, p_max, grid = _EXACT_GRID[theorem_id]
+    argv = ["scan", theorem_id, "--p-min", str(p_min), "--p-max", str(p_max),
+            "--cache", str(tmp_path_factory.getbasetemp() / "exact.cache")]
+    for name, values in grid.items():
+        argv += ["--j-terms" if name == "J" else f"--{name}", values]
+    code, out, err = run_capture(capsys, argv)
+    assert code in (0, 1), err
+    assert {json.loads(line)["status"] for line in out.splitlines()} == {"ok"}
+    top = cli.largest_prime(p_min, p_max)
+    cases = cli._cases({name: cli._parse_range(values) for name, values in grid.items()})
+    assert _RecordingCache.largest == max(cg.bernoulli_need(theorem_id, top, case)
+                                          for case in cases)
 
 
 @pytest.mark.parametrize("theorem_id", sorted(cg.THEOREMS))
