@@ -1,12 +1,10 @@
 """The verdict engine: one verifier per congruence claim, each judging one case.
 
-Each left-hand side is stated once, as the `Term`s one function per id builds
-in its `THEOREMS` row, which also states the claimed exponent.  A verifier
-sums its terms exactly and compares their p-adic valuation with that
-exponent; the Bernoulli numbers a case reads are derived from the terms.
-The tier ladders resolve the largest provable tier first, then judge the
-congruence at that tier.  A series read at ascending lengths adds each term
-once: a case whose terms extend those summed last adds only the new ones.
+Each left-hand side is stated once, as the `Term`s its `THEOREMS` row builds
+beside the claimed exponent.  A verifier sums the terms exactly and compares
+their p-adic valuation with that exponent; the Bernoulli numbers a case reads
+are derived from the same terms.  The tier ladders first resolve the largest
+provable tier.  A series read at ascending lengths adds each term once.
 """
 
 from __future__ import annotations
@@ -41,9 +39,8 @@ def _require(cond: bool, msg: str):
 
 
 class Term(NamedTuple):
-    """One term of a left-hand side, c H^(m)_u B_b q_p^q: h = (m, u) with u
-    p - 1 or (p - 1)/2, and h or b None where the term has no such factor.
-    The coefficient c is rational, with its powers of p folded in."""
+    """One term of a left-hand side, c H^(m)_u B_b q_p^q, h = (m, u) with u p - 1 or
+    (p - 1)/2, h or b None for no such factor, c rational with its powers of p."""
 
     c: Fraction | int
     h: tuple[int, int] | None = None
@@ -54,42 +51,50 @@ class Term(NamedTuple):
 def _value(terms: Iterable[Term], p: int, cache: BernoulliCache | None) -> Fraction:
     """The exact sum of the terms.  Each distinct harmonic number is read and
     multiplied once, by the sum of its terms' cofactors c B_b q_p^q."""
-    cofactors, q = {}, None
+    cofactors, q = {}, 0  # q_p > 0 for odd p
     for c, h, b, e in terms:
         if b is not None:
             c *= bernoulli(b, cache)
         if e:
-            q = fermat_quotient(p) if q is None else q
-            c *= q**e
-        cofactors[h] = cofactors.get(h, 0) + c
-    return sum((c if h is None else c * harmonic(*h) for h, c in cofactors.items()),
-               Fraction(0))
+            c *= (q := q or fermat_quotient(p)) ** e
+        cofactors[h] = cofactors[h] + c if h in cofactors else c
+    parts = [c if h is None else c * harmonic(*h) for h, c in cofactors.items()]
+    return sum(parts[1:], parts[0]) if parts else Fraction(0)
 
 
-# The sum read last: (p, cache, its terms, their sum).  Process-wide, like
-# the harmonic cursors.
+class _Head:
+    """The terms of the series ``series(*args)`` at ``length``, which yields
+    those of its value at length 0, then those of j = 0, 1, ..."""
+
+    def __init__(self, series: Callable[..., Iterator[list[Term]]], args: tuple, length: int):
+        self.series, self.args, self.length = series, args, length
+
+    def __iter__(self) -> Iterator[Term]:
+        return (t for ts in islice(self.series(*self.args), max(self.length + 1, 0)) for t in ts)
+
+
+# The series read last: (series, args, cache, length, its sum, its unread lists).
+# Process-wide, like the harmonic cursors.
 _running: tuple | None = None
 
 
 def _lhs(theorem_id: str, p: int, cache: BernoulliCache | None, **params) -> Fraction:
-    """The left-hand side of one case, summed from its row's terms.  If the
-    sum read last, at this p and cache, was over a prefix of these terms, as
-    a series truncated shorter is, only the further terms are summed.  The
-    slot is cleared first, so a sum that raises leaves nothing stale."""
+    """One case's left-hand side, from its row's terms.  The series read last,
+    with the same args and cache and no greater a length, is extended by its
+    further terms alone.  A sum that raises leaves nothing stale."""
+    terms = THEOREMS[theorem_id].terms(p, **params)
+    if not isinstance(terms, _Head):
+        return _value(terms, p, cache)
     global _running
-    terms = list(THEOREMS[theorem_id].terms(p, **params))
-    last, _running = _running, None
-    done, lhs = 0, 0
-    if last and last[:2] == (p, cache) and terms[:len(last[2])] == last[2]:
-        done, lhs = len(last[2]), last[3]
-    lhs += _value(terms[done:], p, cache)
-    _running = (p, cache, terms, lhs)
+    key, last, _running = (terms.series, terms.args, cache), _running, None
+    if last and last[:3] == key and last[3] <= terms.length:
+        done, lhs, lists = last[3:]
+    else:
+        done, lhs, lists = -1, 0, terms.series(*terms.args)
+    for ts in islice(lists, terms.length - done):
+        lhs += _value(ts, p, cache)
+    _running = (*key, terms.length, lhs, lists)
     return lhs
-
-
-def _head(series: Iterator[list[Term]], length: int) -> Iterator[Term]:
-    """The terms of a series at ``length``; it yields those at length 0, then j = 0, 1, ..."""
-    return (t for terms in islice(series, max(length + 1, 0)) for t in terms)
 
 
 # -- coefficient families -----------------------------------------------------
@@ -310,9 +315,8 @@ def verify_thm_ee10bis(p: int, n: int, i: int, cache: BernoulliCache) -> ReportR
     """
     _require(p >= 2, "needs a prime")
     _require(n >= 0 and i >= 0, "needs n, i >= 0")
-    m = _ee10bis_tier(p, n, i, cache)
     lhs = _lhs("thm-ee10bis", p, cache, n=n, i=i)
-    return _verdict("thm-ee10bis", p, lhs, tier=m, n=n, i=i)
+    return _verdict("thm-ee10bis", p, lhs, tier=_ee10bis_tier(p, n, i, cache), n=n, i=i)
 
 
 def verify_cor_ee10biss(p: int, i: int, k: int, cache: BernoulliCache) -> ReportRecord:
@@ -367,9 +371,8 @@ def verify_thm_eecj(p: int, n: int, i: int, cache: BernoulliCache) -> ReportReco
     """
     _require(p >= 3, "needs odd p")
     _require(n >= 1 and i >= 1, "needs n, i >= 1")
-    m = _eecj_tier(p, n, i, cache)
     lhs = _lhs("thm-eecj", p, cache, n=n, i=i)
-    return _verdict("thm-eecj", p, lhs, tier=m, n=n, i=i)
+    return _verdict("thm-eecj", p, lhs, tier=_eecj_tier(p, n, i, cache), n=n, i=i)
 
 
 def _eecjj_exponent(p: int, J: int) -> int:
@@ -514,11 +517,10 @@ class Theorem(NamedTuple):
     by module-level name, so a profiler can wrap it.  ``exponent(p, params,
     tier)`` is the exponent the case claims, at the tier a ladder resolved
     (None elsewhere).  ``terms(p, **args)`` builds the terms of one case's
-    left-hand side, which its verifier sums; ``tier_need(p, args)`` is the
-    largest Bernoulli index a ladder reads to resolve its tier.  These are
-    the only statements of each.  Scans skip cases failing ``hypothesis``
-    and cases whose verifier raises HypothesisViolated, so ``hypothesis``
-    states only what a verifier deliberately leaves unchecked.
+    left-hand side; ``tier_need(p, args)`` is the largest Bernoulli index a
+    ladder reads for its tier.  Scans skip cases failing ``hypothesis`` and
+    cases whose verifier raises HypothesisViolated, so ``hypothesis`` states
+    only what a verifier deliberately leaves unchecked.
     """
 
     params: tuple[str, ...]
@@ -551,13 +553,12 @@ THEOREMS: dict[str, Theorem] = {
     **{f"expansion-{w}": Theorem(
         ("k", "J"),
         lambda p, a, c, w=w: verify_expansion_truncation(w, a["k"], p, a["J"]),
-        lambda p, a, t: a["J"], lambda p, k, J, w=w: _head(_expansion_series(w, k, p), J),
+        lambda p, a, t: a["J"], lambda p, k, J, w=w: _Head(_expansion_series, (w, k, p), J),
     ) for w in EXPANSION_IDS},
     **{f"cor-remark0-{idx}": Theorem(
         ("k",), lambda p, a, c, w=w: verify_cor_remark0(w, a["k"], p),
         lambda p, a, t, e=e: e, lambda p, k, f=f: f(p, k, (p - 1) // 2),
     ) for idx, (w, (e, f)) in enumerate(REMARK0_IDS.items(), start=1)},
-    # none for k < 1, where a coefficient would not be rational
     **{f"prop3-{idx}": Theorem(
         ("k",), lambda p, a, c, w=w: verify_thm_prop3(w, a["k"], p, c),
         lambda p, a, t, e=e: e,
@@ -568,21 +569,21 @@ THEOREMS: dict[str, Theorem] = {
     "thm-ee10bis": Theorem(
         ("i", "n"), lambda p, a, c: verify_thm_ee10bis(p, a["n"], a["i"], c),
         lambda p, a, t: 2 * a["n"] + t,
-        lambda p, i, n: _head(_ee10bis_series(p, i), 2 * n + 2),
+        lambda p, i, n: _Head(_ee10bis_series, (p, i), 2 * n + 2),
         tier_need=lambda p, a: p - 2 * a["n"] - 2 * a["i"] - 5,
     ),
     "cor-ee10biss": Theorem(
         ("i", "k"), lambda p, a, c: verify_cor_ee10biss(p, a["i"], a["k"], c),
-        lambda p, a, t: a["k"], lambda p, i, k: _head(_ee10bis_series(p, i), k),
+        lambda p, a, t: a["k"], lambda p, i, k: _Head(_ee10bis_series, (p, i), k),
     ),
     "thm-eecj": Theorem(
         ("i", "n"), lambda p, a, c: verify_thm_eecj(p, a["n"], a["i"], c),
-        lambda p, a, t: 2 * a["n"] + t, lambda p, i, n: _head(_eecj_series(p, i), 2 * n),
+        lambda p, a, t: 2 * a["n"] + t, lambda p, i, n: _Head(_eecj_series, (p, i), 2 * n),
         tier_need=lambda p, a: max(2 * a["n"] + 2, p - 2 * a["n"] - 2 * a["i"] - 1),
     ),
     "cor-eecjj": Theorem(
         ("J",), lambda p, a, c: verify_cor_eecjj(p, a["J"], c),
-        lambda p, a, t: _eecjj_exponent(p, a["J"]), lambda p, J: _head(_eecj_series(p, 1), J),
+        lambda p, a, t: _eecjj_exponent(p, a["J"]), lambda p, J: _Head(_eecj_series, (p, 1), J),
     ),
     "prop41": Theorem(("n",), lambda p, a, c: verify_prop41(p, a["n"], c),
                       lambda p, a, t: a["n"], _prop41),
@@ -595,7 +596,7 @@ THEOREMS: dict[str, Theorem] = {
                p, n, h + i) for i in range(1, (n - 1) // 2 + 1)] if n >= 2 and h >= 1 else []),
     "thm-ee20": Theorem(
         ("n",), lambda p, a, c: verify_thm_ee20(p, a["n"], c),
-        lambda p, a, t: a["n"], lambda p, n: _head(_ee20_series(p), n),
+        lambda p, a, t: a["n"], lambda p, n: _Head(_ee20_series, (p,), n),
         hypothesis=lambda p, a: 2 * p > a["n"] + 1,
     ),
     "eq47": Theorem(("n",), lambda p, a, c: verify_intermediate_47(p, a["n"], c),
@@ -603,7 +604,6 @@ THEOREMS: dict[str, Theorem] = {
     "sun": Theorem((), lambda p, a, c: sun_congruence(p, c), lambda p, a, t: 3, lambda p: [
         Term(1, (1, (p - 1) // 2)), Term(Fraction(7, 12) * p * p, b=p - 3),
         Term(2, q=1), Term(-p, q=2), Term(Fraction(2 * p * p, 3), q=3)]),
-    # the lemmas read nothing for n < 1
     "lemma-pb-1": Theorem(
         ("n",), lambda p, a, c: verify_lemma_pb_1(p, a["n"], c), lambda p, a, t: a["n"],
         lambda p, n: [Term(p, b=_power_index(p, n, 0)), Term(1 - p)] if n >= 1 else []),

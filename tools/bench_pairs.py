@@ -38,8 +38,12 @@ prints, for each revision, the median seconds over KERNEL_RUNS runs of
   KERNEL_N;
 - a cold fill of a new cache file, `BernoulliCache(path).extend_to(N)`
   (kernel, checks and store), at each N in FILE_N;
-- a fresh load and full parse of the file that fill wrote to FILE_N[-1],
-  `BernoulliCache(path).get(N)`;
+- a resumed fill, `BernoulliCache(path).extend_to(FILE_RESUME[1])` on an
+  untimed copy of the B_0..B_FILE_RESUME[0] file that the fill of a new file
+  to FILE_RESUME[0] wrote: a stored run is parsed and checked, its bytes
+  copied, and only the new lines computed and appended;
+- a fresh load and full parse of the file the fill of a new file wrote to
+  FILE_N[-1], `BernoulliCache(path).get(N)`;
 
 each in a new process started like the floor's commands and timed around
 that call alone, the sides taking turns within each run.
@@ -51,6 +55,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -71,6 +76,7 @@ FLOOR_RUNS = 10
 
 KERNEL_N = (500, 1000, 1786, 2500)
 FILE_N = (1786, 2500)
+FILE_RESUME = (1786, 1790)  # its first index is one of FILE_N
 KERNEL_RUNS = 5
 # Each prints the seconds of one cache call on index argv[1] and the cache
 # file argv[2], or no file if that is empty.
@@ -138,15 +144,20 @@ def kernel_table(trees: dict[str, Path], tmp: Path) -> str:
     """A markdown table of each side's median seconds over KERNEL_RUNS runs
     of each timed cache call (see the module docstring), its cache files in
     tmp; the sides take turns within each run."""
-    jobs = [(f"fill to {n} in memory", KERNEL_FILL, n, False) for n in KERNEL_N]
-    jobs += [(f"fill to {n} of a new file", KERNEL_FILL, n, True) for n in FILE_N]
-    jobs.append((f"load and parse a file to {FILE_N[-1]}", KERNEL_LOAD, FILE_N[-1], True))
+    start, stop = FILE_RESUME
+    # (label, code, index, on a file, the index of the file to resume or None)
+    jobs = [(f"fill to {n} in memory", KERNEL_FILL, n, False, None) for n in KERNEL_N]
+    jobs += [(f"fill to {n} of a new file", KERNEL_FILL, n, True, None) for n in FILE_N]
+    jobs.append((f"resume a file from {start} to {stop}", KERNEL_FILL, stop, True, start))
+    jobs.append((f"load and parse a file to {FILE_N[-1]}", KERNEL_LOAD, FILE_N[-1], True, None))
     times = {side: {label: [] for label, *_ in jobs} for side in trees}
     for _ in range(KERNEL_RUNS):
-        for label, code, n, on_file in jobs:
+        for label, code, n, on_file, resumed in jobs:
             for side, tree in trees.items():
                 path = tmp / f"{side}-{n}.cache" if on_file else None
-                if path and code is KERNEL_FILL:
+                if resumed is not None:
+                    shutil.copyfile(tmp / f"{side}-{resumed}.cache", path)
+                elif path and code is KERNEL_FILL:
                     path.unlink(missing_ok=True)
                 out = subprocess.run([sys.executable, "-c", code, str(n), str(path or "")],
                                      cwd=tree, env=command_env(tree), check=True,
