@@ -9,9 +9,9 @@ provable tier.  A series read at ascending lengths adds each term once.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
-from itertools import count, islice
 from math import comb
 from typing import NamedTuple
 
@@ -39,10 +39,11 @@ def _require(cond: bool, msg: str):
 
 
 class Term(NamedTuple):
-    """One term of a left-hand side, c H^(m)_u B_b q_p^q, h = (m, u) with u p - 1 or
-    (p - 1)/2, h or b None for no such factor, c rational with its powers of p."""
+    """One term c H^(m)_u B_b q_p^q of a left-hand side: h = (m, u), u p - 1 or (p - 1)/2,
+    h or b None for no such factor, c rational with its powers of p, or in a series
+    a function that builds it when the term is summed, so a need is read unbuilt."""
 
-    c: Fraction | int
+    c: Fraction | int | Callable[[], Fraction | int]
     h: tuple[int, int] | None = None
     b: int | None = None
     q: int = 0
@@ -62,18 +63,29 @@ def _value(terms: Iterable[Term], p: int, cache: BernoulliCache | None) -> Fract
     return sum(parts[1:], parts[0]) if parts else Fraction(0)
 
 
-class _Head:
-    """The terms of the series ``series(*args)`` at ``length``, which yields
-    those of its value at length 0, then those of j = 0, 1, ..."""
+def _built(terms: Iterable[Term]) -> list[Term]:
+    """Terms whose coefficients are functions, with the coefficients built."""
+    return [Term(c(), *rest) for c, *rest in terms]
 
-    def __init__(self, series: Callable[..., Iterator[list[Term]]], args: tuple, length: int):
+
+class _Head:
+    """The terms of a series truncated at ``length``: ``series(*args, j)`` gives
+    those of its term j, j = 0, 1, ..., and of its value at length 0 for j = -1.
+    Each series' B indices grow with j, so its largest lies in its last term."""
+
+    def __init__(self, series: Callable[..., list[Term]], args: tuple, length: int):
         self.series, self.args, self.length = series, args, length
 
     def __iter__(self) -> Iterator[Term]:
-        return (t for ts in islice(self.series(*self.args), max(self.length + 1, 0)) for t in ts)
+        return (t for j in range(-1, self.length) for t in _built(self.series(*self.args, j)))
+
+    def ends(self) -> list[Term]:
+        """The terms of its value at length 0 and of its last term, unbuilt."""
+        js = range(-1, self.length)
+        return [t for j in {*js[:1], *js[-1:]} for t in self.series(*self.args, j)]
 
 
-# The series read last: (series, args, cache, length, its sum, its unread lists).
+# The series read last: (series, args, cache, length, its sum).
 # Process-wide, like the harmonic cursors.
 _running: tuple | None = None
 
@@ -87,27 +99,26 @@ def _lhs(theorem_id: str, p: int, cache: BernoulliCache | None, **params) -> Fra
         return _value(terms, p, cache)
     global _running
     key, last, _running = (terms.series, terms.args, cache), _running, None
-    if last and last[:3] == key and last[3] <= terms.length:
-        done, lhs, lists = last[3:]
-    else:
-        done, lhs, lists = -1, 0, terms.series(*terms.args)
-    for ts in islice(lists, terms.length - done):
-        lhs += _value(ts, p, cache)
-    _running = (*key, terms.length, lhs, lists)
+    done, lhs = last[3:] if last and last[:3] == key and last[3] <= terms.length else (-1, 0)
+    for j in range(done, terms.length):
+        lhs += _value(_built(terms.series(*terms.args, j)), p, cache)
+    _running = (*key, terms.length, lhs)
     return lhs
 
 
 # -- coefficient families -----------------------------------------------------
 
 
-def _c_terms(j: int, c: Fraction, h=None) -> list[Term]:
-    """c C_j H, with C_j = 2 B_{j+2} + (-1)^j B_{j+1} + 1/2 (one harmonic read h)."""
-    return [Term(2 * c, h, j + 2), Term((-1) ** j * c, h, j + 1), Term(c / 2, h)]
+def _c_terms(j: int, c: Callable[[], Fraction], h=None) -> list[Term]:
+    """c() C_j H, C_j = 2 B_{j+2} + (-1)^j B_{j+1} + 1/2, h one harmonic read; c built once."""
+    c = functools.cache(c)
+    return [Term(lambda: 2 * c(), h, j + 2), Term(lambda: (-1) ** j * c(), h, j + 1),
+            Term(lambda: c() / 2, h)]
 
 
 def coeff_c(j: int, cache: BernoulliCache) -> Fraction:
     """2 B_{j+2} + (-1)^j B_{j+1} + 1/2; equals 1/3 at j = 0 and j = 1."""
-    return _value(_c_terms(j, Fraction(1)), 0, cache)
+    return _value(_built(_c_terms(j, lambda: Fraction(1))), 0, cache)
 
 
 def _a(h: int) -> Fraction:
@@ -172,33 +183,26 @@ def verify_lehmer(p: int) -> ReportRecord:
 # -- p-adic expansions of the harmonic numbers --------------------------------
 
 
-def _expansion_series(which: str, k: int, p: int) -> Iterator[list[Term]]:
-    """The terms of one of the four expansions at J = 0, then those of j = 0,
-    1, ...: a harmonic number times a rational coefficient; none for k < 1."""
+def _expansion_series(which: str, k: int, p: int, j: int) -> list[Term]:
+    """The terms of one of the four expansions at j, or at J = 0 for j = -1: a
+    harmonic number times a rational coefficient; none for k < 1."""
     if k < 1:
-        return
+        return []
     half = (p - 1) // 2
     if which == "e10ee":
-        yield [Term(-1, (k, p - 1))]
-        for j in count():
-            yield [Term((-1) ** k * comb(j + k - 1, j) * p**j, (k + j, p - 1))]
-    elif which == "e10eed":
-        yield [Term(-1, (2 * k, p - 1))]
-        yield [Term(2, (2 * k, half))]
-        for j in count(1):
-            yield [Term(comb(j + 2 * k - 1, j) * p**j, (2 * k + j, half))]
-    elif which == "e10eee":
-        yield [Term(-1, (k, p - 1))]
-        yield [Term(Fraction(1 + (-1) ** k, 2**k), (k, half))]
-        for j in count(1):
-            yield [Term(Fraction((-1) ** k * comb(j + k - 1, j) * p**j, 2 ** (j + k)),
-                        (k + j, half))]
-    else:  # e10eeeff, whose j = 0 term is 0
-        yield [Term(2 * (2 ** (2 * k) - 1), (2 * k, half))]
-        yield []
-        for j in count(1):
-            yield [Term(Fraction(comb(j + 2 * k - 1, j) * (2 ** (2 * k + j) - 1) * p**j, 2**j),
-                        (2 * k + j, half))]
+        return [Term(lambda: -1, (k, p - 1)) if j < 0 else
+                Term(lambda: (-1) ** k * comb(j + k - 1, j) * p**j, (k + j, p - 1))]
+    if which == "e10eed":
+        return [Term(lambda: -1, (2 * k, p - 1)) if j < 0 else
+                Term(lambda: comb(j + 2 * k - 1, j) * p**j if j else 2, (2 * k + j, half))]
+    if which == "e10eee":
+        return [Term(lambda: -1, (k, p - 1)) if j < 0 else Term(
+            lambda: Fraction((-1) ** k * comb(j + k - 1, j) * p**j, 2 ** (j + k)) if j
+            else Fraction(1 + (-1) ** k, 2**k), (k + j, half))]
+    if j < 0:  # e10eeeff, whose j = 0 term is 0
+        return [Term(lambda: 2 * (2 ** (2 * k) - 1), (2 * k, half))]
+    return [Term(lambda: Fraction(comb(j + 2 * k - 1, j) * (2 ** (2 * k + j) - 1) * p**j, 2**j),
+                 (2 * k + j, half))] if j else []
 
 
 def verify_expansion_truncation(which: str, k: int, p: int, J: int) -> ReportRecord:
@@ -297,13 +301,11 @@ def _ee10bis_tier(p: int, n: int, i: int, cache: BernoulliCache) -> int:
     return 1
 
 
-def _ee10bis_series(p: int, i: int) -> Iterator[list[Term]]:
-    """None, then C(j+2i,2i) B_j H^(j+2i+1)_{p-1} (-p)^j, j = 0, 1, ...; or nothing (i < 0)."""
-    if i < 0:
-        return
-    yield []
-    for j in count():
-        yield [Term(comb(j + 2 * i, 2 * i) * (-p) ** j, (j + 2 * i + 1, p - 1), j)]
+def _ee10bis_series(p: int, i: int, j: int) -> list[Term]:
+    """C(j+2i,2i) B_j H^(j+2i+1)_{p-1} (-p)^j; none for j = -1 or i < 0."""
+    if i < 0 or j < 0:
+        return []
+    return [Term(lambda: comb(j + 2 * i, 2 * i) * (-p) ** j, (j + 2 * i + 1, p - 1), j)]
 
 
 def verify_thm_ee10bis(p: int, n: int, i: int, cache: BernoulliCache) -> ReportRecord:
@@ -350,16 +352,13 @@ def _eecj_tier(p: int, n: int, i: int, cache: BernoulliCache) -> int:
     return 0
 
 
-def _eecj_series(p: int, i: int) -> Iterator[list[Term]]:
-    """None, then C(j+2i-1,j+1) (2^(j+2i)-1)/2^j C_j H^(j+2i)_{(p-1)/2} p^j for
-    j = 0, 1, ..., or nothing for i < 1."""
-    if i < 1:
-        return
-    yield []
-    half = (p - 1) // 2
-    for j in count():
-        c = Fraction(comb(j + 2 * i - 1, j + 1) * (2 ** (j + 2 * i) - 1) * p**j, 2**j)
-        yield _c_terms(j, c, (j + 2 * i, half))
+def _eecj_series(p: int, i: int, j: int) -> list[Term]:
+    """C(j+2i-1,j+1) (2^(j+2i)-1)/2^j C_j H^(j+2i)_{(p-1)/2} p^j; none for
+    j = -1 or i < 1."""
+    if i < 1 or j < 0:
+        return []
+    return _c_terms(j, lambda: Fraction(comb(j + 2 * i - 1, j + 1) * (2 ** (j + 2 * i) - 1) * p**j,
+                                        2**j), (j + 2 * i, (p - 1) // 2))
 
 
 def verify_thm_eecj(p: int, n: int, i: int, cache: BernoulliCache) -> ReportRecord:
@@ -422,15 +421,14 @@ def verify_prop42(p: int, n: int, h: int, cache: BernoulliCache) -> ReportRecord
     return _verdict("prop42", p, _lhs("prop42", p, cache, n=n, h=h), n=n, h=h)
 
 
-def _ee20_series(p: int) -> Iterator[list[Term]]:
-    """None, then the terms j = 0, 1, ... of the B/H series and of the q_p
-    series, (-1)^j q_p^(j+1) p^j / (j+1)."""
-    yield []
-    half = (p - 1) // 2
-    for j in count():
-        coeff = Fraction((2 ** (j + 1) - 1) * (2 ** (j + 2) - 1) * 2 * p**j,
-                         (j + 1) * (j + 2) * 2**j)
-        yield [Term(coeff, (j + 1, half), j + 2), Term(Fraction((-p) ** j, j + 1), q=j + 1)]
+def _ee20_series(p: int, j: int) -> list[Term]:
+    """The terms j of the B/H series and of the q_p series, (-1)^j q_p^(j+1)
+    p^j / (j+1); none for j = -1."""
+    if j < 0:
+        return []
+    return [Term(lambda: Fraction((2 ** (j + 1) - 1) * (2 ** (j + 2) - 1) * 2 * p**j,
+                                  (j + 1) * (j + 2) * 2**j), (j + 1, (p - 1) // 2), j + 2),
+            Term(lambda: Fraction((-p) ** j, j + 1), q=j + 1)]
 
 
 def verify_thm_ee20(p: int, n: int, cache: BernoulliCache) -> ReportRecord:
@@ -452,12 +450,12 @@ def _eq47(p: int, n: int) -> list[Term]:
     (2^(2h+1)-1) (p/2)^(2h) (A_h H^(2h+1)_{(p-1)/2} - Z_h); none for n < 2."""
     if n < 2:
         return []
-    terms = [_z(p**n * Fraction(2 ** (n + 1) - 1, 2**n), p, n, n // 2)]
-    terms += [Term(2 * p ** (n - 1), q=1)] * (p == n + 1)
-    for h in range(1, (n - 2) // 2 + 1):
+    terms = []
+    for h in range(1, (n - 2) // 2 + 1):  # first: a ceiling refusal names h = 1, p^n unbuilt
         c = (2 ** (2 * h + 1) - 1) * Fraction(p, 2) ** (2 * h)
         terms += [Term(-c * _a(h), (2 * h + 1, (p - 1) // 2), 2 * h + 2), _z(c, p, n, h)]
-    return terms
+    return terms + [_z(p**n * Fraction(2 ** (n + 1) - 1, 2**n), p, n, n // 2)] + [
+        Term(2 * p ** (n - 1), q=1)] * (p == n + 1)
 
 
 def verify_intermediate_47(p: int, n: int, cache: BernoulliCache) -> ReportRecord:
@@ -536,8 +534,10 @@ def bernoulli_need(theorem_id: str, p: int, args: dict) -> int:
     (-1 for none), from its terms and tier reads, evaluating none and checking
     no hypothesis; `verify` and `scan` fill to its maximum at the top prime."""
     row = THEOREMS[theorem_id]
-    return max([row.tier_need(p, args),
-                *(t.b for t in row.terms(p, **args) if t.b is not None)])
+    terms = row.terms(p, **args)
+    if isinstance(terms, _Head):
+        terms = terms.ends()  # two of its terms, at any length
+    return max([row.tier_need(p, args), *(t.b for t in terms if t.b is not None)])
 
 
 THEOREMS: dict[str, Theorem] = {

@@ -373,6 +373,33 @@ def test_grid_past_the_ceiling_refused_before_it_is_built(tmp_path):
     assert not cache.exists()
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["verify", "thm-ee20", "--p", "3", "--n", "1000000000"],
+     "needs Bernoulli index 1000000001, beyond ceiling 2500"),
+    (["verify", "thm-ee10bis", "--p", "3", "--n", "1000000000", "--i", "0"],
+     "needs Bernoulli index 2000000001, beyond ceiling 2500"),
+    (["verify", "expansion-e10ee", "--p", "1000003", "--k", "1", "--j-terms", "1000000000"],
+     "needs harmonic upper index 1000002, beyond ceiling 70000"),
+    (["verify", "eq47", "--p", "3", "--n", "20000000"],
+     "needs Bernoulli index 3^19999999*2 - 2, beyond ceiling 2500"),
+    (["verify", "eq47", "--p", "3", "--n", "14"],
+     "needs Bernoulli index 3^13*2 - 2, beyond ceiling 2500"),
+])
+def test_far_past_a_ceiling_refused_at_once(tmp_path, argv, line):
+    """A case far past a ceiling is refused at once: a series' need is read
+    off its last term, unbuilt, and eq47 names its largest power index,
+    at h = 1, before it builds p^n."""
+    cache = tmp_path / "c.cache"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "hclab.cli", *argv, "--cache", str(cache)],
+                          capture_output=True, text=True, timeout=30,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert time.perf_counter() - start < 1.0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {line}\n")
+    assert not cache.exists()
+
+
 def test_power_index_below_the_cutoff_is_exact(capsys, tmp_path):
     """Below the cutoff the index is built and named in full, or read."""
     cache = str(tmp_path / "c.cache")
@@ -861,6 +888,24 @@ def test_scan_bernoulli_need_is_read(capsys, tmp_path_factory, monkeypatch, theo
     cases = cli._cases({name: cli._parse_range(values) for name, values in grid.items()})
     assert _RecordingCache.largest == max(cg.bernoulli_need(theorem_id, top, case)
                                           for case in cases)
+
+
+def _is_series(theorem_id: str) -> bool:
+    row = cg.THEOREMS[theorem_id]
+    return isinstance(row.terms(5, **dict.fromkeys(row.params, 1)), cg._Head)
+
+
+@pytest.mark.parametrize("theorem_id", [t for t in sorted(cg.THEOREMS) if _is_series(t)])
+def test_series_need_lies_in_its_last_term(theorem_id):
+    """The need of a series, read off its value at length 0 and its last term,
+    is the largest B index among all its terms."""
+    theorem = cg.THEOREMS[theorem_id]
+    for p in (3, 5, 7, 23):
+        for values in itertools.product(range(-1, 5), repeat=len(theorem.params)):
+            case = dict(zip(theorem.params, values))
+            every = [t.b for t in theorem.terms(p, **case) if t.b is not None]
+            assert cg.bernoulli_need(theorem_id, p, case) == max(
+                [theorem.tier_need(p, case), *every]), case
 
 
 @pytest.mark.parametrize("theorem_id", sorted(cg.THEOREMS))
