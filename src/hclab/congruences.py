@@ -50,10 +50,13 @@ class Term(NamedTuple):
 
 
 def _value(terms: Iterable[Term], p: int, cache: BernoulliCache | None) -> Fraction:
-    """The exact sum of the terms.  Each distinct harmonic number is read and
-    multiplied once, by the sum of its terms' cofactors c B_b q_p^q."""
+    """The exact sum of the terms, building each coefficient given as a
+    function.  Each distinct harmonic number is read and multiplied once, by
+    the sum of its terms' cofactors c B_b q_p^q."""
     cofactors, q = {}, 0  # q_p > 0 for odd p
     for c, h, b, e in terms:
+        if callable(c):
+            c = c()
         if b is not None:
             c *= bernoulli(b, cache)
         if e:
@@ -61,11 +64,6 @@ def _value(terms: Iterable[Term], p: int, cache: BernoulliCache | None) -> Fract
         cofactors[h] = cofactors[h] + c if h in cofactors else c
     parts = [c if h is None else c * harmonic(*h) for h, c in cofactors.items()]
     return sum(parts[1:], parts[0]) if parts else Fraction(0)
-
-
-def _built(terms: Iterable[Term]) -> list[Term]:
-    """Terms whose coefficients are functions, with the coefficients built."""
-    return [Term(c(), *rest) for c, *rest in terms]
 
 
 class _Head:
@@ -77,7 +75,8 @@ class _Head:
         self.series, self.args, self.length = series, args, length
 
     def __iter__(self) -> Iterator[Term]:
-        return (t for j in range(-1, self.length) for t in _built(self.series(*self.args, j)))
+        js = range(-1, self.length)
+        return (Term(c(), *rest) for j in js for c, *rest in self.series(*self.args, j))
 
     def ends(self) -> list[Term]:
         """The terms of its value at length 0 and of its last term, unbuilt."""
@@ -101,7 +100,7 @@ def _lhs(theorem_id: str, p: int, cache: BernoulliCache | None, **params) -> Fra
     key, last, _running = (terms.series, terms.args, cache), _running, None
     done, lhs = last[3:] if last and last[:3] == key and last[3] <= terms.length else (-1, 0)
     for j in range(done, terms.length):
-        lhs += _value(_built(terms.series(*terms.args, j)), p, cache)
+        lhs += _value(terms.series(*terms.args, j), p, cache)
     _running = (*key, terms.length, lhs)
     return lhs
 
@@ -118,7 +117,7 @@ def _c_terms(j: int, c: Callable[[], Fraction], h=None) -> list[Term]:
 
 def coeff_c(j: int, cache: BernoulliCache) -> Fraction:
     """2 B_{j+2} + (-1)^j B_{j+1} + 1/2; equals 1/3 at j = 0 and j = 1."""
-    return _value(_built(_c_terms(j, lambda: Fraction(1))), 0, cache)
+    return _value(_c_terms(j, lambda: Fraction(1)), 0, cache)
 
 
 def _a(h: int) -> Fraction:
