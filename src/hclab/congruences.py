@@ -10,7 +10,7 @@ provable tier.  A series read at ascending lengths adds each term once.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple
@@ -62,7 +62,8 @@ def _value(terms: Iterable[Term], p: int, cache: BernoulliCache | None) -> Fract
         if e:
             c *= (q := q or fermat_quotient(p)) ** e
         cofactors[h] = cofactors[h] + c if h in cofactors else c
-    parts = [c if h is None else c * harmonic(*h) for h, c in cofactors.items()]
+    parts = [c if h is None else harmonic(*h) if c == 1 else c * harmonic(*h)
+             for h, c in cofactors.items()]
     return sum(parts[1:], parts[0]) if parts else Fraction(0)
 
 
@@ -73,10 +74,6 @@ class _Head:
 
     def __init__(self, series: Callable[..., list[Term]], args: tuple, length: int):
         self.series, self.args, self.length = series, args, length
-
-    def __iter__(self) -> Iterator[Term]:
-        js = range(-1, self.length)
-        return (Term(c(), *rest) for j in js for c, *rest in self.series(*self.args, j))
 
     def ends(self) -> list[Term]:
         """The terms of its value at length 0 and of its last term, unbuilt."""
@@ -108,7 +105,7 @@ def _lhs(theorem_id: str, p: int, cache: BernoulliCache | None, **params) -> Fra
 # -- coefficient families -----------------------------------------------------
 
 
-def _c_terms(j: int, c: Callable[[], Fraction], h=None) -> list[Term]:
+def _c_terms(j: int, c: Callable[[], Fraction], h: tuple[int, int]) -> list[Term]:
     """c() C_j H, C_j = 2 B_{j+2} + (-1)^j B_{j+1} + 1/2, h one harmonic read; c built once."""
     c = functools.cache(c)
     return [Term(lambda: 2 * c(), h, j + 2), Term(lambda: (-1) ** j * c(), h, j + 1),
@@ -117,17 +114,13 @@ def _c_terms(j: int, c: Callable[[], Fraction], h=None) -> list[Term]:
 
 def coeff_c(j: int, cache: BernoulliCache) -> Fraction:
     """2 B_{j+2} + (-1)^j B_{j+1} + 1/2; equals 1/3 at j = 0 and j = 1."""
-    return _value(_c_terms(j, lambda: Fraction(1)), 0, cache)
-
-
-def _a(h: int) -> Fraction:
-    """coeff_a(h) / B_{2h+2}."""
-    return Fraction(4 * (2 ** (2 * h + 2) - 1), (2 * h + 1) * (2 * h + 2))
+    return 2 * bernoulli(j + 2, cache) + (-1) ** j * bernoulli(j + 1, cache) + Fraction(1, 2)
 
 
 def coeff_a(h: int, cache: BernoulliCache) -> Fraction:
     """4 (2^(2h+2) - 1) B_{2h+2} / ((2h+1)(2h+2)); equals -1/6 at h = 1."""
-    return _value([Term(_a(h), b=2 * h + 2)], 0, cache)
+    return Fraction(4 * (2 ** (2 * h + 2) - 1), (2 * h + 1) * (2 * h + 2)) * bernoulli(
+        2 * h + 2, cache)
 
 
 def _power_index(p: int, n: int, h: int) -> int:
@@ -149,7 +142,7 @@ def _z(c, p: int, n: int, h: int) -> Term:
 
 def coeff_z(p: int, n: int, h: int, cache: BernoulliCache) -> Fraction:
     """B_{p^(n-1)(p-1) - 2h} / (2h)."""
-    return _value([_z(1, p, n, h)], p, cache)
+    return bernoulli(_power_index(p, n, h), cache) / (2 * h)
 
 
 # -- classical congruences ----------------------------------------------------
@@ -259,7 +252,7 @@ def verify_cor_remark0(which: str, k: int, p: int) -> ReportRecord:
 # -- Bernoulli-valued congruences for H^(2k), H^(2k-1) ------------------------
 
 # The paper's labels of prop3's congruences in id order, each with its exponent
-# and its terms at p, k >= 1, half = (p - 1)/2 and b = p - 1 - 2k.
+# and its terms at p, k >= 1, half = (p - 1)/2 and b = p - 1 - 2k >= 0.
 PROP3_IDS = {
     "e8bbf": (2, lambda p, k, half, b: [Term(1, (2 * k, p - 1)),
                                         Term(-p * Fraction(2 * k, 2 * k + 1), b=b)]),
@@ -411,6 +404,16 @@ def verify_prop41(p: int, n: int, cache: BernoulliCache) -> ReportRecord:
     return _verdict("prop41", p, _lhs("prop41", p, cache, n=n), n=n)
 
 
+def _prop42(p: int, n: int, h: int) -> list[Term]:
+    """H^(2h+1)_{(p-1)/2} less its expansion; none for h < 1 or 2h > n, never judged."""
+    if h < 1 or 2 * h > n:
+        return []
+    _power_index(p, n, h)  # its refusal first, with 2^(2h+1) unbuilt
+    return [Term(1, (2 * h + 1, (p - 1) // 2)), _z(2 ** (2 * h + 1) - 2, p, n, h)] + [
+        _z(p ** (2 * i) * comb(2 * i + 2 * h, 2 * i) * (2 ** (2 * h + 1) - Fraction(1, 4**i)),
+           p, n, h + i) for i in range(1, (n - 1) // 2 + 1)]
+
+
 def verify_prop42(p: int, n: int, h: int, cache: BernoulliCache) -> ReportRecord:
     """H^(2h+1)_{(p-1)/2} against its Bernoulli expansion, modulo p^(n-1)."""
     _require(p % 2 == 1 and p >= 3, "needs odd p")
@@ -452,7 +455,8 @@ def _eq47(p: int, n: int) -> list[Term]:
     terms = []
     for h in range(1, (n - 2) // 2 + 1):  # first: a ceiling refusal names h = 1, p^n unbuilt
         c = (2 ** (2 * h + 1) - 1) * Fraction(p, 2) ** (2 * h)
-        terms += [Term(-c * _a(h), (2 * h + 1, (p - 1) // 2), 2 * h + 2), _z(c, p, n, h)]
+        a = Fraction(4 * (2 ** (2 * h + 2) - 1), (2 * h + 1) * (2 * h + 2))  # A_h / B_{2h+2}
+        terms += [Term(-c * a, (2 * h + 1, (p - 1) // 2), 2 * h + 2), _z(c, p, n, h)]
     return terms + [_z(p**n * Fraction(2 ** (n + 1) - 1, 2**n), p, n, n // 2)] + [
         Term(2 * p ** (n - 1), q=1)] * (p == n + 1)
 
@@ -556,12 +560,14 @@ THEOREMS: dict[str, Theorem] = {
     ) for w in EXPANSION_IDS},
     **{f"cor-remark0-{idx}": Theorem(
         ("k",), lambda p, a, c, w=w: verify_cor_remark0(w, a["k"], p),
-        lambda p, a, t, e=e: e, lambda p, k, f=f: f(p, k, (p - 1) // 2),
+        lambda p, a, t, e=e: e,  # none at p = 2, which no case passes
+        lambda p, k, f=f: f(p, k, (p - 1) // 2) if p % 2 else [],
     ) for idx, (w, (e, f)) in enumerate(REMARK0_IDS.items(), start=1)},
     **{f"prop3-{idx}": Theorem(
         ("k",), lambda p, a, c, w=w: verify_thm_prop3(w, a["k"], p, c),
         lambda p, a, t, e=e: e,
-        lambda p, k, f=f: f(p, k, (p - 1) // 2, p - 1 - 2 * k) if k >= 1 else [],
+        # none for k < 1 or p <= 2k, where no p as small holds a case
+        lambda p, k, f=f: f(p, k, (p - 1) // 2, p - 1 - 2 * k) if 1 <= k < p / 2 else [],
     ) for idx, (w, (e, f)) in enumerate(PROP3_IDS.items(), start=1)},
     # tier_need, the one read stated by hand: the irregular-pair test reads
     # B_{p-2n-2i-5} or B_{p-2n-2i-1}, and thm-eecj's condition B_{2n+2}.
@@ -586,13 +592,8 @@ THEOREMS: dict[str, Theorem] = {
     ),
     "prop41": Theorem(("n",), lambda p, a, c: verify_prop41(p, a["n"], c),
                       lambda p, a, t: a["n"], _prop41),
-    # none for n < 2 or h < 1, where no case is judged
-    "prop42": Theorem(
-        ("n", "h"), lambda p, a, c: verify_prop42(p, a["n"], a["h"], c),
-        lambda p, a, t: a["n"] - 1,
-        lambda p, n, h: [Term(1, (2 * h + 1, (p - 1) // 2)), _z(2 ** (2 * h + 1) - 2, p, n, h)] + [
-            _z(p ** (2 * i) * comb(2 * i + 2 * h, 2 * i) * (2 ** (2 * h + 1) - Fraction(1, 4**i)),
-               p, n, h + i) for i in range(1, (n - 1) // 2 + 1)] if n >= 2 and h >= 1 else []),
+    "prop42": Theorem(("n", "h"), lambda p, a, c: verify_prop42(p, a["n"], a["h"], c),
+                      lambda p, a, t: a["n"] - 1, _prop42),
     "thm-ee20": Theorem(
         ("n",), lambda p, a, c: verify_thm_ee20(p, a["n"], c),
         lambda p, a, t: a["n"], lambda p, n: _Head(_ee20_series, (p,), n),
@@ -608,8 +609,8 @@ THEOREMS: dict[str, Theorem] = {
         lambda p, n: [Term(p, b=_power_index(p, n, 0)), Term(1 - p)] if n >= 1 else []),
     "lemma-pb-2": Theorem(
         ("n", "h"), lambda p, a, c: verify_lemma_pb_2(p, a["n"], a["h"], c),
-        lambda p, a, t: 1, lambda p, n, h: [Term(p, b=_power_index(p, n, h)),
-                                            Term(-1, (2 * h, p - 1))] if n >= 1 else []),
+        lambda p, a, t: 1, lambda p, n, h: [Term(p, b=_power_index(p, n, h)), Term(
+            -1, (2 * h, p - 1))] if n >= 1 and h >= 0 else []),  # none read at h < 0
     "kummer": Theorem(
         ("h", "k"), lambda p, a, c: verify_kummer(p, a["h"], a["k"], c), lambda p, a, t: 1,
         lambda p, h, k: [Term(Fraction(1, h), b=h), Term(Fraction(-1, k), b=k)] if h * k else []),

@@ -186,10 +186,19 @@ _MORE = [
 ]
 
 
+def _expanded(terms) -> list:
+    """The terms of one case, a series' terms j = -1, 0, ... with each
+    coefficient built."""
+    if isinstance(terms, cg._Head):
+        return [t._replace(c=t.c()) for j in range(-1, terms.length)
+                for t in terms.series(*terms.args, j)]
+    return list(terms)
+
+
 def _mutated(terms, i: int, how: str) -> list:
     """The terms with term i dropped, its sign flipped or its harmonic order
     raised by one."""
-    terms = list(terms)
+    terms = _expanded(terms)
     if how == "drop":
         del terms[i]
     elif how == "flip":
@@ -212,7 +221,7 @@ def test_table_lhs_mutants_fail(cache, monkeypatch, theorem_id, p, args):
     for q, a, value in pinned:
         monkeypatch.setattr(cg, "_running", None)
         assert row.run(q, dict(a), cache).lhs == value
-    terms = list(row.terms(p, **args))
+    terms = _expanded(row.terms(p, **args))
     assert terms
     for i, term in enumerate(terms):
         if term.b is not None and term.b >= 3 and term.b % 2:

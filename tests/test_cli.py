@@ -375,28 +375,49 @@ def test_grid_past_the_ceiling_refused_before_it_is_built(tmp_path):
 
 @pytest.mark.parametrize("argv, line", [
     (["verify", "thm-ee20", "--p", "3", "--n", "1000000000"],
-     "needs Bernoulli index 1000000001, beyond ceiling 2500"),
+     "error: needs Bernoulli index 1000000001, beyond ceiling 2500"),
     (["verify", "thm-ee10bis", "--p", "3", "--n", "1000000000", "--i", "0"],
-     "needs Bernoulli index 2000000001, beyond ceiling 2500"),
+     "error: needs Bernoulli index 2000000001, beyond ceiling 2500"),
     (["verify", "expansion-e10ee", "--p", "1000003", "--k", "1", "--j-terms", "1000000000"],
-     "needs harmonic upper index 1000002, beyond ceiling 70000"),
+     "error: needs harmonic upper index 1000002, beyond ceiling 70000"),
     (["verify", "eq47", "--p", "3", "--n", "20000000"],
-     "needs Bernoulli index 3^19999999*2 - 2, beyond ceiling 2500"),
+     "error: needs Bernoulli index 3^19999999*2 - 2, beyond ceiling 2500"),
     (["verify", "eq47", "--p", "3", "--n", "14"],
-     "needs Bernoulli index 3^13*2 - 2, beyond ceiling 2500"),
+     "error: needs Bernoulli index 3^13*2 - 2, beyond ceiling 2500"),
+    (["verify", "prop42", "--p", "3", "--n", "2000000000", "--h", "999999999"],
+     "error: needs Bernoulli index 3^1999999999*2 - 1999999998, beyond ceiling 2500"),
+    # out of hypothesis: the terms of a case no smaller p judges are none,
+    # so 2^(2k+1), 2^(2h+1) and 2^(2k) stay unbuilt
+    (["verify", "prop3-2", "--p", "5", "--k", "1000000000"],
+     "hypothesis violated: needs p >= 2k+3"),
+    (["verify", "prop3-4", "--p", "5", "--k", "1000000000"],
+     "hypothesis violated: needs p >= 2k+3 or p = 2k+1"),
+    (["verify", "prop42", "--p", "3", "--n", "2", "--h", "1000000000"],
+     "hypothesis violated: needs (n+1)/2 > h"),
+    (["verify", "cor-remark0-5", "--p", "2", "--k", "1000000000"],
+     "hypothesis violated: needs odd p"),
+    # lemma-pb-2 reads nothing at h < 0, so neither a ceiling nor a fill
+    (["verify", "lemma-pb-2", "--p", "2521", "--n", "1", "--h", "-1"],
+     "hypothesis violated: needs n, h >= 1"),
+    (["verify", "lemma-pb-2", "--p", "7", "--n", "1", "--h", "-1"],
+     "hypothesis violated: needs n, h >= 1"),
 ])
 def test_far_past_a_ceiling_refused_at_once(tmp_path, argv, line):
-    """A case far past a ceiling is refused at once: a series' need is read
-    off its last term, unbuilt, and eq47 names its largest power index,
-    at h = 1, before it builds p^n."""
+    """A case far past a ceiling, or out of its hypothesis, is refused at
+    once, with nothing filled: a series' need is read off its last term,
+    unbuilt, and eq47 and prop42 name their power index before they build a
+    power.  The hangs this guards against run for ten seconds and more, so
+    the bound leaves room for a loaded host."""
     cache = tmp_path / "c.cache"
     src = str(Path(cli.__file__).resolve().parents[1])
+    limit = 1_500_000 * 1024
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "hclab.cli", *argv, "--cache", str(cache)],
                           capture_output=True, text=True, timeout=30,
-                          env={**os.environ, "PYTHONPATH": src})
-    assert time.perf_counter() - start < 1.0
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {line}\n")
+                          env={**os.environ, "PYTHONPATH": src},
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert time.perf_counter() - start < 5.0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", line + "\n")
     assert not cache.exists()
 
 
@@ -903,7 +924,9 @@ def test_series_need_lies_in_its_last_term(theorem_id):
     for p in (3, 5, 7, 23):
         for values in itertools.product(range(-1, 5), repeat=len(theorem.params)):
             case = dict(zip(theorem.params, values))
-            every = [t.b for t in theorem.terms(p, **case) if t.b is not None]
+            head = theorem.terms(p, **case)
+            every = [t.b for j in range(-1, head.length)
+                     for t in head.series(*head.args, j) if t.b is not None]
             assert cg.bernoulli_need(theorem_id, p, case) == max(
                 [theorem.tier_need(p, case), *every]), case
 
