@@ -560,8 +560,8 @@ THEOREMS: dict[str, Theorem] = {
     ) for w in EXPANSION_IDS},
     **{f"cor-remark0-{idx}": Theorem(
         ("k",), lambda p, a, c, w=w: verify_cor_remark0(w, a["k"], p),
-        lambda p, a, t, e=e: e,  # none at p = 2, which no case passes
-        lambda p, k, f=f: f(p, k, (p - 1) // 2) if p % 2 else [],
+        lambda p, a, t, e=e: e,
+        lambda p, k, f=f: f(p, k, (p - 1) // 2) if p % 2 else [],  # p = 2: never judged
     ) for idx, (w, (e, f)) in enumerate(REMARK0_IDS.items(), start=1)},
     **{f"prop3-{idx}": Theorem(
         ("k",), lambda p, a, c, w=w: verify_thm_prop3(w, a["k"], p, c),
