@@ -90,14 +90,14 @@ def _write_batches(fh, records, fmt: str, header: str) -> None:
 
 
 def _judge(theorem_id: str, p: int, args: dict, scan: bool, cache) -> ReportRecord:
-    """The timed record on one case.  A scan skips a case that fails the
-    theorem's hypothesis or whose verifier finds one violated; `verify` ends
-    with that violation instead."""
-    theorem = cg.THEOREMS[theorem_id]
+    """The timed record on one case, judged by `congruences.verify_case`.  A
+    scan skips a case that fails the theorem's scan hypothesis or one of the
+    requirements `verify_case` checks; `verify` ends with that violation
+    instead."""
     t0 = time.perf_counter()
     try:
-        if not scan or theorem.hypothesis(p, args):
-            record = theorem.run(p, args, cache)
+        if not scan or cg.THEOREMS[theorem_id].hypothesis(p, args):
+            record = cg.verify_case(theorem_id, p, args, cache)
             return ReportRecord.from_verdict(record, (time.perf_counter() - t0) * 1000.0)
     except HypothesisViolated:
         if not scan:

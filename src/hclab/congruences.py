@@ -1,16 +1,18 @@
-"""The verdict engine: one verifier per congruence claim, each judging one case.
+"""The verdict engine: one function, `verify_case`, judges every case of every
+congruence claim.
 
-Each left-hand side is stated once, as the `Term`s its `THEOREMS` row builds
-beside the claimed exponent.  A verifier sums the terms exactly and compares
-their p-adic valuation with that exponent; the Bernoulli numbers a case reads
-are derived from the same terms.  The tier ladders first resolve the largest
-provable tier.  A series read at ascending lengths adds each term once.
+Each claim is stated once, as its `THEOREMS` row: the hypotheses on p and its
+params, the `Term`s of its left-hand side, the claimed exponent and, for the
+two ladders, the tier test.  `verify_case` checks the hypotheses, sums the
+terms exactly and compares their p-adic valuation with that exponent; the
+Bernoulli numbers a case reads are derived from the same terms.  A series
+read at ascending lengths adds each term once.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple
@@ -33,9 +35,9 @@ def _verdict(theorem_id, p, lhs, tier=None, **params) -> ReportRecord:
                         achieved_valuation=v, tier=tier, passed=v >= required, lhs=lhs)
 
 
-def _require(cond: bool, msg: str):
+def _require(cond: bool, msg: str | Callable[[int], str], p: int):
     if not cond:
-        raise HypothesisViolated(msg)
+        raise HypothesisViolated(msg(p) if callable(msg) else msg)
 
 
 class Term(NamedTuple):
@@ -102,6 +104,24 @@ def _lhs(theorem_id: str, p: int, cache: BernoulliCache | None, **params) -> Fra
     return lhs
 
 
+def verify_case(theorem_id: str, p: int, params: dict,
+                cache: BernoulliCache | None) -> ReportRecord:
+    """The verdict on one case of a `THEOREMS` id: its hypotheses are checked
+    in order, the first violated raising HypothesisViolated, then its
+    left-hand side is summed and a ladder's tier resolved."""
+    row = THEOREMS[theorem_id]
+    for holds, msg in row.requires:
+        _require(holds(p, params), msg, p)
+    lhs = _lhs(theorem_id, p, cache, **params)
+    tier = row.tier(p, params, cache) if row.tier else None
+    return _verdict(theorem_id, p, lhs, tier=tier, **params)
+
+
+def verify_thm_ee20(p: int, n: int, cache: BernoulliCache) -> ReportRecord:
+    """`verify_case` on thm-ee20, the call perfbench/make_gold.py makes."""
+    return verify_case("thm-ee20", p, {"n": n}, cache)
+
+
 # -- coefficient families -----------------------------------------------------
 
 
@@ -112,19 +132,8 @@ def _c_terms(j: int, c: Callable[[], Fraction], h: tuple[int, int]) -> list[Term
             Term(lambda: c() / 2, h)]
 
 
-def coeff_c(j: int, cache: BernoulliCache) -> Fraction:
-    """2 B_{j+2} + (-1)^j B_{j+1} + 1/2; equals 1/3 at j = 0 and j = 1."""
-    return 2 * bernoulli(j + 2, cache) + (-1) ** j * bernoulli(j + 1, cache) + Fraction(1, 2)
-
-
-def coeff_a(h: int, cache: BernoulliCache) -> Fraction:
-    """4 (2^(2h+2) - 1) B_{2h+2} / ((2h+1)(2h+2)); equals -1/6 at h = 1."""
-    return Fraction(4 * (2 ** (2 * h + 2) - 1), (2 * h + 1) * (2 * h + 2)) * bernoulli(
-        2 * h + 2, cache)
-
-
 def _power_index(p: int, n: int, h: int) -> int:
-    """p^(n-1)(p-1) - 2h, the Bernoulli index of coeff_z and the p-power
+    """p^(n-1)(p-1) - 2h, the Bernoulli index of Z_h and the p-power
     lemmas.  From n - 1 >= (CEILING + 2h).bit_length() on it is at least
     2^(n-1) - 2h > CEILING, and is refused without building the power: at
     p = 3, n = 10^7 that alone took 3-4 s, before any digit was written."""
@@ -136,40 +145,8 @@ def _power_index(p: int, n: int, h: int) -> int:
 
 
 def _z(c, p: int, n: int, h: int) -> Term:
-    """c coeff_z(p, n, h)."""
+    """c Z_h, Z_h = B_{p^(n-1)(p-1) - 2h} / (2h)."""
     return Term(Fraction(c, 2 * h), b=_power_index(p, n, h))
-
-
-def coeff_z(p: int, n: int, h: int, cache: BernoulliCache) -> Fraction:
-    """B_{p^(n-1)(p-1) - 2h} / (2h)."""
-    return bernoulli(_power_index(p, n, h), cache) / (2 * h)
-
-
-# -- classical congruences ----------------------------------------------------
-
-
-def verify_wolstenholme(p: int) -> ReportRecord:
-    """H_{p-1} == 0 (mod p^2) for p >= 5."""
-    _require(p >= 5, "needs p >= 5")
-    return _verdict("wolstenholme", p, _lhs("wolstenholme", p, None))
-
-
-def verify_wolstenholme_refined(p: int) -> ReportRecord:
-    """H_{p-1} + (p/2) H^(2)_{p-1} == 0 (mod p^4) for p >= 7."""
-    _require(p >= 7, "needs p >= 7")
-    return _verdict("wolstenholme-refined", p, _lhs("wolstenholme-refined", p, None))
-
-
-def verify_eisenstein(p: int) -> ReportRecord:
-    """H_{(p-1)/2} + 2 q_p == 0 (mod p) for odd p."""
-    _require(p >= 3, "needs an odd prime")
-    return _verdict("eisenstein", p, _lhs("eisenstein", p, None))
-
-
-def verify_lehmer(p: int) -> ReportRecord:
-    """H_{(p-1)/2} + 2 q_p - p q_p^2 == 0 (mod p^2) for odd p."""
-    _require(p >= 3, "needs an odd prime")
-    return _verdict("lehmer", p, _lhs("lehmer", p, None))
 
 
 # -- p-adic expansions of the harmonic numbers --------------------------------
@@ -197,23 +174,6 @@ def _expansion_series(which: str, k: int, p: int, j: int) -> list[Term]:
                  (2 * k + j, half))] if j else []
 
 
-def verify_expansion_truncation(which: str, k: int, p: int, J: int) -> ReportRecord:
-    """The truncation of one of the four harmonic expansions at j < J.
-
-    The left-hand side is (truncated series) - (target value); every omitted
-    term carries p^j with j >= J times a p-integral cofactor, so the claimed
-    exponent is J.
-    """
-    if which not in EXPANSION_IDS:
-        raise ValueError(f"unknown expansion {which!r}")
-    _require(k >= 1, "needs k >= 1")
-    _require(J >= 0, "needs J >= 0")
-    if which != "e10ee":
-        _require(p % 2 == 1, "needs odd p")
-    lhs = _lhs(f"expansion-{which}", p, None, k=k, J=J)
-    return _verdict(f"expansion-{which}", p, lhs, k=k, J=J)
-
-
 # The paper's labels of remark0's congruences in id order, each with its
 # exponent and its terms at p, k and half = (p - 1)/2.
 REMARK0_IDS = {
@@ -239,14 +199,6 @@ REMARK0_IDS = {
 # The i = 2 term's H^(2k+1)_{p-1} is 0 mod p, as p - 1 divides no odd order,
 # and mod p^2 for p >= 2k + 5 (prop3-3 at k + 1); the i = 3 term's
 # H^(2k+2)_{p-1} is 0 mod p once p - 1 > 2k + 2; every other term carries p^4.
-def verify_cor_remark0(which: str, k: int, p: int) -> ReportRecord:
-    """The six two-term congruences read off from the expansions (odd p)."""
-    _require(p % 2 == 1 and p >= 3, "needs odd p")
-    _require(k >= 1, "needs k >= 1")
-    if which not in REMARK0_IDS:
-        raise ValueError(f"unknown congruence {which!r}")
-    theorem_id = f"cor-remark0-{list(REMARK0_IDS).index(which) + 1}"
-    return _verdict(theorem_id, p, _lhs(theorem_id, p, None, k=k), k=k)
 
 
 # -- Bernoulli-valued congruences for H^(2k), H^(2k-1) ------------------------
@@ -263,19 +215,6 @@ PROP3_IDS = {
     "e9bbs": (1, lambda p, k, half, b: [Term(1, (2 * k + 1, half)),
                                         Term(-Fraction(2 * (1 - 4**k), 2 * k + 1), b=b)]),
 }
-
-
-def verify_thm_prop3(which: str, k: int, p: int, cache: BernoulliCache) -> ReportRecord:
-    """The four congruences expressing harmonic numbers through B_{p-1-2k}."""
-    _require(k >= 1, "needs k >= 1")
-    if which == "e9bbs":
-        _require(p >= 2 * k + 3 or p == 2 * k + 1, "needs p >= 2k+3 or p = 2k+1")
-    else:
-        _require(p >= 2 * k + 3, "needs p >= 2k+3")
-    if which not in PROP3_IDS:
-        raise ValueError(f"unknown congruence {which!r}")
-    theorem_id = f"prop3-{list(PROP3_IDS).index(which) + 1}"
-    return _verdict(theorem_id, p, _lhs(theorem_id, p, cache, k=k), k=k)
 
 
 # -- the tier-ladder theorem for H^(j)_{p-1} ----------------------------------
@@ -298,26 +237,6 @@ def _ee10bis_series(p: int, i: int, j: int) -> list[Term]:
     if i < 0 or j < 0:
         return []
     return [Term(lambda: comb(j + 2 * i, 2 * i) * (-p) ** j, (j + 2 * i + 1, p - 1), j)]
-
-
-def verify_thm_ee10bis(p: int, n: int, i: int, cache: BernoulliCache) -> ReportRecord:
-    """sum(C(j+2i,2i) B_j H^(j+2i+1)_{p-1} (-p)^j, j=0..2n+1) mod p^(2n+m).
-
-    The tier m is resolved to the largest value whose condition holds.  The
-    ladder starts at m = 1: rung m' <= m holds iff the achieved valuation is
-    at least 2n + m'.
-    """
-    _require(p >= 2, "needs a prime")
-    _require(n >= 0 and i >= 0, "needs n, i >= 0")
-    lhs = _lhs("thm-ee10bis", p, cache, n=n, i=i)
-    return _verdict("thm-ee10bis", p, lhs, tier=_ee10bis_tier(p, n, i, cache), n=n, i=i)
-
-
-def verify_cor_ee10biss(p: int, i: int, k: int, cache: BernoulliCache) -> ReportRecord:
-    """The same series truncated at j < k is divisible by p^k (odd p)."""
-    _require(p % 2 == 1 and p >= 3, "needs odd p")
-    _require(i >= 0 and k >= 1, "needs i >= 0, k >= 1")
-    return _verdict("cor-ee10biss", p, _lhs("cor-ee10biss", p, cache, i=i, k=k), i=i, k=k)
 
 
 # -- the half-index even-order ladder -----------------------------------------
@@ -353,19 +272,6 @@ def _eecj_series(p: int, i: int, j: int) -> list[Term]:
                                         2**j), (j + 2 * i, (p - 1) // 2))
 
 
-def verify_thm_eecj(p: int, n: int, i: int, cache: BernoulliCache) -> ReportRecord:
-    """sum(C(j+2i-1,j+1) (2^(j+2i)-1)/2^j C_j H^(j+2i)_{(p-1)/2} p^j) mod p^(2n+m).
-
-    The sum runs over j < 2n, and the tier m is resolved to the largest value
-    whose condition holds.  The ladder starts at m = 0: rung m' <= m holds
-    iff the achieved valuation is at least 2n + m'.
-    """
-    _require(p >= 3, "needs odd p")
-    _require(n >= 1 and i >= 1, "needs n, i >= 1")
-    lhs = _lhs("thm-eecj", p, cache, n=n, i=i)
-    return _verdict("thm-eecj", p, lhs, tier=_eecj_tier(p, n, i, cache), n=n, i=i)
-
-
 def _eecjj_exponent(p: int, J: int) -> int:
     """J, less one when J is odd and (p-1) | (J+1).
 
@@ -374,14 +280,6 @@ def _eecjj_exponent(p: int, J: int) -> int:
     that term only contributes p^(J-1).
     """
     return J - 1 if (J % 2 == 1 and (J + 1) % (p - 1) == 0) else J
-
-
-def verify_cor_eecjj(p: int, J: int, cache: BernoulliCache) -> ReportRecord:
-    """The i=1 series truncated at j < J is divisible by p^J, or by p^(J-1)
-    where _eecjj_exponent drops it (odd p)."""
-    _require(p % 2 == 1 and p >= 3, "needs odd p")
-    _require(J >= 1, "needs J >= 1")
-    return _verdict("cor-eecjj", p, _lhs("cor-eecjj", p, cache, J=J), J=J)
 
 
 # -- the odd-order half-index results -----------------------------------------
@@ -395,15 +293,6 @@ def _prop41(p: int, n: int) -> list[Term]:
             + [Term(2 * p ** (n - 1), q=1)] * (p == n + 1))
 
 
-def verify_prop41(p: int, n: int, cache: BernoulliCache) -> ReportRecord:
-    """H_{(p-1)/2} plus the Fermat-quotient series and the Bernoulli tail,
-    modulo p^n, for p > (n+1)/2."""
-    _require(p % 2 == 1 and p >= 3, "needs odd p")
-    _require(n >= 1, "needs n >= 1")
-    _require(2 * p > n + 1, "needs p > (n+1)/2")
-    return _verdict("prop41", p, _lhs("prop41", p, cache, n=n), n=n)
-
-
 def _prop42(p: int, n: int, h: int) -> list[Term]:
     """H^(2h+1)_{(p-1)/2} less its expansion; none for h < 1 or 2h > n, never judged."""
     if h < 1 or 2 * h > n:
@@ -414,15 +303,6 @@ def _prop42(p: int, n: int, h: int) -> list[Term]:
            p, n, h + i) for i in range(1, (n - 1) // 2 + 1)]
 
 
-def verify_prop42(p: int, n: int, h: int, cache: BernoulliCache) -> ReportRecord:
-    """H^(2h+1)_{(p-1)/2} against its Bernoulli expansion, modulo p^(n-1)."""
-    _require(p % 2 == 1 and p >= 3, "needs odd p")
-    _require(h >= 1, "needs h >= 1")
-    _require(n + 1 > 2 * h, "needs (n+1)/2 > h")
-    _require(2 * p > n + 1, "needs p > (n+1)/2")
-    return _verdict("prop42", p, _lhs("prop42", p, cache, n=n, h=h), n=n, h=h)
-
-
 def _ee20_series(p: int, j: int) -> list[Term]:
     """The terms j of the B/H series and of the q_p series, (-1)^j q_p^(j+1)
     p^j / (j+1); none for j = -1."""
@@ -431,20 +311,6 @@ def _ee20_series(p: int, j: int) -> list[Term]:
     return [Term(lambda: Fraction((2 ** (j + 1) - 1) * (2 ** (j + 2) - 1) * 2 * p**j,
                                   (j + 1) * (j + 2) * 2**j), (j + 1, (p - 1) // 2), j + 2),
             Term(lambda: Fraction((-p) ** j, j + 1), q=j + 1)]
-
-
-def verify_thm_ee20(p: int, n: int, cache: BernoulliCache) -> ReportRecord:
-    """The final theorem: the B/H series plus the q_p series at j < n, modulo
-    p^n.
-
-    The sum is well-defined for any odd p, so the p > (n+1)/2 hypothesis is
-    deliberately not enforced here: evaluating just outside it is how the
-    sharpness counterexample (p=3, n=5, valuation 4 < 5) is exhibited.
-    Grid scans apply the hypothesis as a skip filter instead.
-    """
-    _require(p % 2 == 1 and p >= 3, "needs odd p")
-    _require(n >= 1, "needs n >= 1")
-    return _verdict("thm-ee20", p, _lhs("thm-ee20", p, cache, n=n), n=n)
 
 
 def _eq47(p: int, n: int) -> list[Term]:
@@ -461,73 +327,32 @@ def _eq47(p: int, n: int) -> list[Term]:
         Term(2 * p ** (n - 1), q=1)] * (p == n + 1)
 
 
-def verify_intermediate_47(p: int, n: int, cache: BernoulliCache) -> ReportRecord:
-    """The delta/Z/A bookkeeping congruence from the final proof (n even)."""
-    _require(p % 2 == 1 and p >= 3, "needs odd p")
-    _require(n >= 2 and n % 2 == 0, "needs even n >= 2")
-    _require(2 * p > n + 1, "needs p > (n+1)/2")
-    return _verdict("eq47", p, _lhs("eq47", p, cache, n=n), n=n)
-
-
-def sun_congruence(p: int, cache: BernoulliCache) -> ReportRecord:
-    """H_{(p-1)/2} + (7/12) B_{p-3} p^2 + 2(q - q^2 p/2 + q^3 p^2/3) mod p^3."""
-    _require(p >= 5, "needs p >= 5")
-    return _verdict("sun", p, _lhs("sun", p, cache))
-
-
-# -- the lemmas the expansions rest on ----------------------------------------
-
-
-def verify_lemma_pb_1(p: int, n: int, cache: BernoulliCache) -> ReportRecord:
-    """p B_{p^(n-1)(p-1)} == p - 1 (mod p^n) for odd p and n >= 1."""
-    _require(p % 2 == 1 and p >= 3, "needs odd p")
-    _require(n >= 1, "needs n >= 1")
-    return _verdict("lemma-pb-1", p, _lhs("lemma-pb-1", p, cache, n=n), n=n)
-
-
-def verify_lemma_pb_2(p: int, n: int, h: int, cache: BernoulliCache) -> ReportRecord:
-    """p B_{p^(n-1)(p-1)-2h} == H^(2h)_{p-1} (mod p) for odd p, n >= 1 and
-    h >= 1, where the Bernoulli index is at least 2."""
-    _require(p % 2 == 1 and p >= 3, "needs odd p")
-    _require(n >= 1 and h >= 1, "needs n, h >= 1")
-    _require(_power_index(p, n, h) >= 2, "needs p^(n-1)(p-1) - 2h >= 2")
-    return _verdict("lemma-pb-2", p, _lhs("lemma-pb-2", p, cache, n=n, h=h), n=n, h=h)
-
-
-def verify_kummer(p: int, h: int, k: int, cache: BernoulliCache) -> ReportRecord:
-    """Kummer's congruence B_h/h == B_k/k (mod p) for odd p and even h, k >= 2
-    with h == k (mod p-1), neither divisible by p-1."""
-    _require(p % 2 == 1 and p >= 3, "needs odd p")
-    _require(h >= 2 and k >= 2 and h % 2 == 0 and k % 2 == 0, "needs even h, k >= 2")
-    _require((h - k) % (p - 1) == 0 and h % (p - 1) != 0 and k % (p - 1) != 0,
-             f"needs h == k mod {p - 1}, neither divisible by it")
-    return _verdict("kummer", p, _lhs("kummer", p, cache, h=h, k=k), h=h, k=k)
-
-
 # -- the theorem table ----------------------------------------------------------
 
 
 class Theorem(NamedTuple):
-    """What `verify` and `scan` know of one theorem id.
+    """What `verify` and `scan` know of one theorem id: the whole statement
+    `verify_case` judges a case by.
 
     ``params`` name the grid parameters as its records do, in the order a
     scan nests them, the last innermost: a series truncated at its last param
     is then read at ascending lengths, one running sum per prime and values
     of the other params.  A param's flag is its name, J's is --j-terms.
-    ``run(p, args, cache)`` is the verdict on one case; it calls its verifier
-    by module-level name, so a profiler can wrap it.  ``exponent(p, params,
-    tier)`` is the exponent the case claims, at the tier a ladder resolved
-    (None elsewhere).  ``terms(p, **args)`` builds the terms of one case's
-    left-hand side; ``tier_need(p, args)`` is the largest Bernoulli index a
-    ladder reads for its tier.  Scans skip cases failing ``hypothesis`` and
-    cases whose verifier raises HypothesisViolated, so ``hypothesis`` states
-    only what a verifier deliberately leaves unchecked.
+    ``exponent(p, params, tier)`` is the exponent the case claims, at the tier
+    a ladder resolved (None elsewhere).  ``terms(p, **args)`` builds the terms
+    of one case's left-hand side.  ``requires`` holds its hypotheses as
+    ``(holds(p, args), message)`` pairs, checked in order; a message that
+    names p is a function of p.  ``tier(p, args, cache)`` resolves a ladder's
+    tier, and ``tier_need(p, args)`` is the largest Bernoulli index it reads.
+    Scans skip cases failing ``hypothesis`` and cases failing a requirement,
+    so ``hypothesis`` states only what ``requires`` deliberately leaves out.
     """
 
     params: tuple[str, ...]
-    run: Callable[[int, dict, BernoulliCache], ReportRecord]
     exponent: Callable[[int, dict, int | None], int]
     terms: Callable[..., Iterable[Term]] = lambda p, **a: ()
+    requires: Sequence[tuple[Callable[[int, dict], bool], str | Callable[[int], str]]] = ()
+    tier: Callable[[int, dict, BernoulliCache], int] | None = None
     hypothesis: Callable[[int, dict], bool] = lambda p, a: True
     tier_need: Callable[[int, dict], int] = lambda p, a: -1
 
@@ -543,75 +368,131 @@ def bernoulli_need(theorem_id: str, p: int, args: dict) -> int:
     return max([row.tier_need(p, args), *(t.b for t in terms if t.b is not None)])
 
 
+# Hypotheses several rows state.
+_P5 = (lambda p, a: p >= 5, "needs p >= 5")
+_ODD_PRIME = (lambda p, a: p >= 3, "needs an odd prime")
+_ODD_P = (lambda p, a: p % 2 == 1 and p >= 3, "needs odd p")
+_K1 = (lambda p, a: a["k"] >= 1, "needs k >= 1")
+_N1 = (lambda p, a: a["n"] >= 1, "needs n >= 1")
+_P_PAST_HALF_N = (lambda p, a: 2 * p > a["n"] + 1, "needs p > (n+1)/2")
+
 THEOREMS: dict[str, Theorem] = {
-    "wolstenholme": Theorem((), lambda p, a, c: verify_wolstenholme(p), lambda p, a, t: 2,
-                            lambda p: [Term(1, (1, p - 1))]),
+    # H_{p-1} == 0 (mod p^2) for p >= 5
+    "wolstenholme": Theorem((), lambda p, a, t: 2, lambda p: [Term(1, (1, p - 1))], [_P5]),
+    # H_{p-1} + (p/2) H^(2)_{p-1} == 0 (mod p^4) for p >= 7
     "wolstenholme-refined": Theorem(
-        (), lambda p, a, c: verify_wolstenholme_refined(p), lambda p, a, t: 4,
-        lambda p: [Term(1, (1, p - 1)), Term(Fraction(p, 2), (2, p - 1))]),
-    "eisenstein": Theorem((), lambda p, a, c: verify_eisenstein(p), lambda p, a, t: 1,
-                          lambda p: [Term(1, (1, (p - 1) // 2)), Term(2, q=1)]),
-    "lehmer": Theorem((), lambda p, a, c: verify_lehmer(p), lambda p, a, t: 2,
-                      lambda p: [Term(1, (1, (p - 1) // 2)), Term(2, q=1), Term(-p, q=2)]),
+        (), lambda p, a, t: 4, lambda p: [Term(1, (1, p - 1)), Term(Fraction(p, 2), (2, p - 1))],
+        [(lambda p, a: p >= 7, "needs p >= 7")]),
+    # H_{(p-1)/2} + 2 q_p == 0 (mod p) for odd p
+    "eisenstein": Theorem((), lambda p, a, t: 1,
+                          lambda p: [Term(1, (1, (p - 1) // 2)), Term(2, q=1)], [_ODD_PRIME]),
+    # H_{(p-1)/2} + 2 q_p - p q_p^2 == 0 (mod p^2) for odd p
+    "lehmer": Theorem((), lambda p, a, t: 2,
+                      lambda p: [Term(1, (1, (p - 1) // 2)), Term(2, q=1), Term(-p, q=2)],
+                      [_ODD_PRIME]),
+    # The four expansions truncated at j < J, odd p but for e10ee: the left-hand
+    # side is the truncated series less its target, and every omitted term
+    # carries p^j with j >= J times a p-integral cofactor, so the exponent is J.
     **{f"expansion-{w}": Theorem(
-        ("k", "J"),
-        lambda p, a, c, w=w: verify_expansion_truncation(w, a["k"], p, a["J"]),
-        lambda p, a, t: a["J"], lambda p, k, J, w=w: _Head(_expansion_series, (w, k, p), J),
+        ("k", "J"), lambda p, a, t: a["J"],
+        lambda p, k, J, w=w: _Head(_expansion_series, (w, k, p), J),
+        [_K1, (lambda p, a: a["J"] >= 0, "needs J >= 0"), *[_ODD_P] * (w != "e10ee")],
     ) for w in EXPANSION_IDS},
+    # The six two-term congruences read off from the expansions, for odd p.
     **{f"cor-remark0-{idx}": Theorem(
-        ("k",), lambda p, a, c, w=w: verify_cor_remark0(w, a["k"], p),
-        lambda p, a, t, e=e: e,
+        ("k",), lambda p, a, t, e=e: e,
         lambda p, k, f=f: f(p, k, (p - 1) // 2) if p % 2 else [],  # p = 2: never judged
-    ) for idx, (w, (e, f)) in enumerate(REMARK0_IDS.items(), start=1)},
+        [_ODD_P, _K1],
+    ) for idx, (e, f) in enumerate(REMARK0_IDS.values(), start=1)},
+    # The four congruences expressing harmonic numbers through B_{p-1-2k}.
     **{f"prop3-{idx}": Theorem(
-        ("k",), lambda p, a, c, w=w: verify_thm_prop3(w, a["k"], p, c),
-        lambda p, a, t, e=e: e,
+        ("k",), lambda p, a, t, e=e: e,
         # none for k < 1 or p <= 2k, where no p as small holds a case
         lambda p, k, f=f: f(p, k, (p - 1) // 2, p - 1 - 2 * k) if 1 <= k < p / 2 else [],
+        [_K1, (lambda p, a: p >= 2 * a["k"] + 3 or p == 2 * a["k"] + 1,
+               "needs p >= 2k+3 or p = 2k+1") if w == "e9bbs" else
+         (lambda p, a: p >= 2 * a["k"] + 3, "needs p >= 2k+3")],
     ) for idx, (w, (e, f)) in enumerate(PROP3_IDS.items(), start=1)},
+    # sum(C(j+2i,2i) B_j H^(j+2i+1)_{p-1} (-p)^j, j=0..2n+1) == 0 (mod p^(2n+m)),
+    # the tier m the largest whose condition holds.  The ladder starts at m = 1:
+    # rung m' <= m holds iff the achieved valuation is at least 2n + m'.
     # tier_need, the one read stated by hand: the irregular-pair test reads
     # B_{p-2n-2i-5} or B_{p-2n-2i-1}, and thm-eecj's condition B_{2n+2}.
     "thm-ee10bis": Theorem(
-        ("i", "n"), lambda p, a, c: verify_thm_ee10bis(p, a["n"], a["i"], c),
-        lambda p, a, t: 2 * a["n"] + t,
+        ("i", "n"), lambda p, a, t: 2 * a["n"] + t,
         lambda p, i, n: _Head(_ee10bis_series, (p, i), 2 * n + 2),
+        [(lambda p, a: p >= 2, "needs a prime"),
+         (lambda p, a: a["n"] >= 0 and a["i"] >= 0, "needs n, i >= 0")],
+        tier=lambda p, a, c: _ee10bis_tier(p, a["n"], a["i"], c),
         tier_need=lambda p, a: p - 2 * a["n"] - 2 * a["i"] - 5,
     ),
+    # The same series truncated at j < k is divisible by p^k (odd p).
     "cor-ee10biss": Theorem(
-        ("i", "k"), lambda p, a, c: verify_cor_ee10biss(p, a["i"], a["k"], c),
-        lambda p, a, t: a["k"], lambda p, i, k: _Head(_ee10bis_series, (p, i), k),
+        ("i", "k"), lambda p, a, t: a["k"], lambda p, i, k: _Head(_ee10bis_series, (p, i), k),
+        [_ODD_P, (lambda p, a: a["i"] >= 0 and a["k"] >= 1, "needs i >= 0, k >= 1")],
     ),
+    # sum(C(j+2i-1,j+1) (2^(j+2i)-1)/2^j C_j H^(j+2i)_{(p-1)/2} p^j, j < 2n)
+    # == 0 (mod p^(2n+m)), odd p, the tier m the largest whose condition holds.
+    # The ladder starts at m = 0: rung m' <= m holds iff the achieved valuation
+    # is at least 2n + m'.
     "thm-eecj": Theorem(
-        ("i", "n"), lambda p, a, c: verify_thm_eecj(p, a["n"], a["i"], c),
-        lambda p, a, t: 2 * a["n"] + t, lambda p, i, n: _Head(_eecj_series, (p, i), 2 * n),
+        ("i", "n"), lambda p, a, t: 2 * a["n"] + t,
+        lambda p, i, n: _Head(_eecj_series, (p, i), 2 * n),
+        [_ODD_P, (lambda p, a: a["n"] >= 1 and a["i"] >= 1, "needs n, i >= 1")],
+        tier=lambda p, a, c: _eecj_tier(p, a["n"], a["i"], c),
         tier_need=lambda p, a: max(2 * a["n"] + 2, p - 2 * a["n"] - 2 * a["i"] - 1),
     ),
+    # The i = 1 series truncated at j < J is divisible by p^J, or by p^(J-1)
+    # where _eecjj_exponent drops it (odd p).
     "cor-eecjj": Theorem(
-        ("J",), lambda p, a, c: verify_cor_eecjj(p, a["J"], c),
-        lambda p, a, t: _eecjj_exponent(p, a["J"]), lambda p, J: _Head(_eecj_series, (p, 1), J),
+        ("J",), lambda p, a, t: _eecjj_exponent(p, a["J"]),
+        lambda p, J: _Head(_eecj_series, (p, 1), J),
+        [_ODD_P, (lambda p, a: a["J"] >= 1, "needs J >= 1")],
     ),
-    "prop41": Theorem(("n",), lambda p, a, c: verify_prop41(p, a["n"], c),
-                      lambda p, a, t: a["n"], _prop41),
-    "prop42": Theorem(("n", "h"), lambda p, a, c: verify_prop42(p, a["n"], a["h"], c),
-                      lambda p, a, t: a["n"] - 1, _prop42),
+    # H_{(p-1)/2} plus the Fermat-quotient series and the Bernoulli tail == 0
+    # (mod p^n), for odd p > (n+1)/2.
+    "prop41": Theorem(("n",), lambda p, a, t: a["n"], _prop41, [_ODD_P, _N1, _P_PAST_HALF_N]),
+    # H^(2h+1)_{(p-1)/2} against its Bernoulli expansion, modulo p^(n-1).
+    "prop42": Theorem(("n", "h"), lambda p, a, t: a["n"] - 1, _prop42, [
+        _ODD_P, (lambda p, a: a["h"] >= 1, "needs h >= 1"),
+        (lambda p, a: a["n"] + 1 > 2 * a["h"], "needs (n+1)/2 > h"), _P_PAST_HALF_N]),
+    # The final theorem: the B/H series plus the q_p series at j < n, modulo p^n.
+    # Its p > (n+1)/2 is a scan filter only, not a requirement: the sum is
+    # well-defined for any odd p, and evaluating just outside the hypothesis
+    # exhibits the sharpness counterexample (p = 3, n = 5, valuation 4 < 5).
     "thm-ee20": Theorem(
-        ("n",), lambda p, a, c: verify_thm_ee20(p, a["n"], c),
-        lambda p, a, t: a["n"], lambda p, n: _Head(_ee20_series, (p,), n),
+        ("n",), lambda p, a, t: a["n"], lambda p, n: _Head(_ee20_series, (p,), n), [_ODD_P, _N1],
         hypothesis=lambda p, a: 2 * p > a["n"] + 1,
     ),
-    "eq47": Theorem(("n",), lambda p, a, c: verify_intermediate_47(p, a["n"], c),
-                    lambda p, a, t: a["n"], _eq47),
-    "sun": Theorem((), lambda p, a, c: sun_congruence(p, c), lambda p, a, t: 3, lambda p: [
+    # The delta/Z/A bookkeeping congruence from the final proof (n even).
+    "eq47": Theorem(("n",), lambda p, a, t: a["n"], _eq47, [
+        _ODD_P, (lambda p, a: a["n"] >= 2 and a["n"] % 2 == 0, "needs even n >= 2"),
+        _P_PAST_HALF_N]),
+    # H_{(p-1)/2} + (7/12) B_{p-3} p^2 + 2(q - q^2 p/2 + q^3 p^2/3) == 0 (mod p^3)
+    # for p >= 5
+    "sun": Theorem((), lambda p, a, t: 3, lambda p: [
         Term(1, (1, (p - 1) // 2)), Term(Fraction(7, 12) * p * p, b=p - 3),
-        Term(2, q=1), Term(-p, q=2), Term(Fraction(2 * p * p, 3), q=3)]),
+        Term(2, q=1), Term(-p, q=2), Term(Fraction(2 * p * p, 3), q=3)], [_P5]),
+    # p B_{p^(n-1)(p-1)} == p - 1 (mod p^n) for odd p and n >= 1
     "lemma-pb-1": Theorem(
-        ("n",), lambda p, a, c: verify_lemma_pb_1(p, a["n"], c), lambda p, a, t: a["n"],
-        lambda p, n: [Term(p, b=_power_index(p, n, 0)), Term(1 - p)] if n >= 1 else []),
+        ("n",), lambda p, a, t: a["n"],
+        lambda p, n: [Term(p, b=_power_index(p, n, 0)), Term(1 - p)] if n >= 1 else [],
+        [_ODD_P, _N1]),
+    # p B_{p^(n-1)(p-1)-2h} == H^(2h)_{p-1} (mod p) for odd p, n >= 1 and h >= 1,
+    # where the Bernoulli index is at least 2
     "lemma-pb-2": Theorem(
-        ("n", "h"), lambda p, a, c: verify_lemma_pb_2(p, a["n"], a["h"], c),
-        lambda p, a, t: 1, lambda p, n, h: [Term(p, b=_power_index(p, n, h)), Term(
-            -1, (2 * h, p - 1))] if n >= 1 and h >= 0 else []),  # none read at h < 0
+        ("n", "h"), lambda p, a, t: 1, lambda p, n, h: [Term(p, b=_power_index(p, n, h)), Term(
+            -1, (2 * h, p - 1))] if n >= 1 and h >= 0 else [],  # none read at h < 0
+        [_ODD_P, (lambda p, a: a["n"] >= 1 and a["h"] >= 1, "needs n, h >= 1"),
+         (lambda p, a: _power_index(p, a["n"], a["h"]) >= 2, "needs p^(n-1)(p-1) - 2h >= 2")]),
+    # Kummer's congruence B_h/h == B_k/k (mod p) for odd p and even h, k >= 2
+    # with h == k (mod p-1), neither divisible by p-1
     "kummer": Theorem(
-        ("h", "k"), lambda p, a, c: verify_kummer(p, a["h"], a["k"], c), lambda p, a, t: 1,
-        lambda p, h, k: [Term(Fraction(1, h), b=h), Term(Fraction(-1, k), b=k)] if h * k else []),
+        ("h", "k"), lambda p, a, t: 1,
+        lambda p, h, k: [Term(Fraction(1, h), b=h), Term(Fraction(-1, k), b=k)] if h * k else [],
+        [_ODD_P, (lambda p, a: a["h"] >= 2 and a["k"] >= 2 and a["h"] % 2 == 0
+                  and a["k"] % 2 == 0, "needs even h, k >= 2"),
+         (lambda p, a: (a["h"] - a["k"]) % (p - 1) == 0 and a["h"] % (p - 1) != 0
+          and a["k"] % (p - 1) != 0,
+          lambda p: f"needs h == k mod {p - 1}, neither divisible by it")]),
 }

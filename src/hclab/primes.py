@@ -1,9 +1,7 @@
-"""Prime iteration and classification, and Fermat quotients with their
-logarithmic series."""
+"""Prime iteration and classification, and Fermat quotients."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
 
@@ -62,8 +60,3 @@ def classify(p: int) -> PrimeClass:
         fermat_quotient=q,
     )
 
-
-def q_series(q: int, p: int, n: int) -> Fraction:
-    """The sum of (-1)^j q^(j+1) p^j / (j+1) for j < n, i.e. log(1 + p q) / p
-    through p^(n-1); with q = q_p, the Fermat-quotient series of prop41."""
-    return sum((Fraction((-1) ** j * q ** (j + 1) * p**j, j + 1) for j in range(n)), Fraction(0))

@@ -11,6 +11,9 @@ and never formed.  `harmonic_mod` sums H^(m)_n term by term mod p^e, the
 cross-check of the package's exact, binary-split `harmonic`, and
 `tangent_triangle` is Brent and Harvey's unscaled tangent triangle, the
 cross-check of the package's scaled `_kernels.tangent_numbers`.
+`coeff_c`, `coeff_a`, `coeff_z` and `q_series` are the direct formulas of
+the paper's series coefficients and of the Fermat-quotient series, the
+cross-checks of the terms the package's theorem table builds.
 """
 
 from fractions import Fraction
@@ -20,7 +23,7 @@ from typing import NamedTuple
 from hclab.bernoulli import BernoulliCache
 from hclab.errors import HypothesisViolated
 from hclab.exact import is_prime, vp
-from hclab.primes import fermat_quotient, q_series
+from hclab.primes import fermat_quotient
 
 # -- arithmetic mod p^e ---------------------------------------------------------
 
@@ -150,6 +153,30 @@ def check_lemma_tangent_identity(k: int, cache: BernoulliCache) -> bool:
         for j in range(2 * k)
     )
     return lhs == (2 ** (2 * k) - 1) * Fraction(b(2 * k), 2 * k)
+
+
+# -- the paper's coefficients ----------------------------------------------------
+
+
+def coeff_c(j: int, cache: BernoulliCache) -> Fraction:
+    """C_j = 2 B_{j+2} + (-1)^j B_{j+1} + 1/2; equals 1/3 at j = 0 and j = 1."""
+    return 2 * cache.get(j + 2) + (-1) ** j * cache.get(j + 1) + Fraction(1, 2)
+
+
+def coeff_a(h: int, cache: BernoulliCache) -> Fraction:
+    """A_h = 4 (2^(2h+2) - 1) B_{2h+2} / ((2h+1)(2h+2)); equals -1/6 at h = 1."""
+    return Fraction(4 * (2 ** (2 * h + 2) - 1), (2 * h + 1) * (2 * h + 2)) * cache.get(2 * h + 2)
+
+
+def coeff_z(p: int, n: int, h: int, cache: BernoulliCache) -> Fraction:
+    """Z_h = B_{p^(n-1)(p-1) - 2h} / (2h)."""
+    return cache.get(p ** (n - 1) * (p - 1) - 2 * h) / (2 * h)
+
+
+def q_series(q: int, p: int, n: int) -> Fraction:
+    """The sum of (-1)^j q^(j+1) p^j / (j+1) for j < n, i.e. log(1 + p q) / p
+    through p^(n-1); with q = q_p, the Fermat-quotient series of prop41."""
+    return sum((Fraction((-1) ** j * q ** (j + 1) * p**j, j + 1) for j in range(n)), Fraction(0))
 
 
 # -- congruences with no verdict ------------------------------------------------

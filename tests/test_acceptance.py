@@ -43,7 +43,7 @@ def report(capsys):
 
 def test_criterion_1_gold_vector_a(cache, report):
     t0 = time.perf_counter()
-    v = cg.verify_thm_ee10bis(37, 0, 0, cache=cache)
+    v = cg.verify_case("thm-ee10bis", 37, {"n": 0, "i": 0}, cache)
     elapsed = time.perf_counter() - t0
     ok = (
         v.lhs.numerator == 1422091936194747472864459922257
@@ -57,7 +57,7 @@ def test_criterion_1_gold_vector_a(cache, report):
 
 def test_criterion_2_gold_vector_b(cache, report):
     t0 = time.perf_counter()
-    v = cg.verify_thm_eecj(37, 1, 1, cache=cache)
+    v = cg.verify_case("thm-eecj", 37, {"n": 1, "i": 1}, cache)
     elapsed = time.perf_counter() - t0
     ok = (
         v.lhs.numerator == 9356942544006649495921
@@ -71,7 +71,7 @@ def test_criterion_2_gold_vector_b(cache, report):
 
 def test_criterion_3_gold_vector_c(cache, report):
     t0 = time.perf_counter()
-    v = cg.verify_thm_eecj(31, 1, 1, cache=cache)
+    v = cg.verify_case("thm-eecj", 31, {"n": 1, "i": 1}, cache)
     elapsed = time.perf_counter() - t0
     ok = (
         v.lhs.numerator == 1804176116127398723
@@ -85,7 +85,7 @@ def test_criterion_3_gold_vector_c(cache, report):
 
 def test_criterion_4_gold_vector_d(cache, report):
     t0 = time.perf_counter()
-    v = cg.verify_thm_eecj(5, 1, 2, cache=cache)
+    v = cg.verify_case("thm-eecj", 5, {"n": 1, "i": 2}, cache)
     elapsed = time.perf_counter() - t0
     ok = (
         v.lhs == Fraction(3**2 * 5**4, 2**5)
@@ -97,7 +97,7 @@ def test_criterion_4_gold_vector_d(cache, report):
 
 
 def test_criterion_5_sharpness(cache, report):
-    v = cg.verify_thm_ee20(3, 5, cache)
+    v = cg.verify_case("thm-ee20", 3, {"n": 5}, cache)
     ok = (
         not v.passed
         and v.achieved_valuation == 4
@@ -114,7 +114,7 @@ def test_criterion_6_final_theorem_grid(cache, report):
         for n in range(1, 7):
             if 2 * p > n + 1:
                 cases += 1
-                ok = ok and cg.verify_thm_ee20(p, n, cache).passed
+                ok = ok and cg.verify_case("thm-ee20", p, {"n": n}, cache).passed
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 120
     report(6, ok, f"{cases} grid cases all pass, {elapsed:.1f}s")
@@ -122,12 +122,12 @@ def test_criterion_6_final_theorem_grid(cache, report):
 
 def test_criterion_7_classical_sweeps(cache, report):
     t0 = time.perf_counter()
-    ok = all(cg.verify_wolstenholme(p).passed for p in primes_in(5, 299))
+    ok = all(cg.verify_case("wolstenholme", p, {}, None).passed for p in primes_in(5, 299))
     ok = ok and all(
-        cg.verify_wolstenholme_refined(p).passed for p in primes_in(7, 299)
+        cg.verify_case("wolstenholme-refined", p, {}, None).passed for p in primes_in(7, 299)
     )
-    ok = ok and all(cg.verify_eisenstein(p).passed for p in primes_in(3, 299))
-    ok = ok and all(cg.verify_lehmer(p).passed for p in primes_in(3, 299))
+    ok = ok and all(cg.verify_case("eisenstein", p, {}, None).passed for p in primes_in(3, 299))
+    ok = ok and all(cg.verify_case("lehmer", p, {}, None).passed for p in primes_in(3, 299))
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 120
     report(7, ok, f"four classical sweeps to p<300, {elapsed:.1f}s")
@@ -138,10 +138,10 @@ def test_criterion_8_tier_ladder(cache, report):
     for p in primes_in(2, 49):
         for n in range(3):
             for i in range(3):
-                ok = ok and cg.verify_thm_ee10bis(p, n, i, cache=cache).passed
-    v = cg.verify_thm_ee10bis(11, 1, 0, cache=cache)
+                ok = ok and cg.verify_case("thm-ee10bis", p, {"n": n, "i": i}, cache).passed
+    v = cg.verify_case("thm-ee10bis", 11, {"n": 1, "i": 0}, cache)
     ok = ok and v.required_exponent == 6 and v.passed
-    v = cg.verify_thm_ee10bis(13, 2, 0, cache=cache)
+    v = cg.verify_case("thm-ee10bis", 13, {"n": 2, "i": 0}, cache)
     ok = ok and v.required_exponent == 8 and v.passed
     report(8, ok, "ladder p<50 n<=2 i<=2; exponent-6 and exponent-8 instances")
 
@@ -167,9 +167,9 @@ def test_criterion_9_lemma_suites(report):
     for p, n in ((3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)):
         big = p ** (n - 1) * (p - 1)
         for h in range(0, min(4, (big - 2) // 2 + 1)):
-            ok = ok and cg.verify_lemma_pb_1(p, n, cold).passed
+            ok = ok and cg.verify_case("lemma-pb-1", p, {"n": n}, cold).passed
             if h >= 1:
-                ok = ok and cg.verify_lemma_pb_2(p, n, h, cold).passed
+                ok = ok and cg.verify_case("lemma-pb-2", p, {"n": n, "h": h}, cold).passed
     for p in primes_in(3, 101):
         for n in range(1, 7):
             if 2 * p > n + 1:
@@ -200,7 +200,8 @@ def test_criterion_11_truncation_order(report):
         for k in (1, 2, 3):
             for p in primes_in(3, 31):
                 vals = [
-                    cg.verify_expansion_truncation(which, k, p, J).achieved_valuation
+                    cg.verify_case(f"expansion-{which}", p, {"k": k, "J": J},
+                                   None).achieved_valuation
                     for J in range(7)
                 ]
                 ok = ok and all(v >= J for J, v in enumerate(vals))
@@ -217,11 +218,11 @@ def test_criterion_12_odd_order_results(cache, report):
         for n in range(1, 4):
             if 2 * p <= n + 1 or p ** (n - 1) * (p - 1) > CEILING:
                 continue
-            ok = ok and cg.verify_prop41(p, n, cache).passed
+            ok = ok and cg.verify_case("prop41", p, {"n": n}, cache).passed
             for h in range(1, (n + 2) // 2):  # 2h < n+1
-                ok = ok and cg.verify_prop42(p, n, h, cache).passed
+                ok = ok and cg.verify_case("prop42", p, {"n": n, "h": h}, cache).passed
             if n % 2 == 0:
-                ok = ok and cg.verify_intermediate_47(p, n, cache).passed
+                ok = ok and cg.verify_case("eq47", p, {"n": n}, cache).passed
     expected = [(37, 32), (59, 44), (67, 58), (101, 68), (103, 24),
                 (131, 22), (149, 130)]
     ok = ok and irregular_pairs(150, cache) == expected

@@ -114,13 +114,13 @@ def test_kummer(cache):
     B_12/12 = -691/32760 agree; an index off the class of the other, one
     divisible by p - 1, and an odd one are refused.  At h = 1 the verdict
     would read B_1 - B_11/11 = -1/2 and fail, though h = 1 == 11 (mod 10)."""
-    v = cg.verify_kummer(11, 2, 12, cache)
+    v = cg.verify_case("kummer", 11, {"h": 2, "k": 12}, cache)
     assert v.passed and v.lhs == Fraction(3421, 32760) and v.achieved_valuation == 1
     assert v.params == {"h": 2, "k": 12}
-    assert cg.verify_kummer(11, 4, 14, cache).passed
+    assert cg.verify_case("kummer", 11, {"h": 4, "k": 14}, cache).passed
     for h, k in ((2, 11), (10, 20), (1, 11)):
         with pytest.raises(HypothesisViolated):
-            cg.verify_kummer(11, h, k, cache)
+            cg.verify_case("kummer", 11, {"h": h, "k": k}, cache)
 
 
 def test_binomial_sum_identities(cache):

@@ -137,7 +137,7 @@ _TIER = {"thm-ee10bis": 3, "thm-eecj": 0}
                          ids=[case[0] for case in _SHARP])
 def test_sharp_case(cache, theorem_id, p, args, lhs, value, exponent):
     assert lhs == value and _valuation(value, p) == exponent
-    record = cg.THEOREMS[theorem_id].run(p, dict(args), cache)
+    record = cg.verify_case(theorem_id, p, dict(args), cache)
     assert (record.theorem_id, record.p, record.params) == (theorem_id, p, args)
     assert record.lhs == value
     assert record.required_exponent == record.achieved_valuation == exponent
@@ -158,7 +158,7 @@ def test_table_exponent_mutants_fail(cache, monkeypatch, theorem_id, p, args):
     for by in (1, -1):
         mutant = row._replace(exponent=lambda p, a, t, by=by: row.exponent(p, a, t) + by)
         monkeypatch.setitem(cg.THEOREMS, theorem_id, mutant)
-        record = cg.THEOREMS[theorem_id].run(p, dict(args), cache)
+        record = cg.verify_case(theorem_id, p, dict(args), cache)
         if by == 1:
             assert record.passed is False
         else:
@@ -220,7 +220,7 @@ def test_table_lhs_mutants_fail(cache, monkeypatch, theorem_id, p, args):
     pinned = [(q, a, value) for t, q, a, _, value, *_ in _SHARP + _MORE if t == theorem_id]
     for q, a, value in pinned:
         monkeypatch.setattr(cg, "_running", None)
-        assert row.run(q, dict(a), cache).lhs == value
+        assert cg.verify_case(theorem_id, q, dict(a), cache).lhs == value
     terms = _expanded(row.terms(p, **args))
     assert terms
     for i, term in enumerate(terms):
@@ -233,7 +233,7 @@ def test_table_lhs_mutants_fail(cache, monkeypatch, theorem_id, p, args):
             caught = []
             for q, a, value in pinned:
                 monkeypatch.setattr(cg, "_running", None)
-                record = mutant.run(q, dict(a), cache)
+                record = cg.verify_case(theorem_id, q, dict(a), cache)
                 caught.append(record.lhs != value or record.passed is False)
             assert any(caught), (theorem_id, i, term, how)
 
@@ -243,20 +243,20 @@ def test_table_lhs_mutants_fail(cache, monkeypatch, theorem_id, p, args):
 def test_more_pins(cache, theorem_id, p, args, lhs, value):
     """Each further pin holds, taken from the routes the package does not use."""
     assert lhs == value
-    assert cg.THEOREMS[theorem_id].run(p, dict(args), cache).lhs == value
+    assert cg.verify_case(theorem_id, p, dict(args), cache).lhs == value
 
 
 def test_remark0_least_margins(cache):
     """cor-remark0-3 (e9a) and cor-remark0-5 (e10eeee) are claimed mod p^2 and
     never sharp: on every odd p <= 293 and 1 <= k <= 6 the achieved valuation
     passes the table's exponent by at least 1, and e9a's by at least 2 for
-    p >= 2k + 5 (the derivation is beside verify_cor_remark0).  These are
+    p >= 2k + 5 (the derivation is beside cg.REMARK0_IDS).  These are
     the least margins, each reached on the grid."""
     margins = {"cor-remark0-3": {}, "cor-remark0-5": {}}
     for k in range(1, 7):
         for p in primes_in(3, 293):
             for theorem_id, by_case in margins.items():
-                record = cg.THEOREMS[theorem_id].run(p, {"k": k}, cache)
+                record = cg.verify_case(theorem_id, p, {"k": k}, cache)
                 by_case[p, k] = record.achieved_valuation - record.required_exponent
     assert [len(by_case) for by_case in margins.values()] == [366, 366]
     e9a = margins["cor-remark0-3"]
@@ -266,20 +266,24 @@ def test_remark0_least_margins(cache):
 
 
 def test_exponent_stated_only_in_the_table():
-    """Each verifier makes one _verdict call, which passes exactly the id, p
-    and lhs by position and no exponent, and no function in congruences.py
-    assigns an exponent."""
+    """Exponents and hypotheses are stated only in the theorem table: one
+    function in congruences.py calls _verdict, passing exactly the id, p and
+    lhs by position and no exponent; one calls _require, on the rows'
+    requirements; and no function assigns an exponent."""
     tree = ast.parse(Path(cg.__file__).read_text(encoding="utf-8"))
     functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
-    verifiers = [f for f in functions
-                 if f.name.startswith("verify_") or f.name == "sun_congruence"]
-    calls = [node for node in ast.walk(tree)
-             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_verdict"]
-    assert len(calls) == len(verifiers) == 19
-    for call in calls:
+
+    def callers(name: str) -> list:
+        return [(f.name, node) for f in functions for node in ast.walk(f)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name]
+
+    verdicts = callers("_verdict")
+    assert [name for name, _ in verdicts] == ["verify_case"]
+    for _, call in verdicts:
         assert len(call.args) == 3, ast.unparse(call)
         assert not any(isinstance(arg, ast.Starred) for arg in call.args), ast.unparse(call)
         assert "exponent" not in {kw.arg for kw in call.keywords}, ast.unparse(call)
+    assert [name for name, _ in callers("_require")] == ["verify_case"]
     assigned = [(f.name, node.lineno) for f in functions for node in ast.walk(f)
                 if isinstance(node, ast.Name) and node.id == "exponent"
                 and isinstance(node.ctx, ast.Store)]

@@ -21,6 +21,7 @@ from hclab import cli, fork
 from hclab import congruences as cg
 from hclab.bernoulli import BernoulliCache
 from hclab.cli import run
+from hclab.errors import HypothesisViolated
 from hclab.harmonic import harmonic
 from hclab.primes import primes_in
 from hclab.report import emit, parse
@@ -148,14 +149,14 @@ _CRASH_SCRIPT = """
 import sys
 from hclab import cli, congruences, fork
 
-verify = congruences.verify_wolstenholme
+verify = congruences.verify_case
 
-def broken(p):
+def broken(theorem_id, p, params, cache):
     if p < 2500:
-        return verify(p)
+        return verify(theorem_id, p, params, cache)
     raise TypeError(f"bug at p={p}")
 
-congruences.verify_wolstenholme = broken
+congruences.verify_case = broken
 fork.workers = lambda: 2
 cli.main()
 """
@@ -421,6 +422,64 @@ def test_far_past_a_ceiling_refused_at_once(tmp_path, argv, line):
     assert not cache.exists()
 
 
+# For each id, the requirements of its row in order, each as the flags of one
+# `verify` that fails it first and the message it ends with.  No prime fails
+# thm-ee10bis's first, p >= 2, so `verify` cannot reach it (None): it is
+# judged in process at p = 1.
+_VIOLATIONS = {
+    "wolstenholme": [("--p 3", "needs p >= 5")],
+    "wolstenholme-refined": [("--p 5", "needs p >= 7")],
+    "eisenstein": [("--p 2", "needs an odd prime")],
+    "lehmer": [("--p 2", "needs an odd prime")],
+    **{f"expansion-{w}": [("--p 5 --k 0 --j-terms 1", "needs k >= 1"),
+                          ("--p 5 --k 1 --j-terms -1", "needs J >= 0"),
+                          *[("--p 2 --k 1 --j-terms 1", "needs odd p")] * (w != "e10ee")]
+       for w in cg.EXPANSION_IDS},
+    **{f"cor-remark0-{idx}": [("--p 2 --k 1", "needs odd p"), ("--p 3 --k 0", "needs k >= 1")]
+       for idx in range(1, 7)},
+    **{f"prop3-{idx}": [("--p 5 --k 0", "needs k >= 1"), ("--p 5 --k 2", "needs p >= 2k+3")]
+       for idx in range(1, 4)},
+    "prop3-4": [("--p 5 --k 0", "needs k >= 1"),
+                ("--p 3 --k 2", "needs p >= 2k+3 or p = 2k+1")],
+    "thm-ee10bis": [(None, "needs a prime"), ("--p 3 --i 0 --n -1", "needs n, i >= 0")],
+    "cor-ee10biss": [("--p 2 --i 0 --k 1", "needs odd p"),
+                     ("--p 3 --i 0 --k 0", "needs i >= 0, k >= 1")],
+    "thm-eecj": [("--p 2 --i 1 --n 1", "needs odd p"), ("--p 3 --i 1 --n 0", "needs n, i >= 1")],
+    "cor-eecjj": [("--p 2 --j-terms 1", "needs odd p"), ("--p 3 --j-terms 0", "needs J >= 1")],
+    "prop41": [("--p 2 --n 1", "needs odd p"), ("--p 3 --n 0", "needs n >= 1"),
+               ("--p 3 --n 5", "needs p > (n+1)/2")],
+    "prop42": [("--p 2 --n 3 --h 1", "needs odd p"), ("--p 3 --n 2 --h 0", "needs h >= 1"),
+               ("--p 3 --n 2 --h 2", "needs (n+1)/2 > h"),
+               ("--p 3 --n 5 --h 1", "needs p > (n+1)/2")],
+    "thm-ee20": [("--p 2 --n 1", "needs odd p"), ("--p 3 --n 0", "needs n >= 1")],
+    "eq47": [("--p 2 --n 2", "needs odd p"), ("--p 3 --n 3", "needs even n >= 2"),
+             ("--p 3 --n 6", "needs p > (n+1)/2")],
+    "sun": [("--p 3", "needs p >= 5")],
+    "lemma-pb-1": [("--p 2 --n 1", "needs odd p"), ("--p 3 --n 0", "needs n >= 1")],
+    "lemma-pb-2": [("--p 2 --n 1 --h 1", "needs odd p"), ("--p 7 --n 1 --h 0", "needs n, h >= 1"),
+                   ("--p 7 --n 1 --h 3", "needs p^(n-1)(p-1) - 2h >= 2")],
+    "kummer": [("--p 2 --h 2 --k 2", "needs odd p"),
+               ("--p 11 --h 3 --k 13", "needs even h, k >= 2"),
+               ("--p 11 --h 2 --k 4", "needs h == k mod 10, neither divisible by it")],
+}
+
+
+@pytest.mark.parametrize("theorem_id", sorted(cg.THEOREMS))
+def test_every_requirement_ends_verify_with_its_line(capsys, tmp_path, theorem_id):
+    """Each requirement of a row, failed first, ends `verify` with exit 2,
+    nothing on stdout and its own one stderr line."""
+    violations = _VIOLATIONS[theorem_id]
+    assert [msg for _, msg in violations] == [
+        msg if isinstance(msg, str) else msg(11) for _, msg in cg.THEOREMS[theorem_id].requires]
+    for flags, msg in violations:
+        if flags is None:
+            with pytest.raises(HypothesisViolated, match=re.escape(msg)):
+                cg.verify_case(theorem_id, 1, {"i": 0, "n": 0}, None)
+            continue
+        argv = ["verify", theorem_id, *flags.split(), "--cache", str(tmp_path / "c.cache")]
+        assert run_capture(capsys, argv) == (2, "", f"hypothesis violated: {msg}\n"), flags
+
+
 def test_power_index_below_the_cutoff_is_exact(capsys, tmp_path):
     """Below the cutoff the index is built and named in full, or read."""
     cache = str(tmp_path / "c.cache")
@@ -581,8 +640,7 @@ def test_case_need_reaches_ceiling(capsys, tmp_path, monkeypatch, argv, stored):
 
 def test_grid_flags_come_from_theorem_table(capsys, monkeypatch):
     """A theorem with a new parameter name needs no CLI edit."""
-    fake = cg.Theorem(("q",), lambda p, a, c: cg._verdict("fake", p, a["q"] * p, q=a["q"]),
-                      lambda p, a, t: 1)
+    fake = cg.Theorem(("q",), lambda p, a, t: 1, lambda p, q: [cg.Term(q * p)])
     monkeypatch.setitem(cg.THEOREMS, "fake", fake)
     code, out, err = run_capture(capsys, ["verify", "fake", "--p", "7", "--q", "3"])
     assert code == 0, err

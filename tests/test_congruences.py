@@ -10,35 +10,37 @@ from hclab.errors import HypothesisViolated
 from hclab.exact import vp
 from hclab.primes import primes_in
 
+from oracles import coeff_a, coeff_c, coeff_z
+
 
 def test_coefficients(cache):
-    assert cg.coeff_c(0, cache) == Fraction(1, 3)
-    assert cg.coeff_c(1, cache) == Fraction(1, 3)
-    assert cg.coeff_a(1, cache) == Fraction(-1, 6)
-    assert cg.coeff_z(5, 2, 1, cache) == Fraction(cg.bernoulli(18, cache), 2)
+    assert coeff_c(0, cache) == Fraction(1, 3)
+    assert coeff_c(1, cache) == Fraction(1, 3)
+    assert coeff_a(1, cache) == Fraction(-1, 6)
+    assert coeff_z(5, 2, 1, cache) == Fraction(cg.bernoulli(18, cache), 2)
 
 
 def test_wolstenholme():
-    v = cg.verify_wolstenholme(5)
+    v = cg.verify_case("wolstenholme", 5, {}, None)
     assert v.passed and v.lhs == Fraction(25, 12) and v.achieved_valuation == 2
-    assert cg.verify_wolstenholme(13).passed
+    assert cg.verify_case("wolstenholme", 13, {}, None).passed
     with pytest.raises(HypothesisViolated):
-        cg.verify_wolstenholme(3)
+        cg.verify_case("wolstenholme", 3, {}, None)
 
 
 def test_wolstenholme_refined():
-    assert cg.verify_wolstenholme_refined(7).passed
-    assert cg.verify_wolstenholme_refined(11).passed
+    assert cg.verify_case("wolstenholme-refined", 7, {}, None).passed
+    assert cg.verify_case("wolstenholme-refined", 11, {}, None).passed
     with pytest.raises(HypothesisViolated):
-        cg.verify_wolstenholme_refined(5)
+        cg.verify_case("wolstenholme-refined", 5, {}, None)
 
 
 def test_eisenstein_and_lehmer():
-    v = cg.verify_eisenstein(5)
+    v = cg.verify_case("eisenstein", 5, {}, None)
     # H_2 + 2 q_5 = 3/2 + 6 = 15/2
     assert v.lhs == Fraction(15, 2) and v.passed
-    assert cg.verify_lehmer(7).passed
-    assert cg.verify_lehmer(3).passed
+    assert cg.verify_case("lehmer", 7, {}, None).passed
+    assert cg.verify_case("lehmer", 3, {}, None).passed
 
 
 def test_expansion_spec_points():
@@ -46,7 +48,7 @@ def test_expansion_spec_points():
         for k in (1, 2, 3):
             for p in (5, 7, 11, 31):
                 for J in range(7):
-                    v = cg.verify_expansion_truncation(which, k, p, J)
+                    v = cg.verify_case(f"expansion-{which}", p, {"k": k, "J": J}, None)
                     assert v.passed, (which, k, p, J)
 
 
@@ -55,7 +57,8 @@ def test_expansion_certified_order_monotone():
         for k in (1, 2, 3):
             for p in (5, 13, 31):
                 vals = [
-                    cg.verify_expansion_truncation(which, k, p, J).achieved_valuation
+                    cg.verify_case(f"expansion-{which}", p, {"k": k, "J": J},
+                                   None).achieved_valuation
                     for J in range(7)
                 ]
                 certified = [min(v, J) for J, v in enumerate(vals)]
@@ -63,29 +66,29 @@ def test_expansion_certified_order_monotone():
 
 
 def test_remark_congruences():
-    for idx, which in enumerate(cg.REMARK0_IDS, start=1):
+    for theorem_id in (f"cor-remark0-{idx}" for idx in range(1, len(cg.REMARK0_IDS) + 1)):
         for k in (1, 2, 3):
             for p in (5, 7, 11, 13, 31):
-                v = cg.verify_cor_remark0(which, k, p)
-                assert v.passed, (which, k, p)
-                assert v.theorem_id == f"cor-remark0-{idx}"
+                v = cg.verify_case(theorem_id, p, {"k": k}, None)
+                assert v.passed, (theorem_id, k, p)
+                assert v.theorem_id == theorem_id
 
 
 def test_bernoulli_valued_congruences(cache):
-    for idx, which in enumerate(cg.PROP3_IDS, start=1):
+    for theorem_id in (f"prop3-{idx}" for idx in range(1, len(cg.PROP3_IDS) + 1)):
         for k in (1, 2, 3):
             for p in primes_in(2 * k + 3, 31):
-                v = cg.verify_thm_prop3(which, k, p, cache)
-                assert v.passed, (which, k, p)
-                assert v.theorem_id == f"prop3-{idx}"
-    # e9bbs additionally admits p = 2k+1
-    assert cg.verify_thm_prop3("e9bbs", 2, 5, cache).passed
+                v = cg.verify_case(theorem_id, p, {"k": k}, cache)
+                assert v.passed, (theorem_id, k, p)
+                assert v.theorem_id == theorem_id
+    # prop3-4 (e9bbs) additionally admits p = 2k+1, prop3-1 (e8bbf) does not
+    assert cg.verify_case("prop3-4", 5, {"k": 2}, cache).passed
     with pytest.raises(HypothesisViolated):
-        cg.verify_thm_prop3("e8bbf", 2, 5, cache)
+        cg.verify_case("prop3-1", 5, {"k": 2}, cache)
 
 
 def test_ee10bis_gold_vector(cache):
-    v = cg.verify_thm_ee10bis(37, 0, 0, cache=cache)
+    v = cg.verify_case("thm-ee10bis", 37, {"n": 0, "i": 0}, cache)
     assert v.tier == 5 and v.required_exponent == 5
     assert v.achieved_valuation == 5 and v.passed
     assert v.lhs.numerator == 1422091936194747472864459922257
@@ -97,36 +100,36 @@ def test_ee10bis_gold_vector(cache):
 
 def test_ee10bis_tier_resolution(cache):
     # irregular pair (37, 32) lifts p=37, n=0, i=0 to the top tier
-    assert cg.verify_thm_ee10bis(37, 0, 0, cache=cache).tier == 5
-    assert cg.verify_thm_ee10bis(11, 1, 0, cache=cache).tier == 4
-    assert cg.verify_thm_ee10bis(11, 1, 0, cache=cache).required_exponent == 6
-    assert cg.verify_thm_ee10bis(13, 2, 0, cache=cache).required_exponent == 8
-    assert cg.verify_thm_ee10bis(2, 0, 0, cache=cache).tier == 1
-    assert cg.verify_thm_ee10bis(3, 3, 0, cache=cache).tier == 3
+    assert cg.verify_case("thm-ee10bis", 37, {"n": 0, "i": 0}, cache).tier == 5
+    assert cg.verify_case("thm-ee10bis", 11, {"n": 1, "i": 0}, cache).tier == 4
+    assert cg.verify_case("thm-ee10bis", 11, {"n": 1, "i": 0}, cache).required_exponent == 6
+    assert cg.verify_case("thm-ee10bis", 13, {"n": 2, "i": 0}, cache).required_exponent == 8
+    assert cg.verify_case("thm-ee10bis", 2, {"n": 0, "i": 0}, cache).tier == 1
+    assert cg.verify_case("thm-ee10bis", 3, {"n": 3, "i": 0}, cache).tier == 3
 
 
 def test_ee10bis_grid_and_lower_tiers(cache):
     for p in primes_in(2, 50):
         for n in range(3):
             for i in range(3):
-                v = cg.verify_thm_ee10bis(p, n, i, cache=cache)
+                v = cg.verify_case("thm-ee10bis", p, {"n": n, "i": i}, cache)
                 assert v.tier in range(1, 6), (p, n, i)
                 # every rung below the resolved tier then passes too
                 assert v.passed, (p, n, i)
 
 
 def test_eecj_gold_vectors(cache):
-    v = cg.verify_thm_eecj(37, 1, 1, cache=cache)
+    v = cg.verify_case("thm-eecj", 37, {"n": 1, "i": 1}, cache)
     assert v.lhs.numerator == 9356942544006649495921
     assert v.lhs.numerator == 19 * 37**4 * 262768598968219
     assert v.achieved_valuation == 4 and v.passed
 
-    v = cg.verify_thm_eecj(31, 1, 1, cache=cache)
+    v = cg.verify_case("thm-eecj", 31, {"n": 1, "i": 1}, cache)
     assert v.lhs.numerator == 1804176116127398723
     assert v.lhs.numerator == 31**4 * 619 * 809 * 3901153
     assert v.achieved_valuation == 4 and v.passed
 
-    v = cg.verify_thm_eecj(5, 1, 2, cache=cache)
+    v = cg.verify_case("thm-eecj", 5, {"n": 1, "i": 2}, cache)
     assert v.lhs == Fraction(3**2 * 5**4, 2**5)
     assert v.achieved_valuation == 4 and v.passed
 
@@ -135,7 +138,7 @@ def test_eecj_grid(cache):
     for p in primes_in(3, 50):
         for n in (1, 2):
             for i in (1, 2):
-                v = cg.verify_thm_eecj(p, n, i, cache=cache)
+                v = cg.verify_case("thm-eecj", p, {"n": n, "i": i}, cache)
                 assert v.tier in range(0, 3), (p, n, i)
                 assert v.passed, (p, n, i)
 
@@ -143,33 +146,33 @@ def test_eecj_grid(cache):
 def test_truncation_corollaries(cache):
     for p in (5, 7, 11, 31):
         for k in range(1, 6):
-            assert cg.verify_cor_ee10biss(p, 0, k, cache).passed
-            assert cg.verify_cor_ee10biss(p, 1, k, cache).passed
-            assert cg.verify_cor_eecjj(p, k, cache).passed
+            assert cg.verify_case("cor-ee10biss", p, {"i": 0, "k": k}, cache).passed
+            assert cg.verify_case("cor-ee10biss", p, {"i": 1, "k": k}, cache).passed
+            assert cg.verify_case("cor-eecjj", p, {"J": k}, cache).passed
     with pytest.raises(HypothesisViolated):  # C(j+2i, 2i) needs i >= 0
-        cg.verify_cor_ee10biss(5, -1, 2, cache)
+        cg.verify_case("cor-ee10biss", 5, {"i": -1, "k": 2}, cache)
 
 
 def test_prop41(cache):
-    assert cg.verify_prop41(5, 1, cache).passed
-    assert cg.verify_prop41(5, 3, cache).passed
-    assert cg.verify_prop41(3, 2, cache).passed  # p = n+1, delta active
-    assert cg.verify_prop41(7, 4, cache).passed
+    assert cg.verify_case("prop41", 5, {"n": 1}, cache).passed
+    assert cg.verify_case("prop41", 5, {"n": 3}, cache).passed
+    assert cg.verify_case("prop41", 3, {"n": 2}, cache).passed  # p = n+1, delta active
+    assert cg.verify_case("prop41", 7, {"n": 4}, cache).passed
     with pytest.raises(HypothesisViolated):
-        cg.verify_prop41(3, 6, cache)
+        cg.verify_case("prop41", 3, {"n": 6}, cache)
 
 
 def test_prop42(cache):
-    assert cg.verify_prop42(5, 3, 1, cache).passed
-    assert cg.verify_prop42(7, 3, 1, cache).passed
-    v = cg.verify_prop42(5, 2, 1, cache)
+    assert cg.verify_case("prop42", 5, {"n": 3, "h": 1}, cache).passed
+    assert cg.verify_case("prop42", 7, {"n": 3, "h": 1}, cache).passed
+    v = cg.verify_case("prop42", 5, {"n": 2, "h": 1}, cache)
     assert v.required_exponent == 1 and v.passed
     with pytest.raises(HypothesisViolated):
-        cg.verify_prop42(5, 2, 2, cache)
+        cg.verify_case("prop42", 5, {"n": 2, "h": 2}, cache)
 
 
 def test_ee20_sharpness(cache):
-    v = cg.verify_thm_ee20(3, 5, cache)
+    v = cg.verify_case("thm-ee20", 3, {"n": 5}, cache)
     assert not v.passed
     assert v.achieved_valuation == 4
     assert 2 * v.lhs == Fraction(4293, 80)
@@ -179,11 +182,12 @@ def test_ee20_sharpness(cache):
 def test_ee20_matches_low_order_theorems(cache):
     for p in primes_in(3, 97):
         assert (
-            cg.verify_thm_ee20(p, 1, cache).passed
-            == cg.verify_eisenstein(p).passed
+            cg.verify_case("thm-ee20", p, {"n": 1}, cache).passed
+            == cg.verify_case("eisenstein", p, {}, None).passed
         )
         assert (
-            cg.verify_thm_ee20(p, 2, cache).passed == cg.verify_lehmer(p).passed
+            cg.verify_case("thm-ee20", p, {"n": 2}, cache).passed
+            == cg.verify_case("lehmer", p, {}, None).passed
         )
 
 
@@ -203,24 +207,24 @@ def test_ee20_series_coefficients(cache):
 
 
 def test_eq47(cache):
-    assert cg.verify_intermediate_47(5, 2, cache).passed
-    assert cg.verify_intermediate_47(3, 2, cache).passed
-    assert cg.verify_intermediate_47(7, 4, cache).passed
+    assert cg.verify_case("eq47", 5, {"n": 2}, cache).passed
+    assert cg.verify_case("eq47", 3, {"n": 2}, cache).passed
+    assert cg.verify_case("eq47", 7, {"n": 4}, cache).passed
     with pytest.raises(HypothesisViolated):
-        cg.verify_intermediate_47(5, 3, cache)
+        cg.verify_case("eq47", 5, {"n": 3}, cache)
 
 
 def test_sun(cache):
-    assert cg.sun_congruence(5, cache).passed
-    assert cg.sun_congruence(11, cache).passed
+    assert cg.verify_case("sun", 5, {}, cache).passed
+    assert cg.verify_case("sun", 11, {}, cache).passed
     with pytest.raises(HypothesisViolated):
-        cg.sun_congruence(3, cache)
+        cg.verify_case("sun", 3, {}, cache)
 
 
 def test_verdict_internal_consistency(cache):
     for v in (
-        cg.verify_wolstenholme(7),
-        cg.verify_thm_eecj(7, 1, 1, cache=cache),
-        cg.verify_thm_ee20(3, 5, cache),
+        cg.verify_case("wolstenholme", 7, {}, None),
+        cg.verify_case("thm-eecj", 7, {"n": 1, "i": 1}, cache),
+        cg.verify_case("thm-ee20", 3, {"n": 5}, cache),
     ):
         assert v.passed == (vp(v.lhs, v.p) >= v.required_exponent)

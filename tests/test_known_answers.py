@@ -1,8 +1,8 @@
 """Verdicts and Bernoulli values checked against facts from the literature
 and against a second route, not against an oracle built from the same code."""
 
+from hclab import congruences as cg
 from hclab.bernoulli import CEILING, BernoulliCache, irregular_pairs
-from hclab.congruences import verify_eisenstein, verify_wolstenholme
 from hclab.primes import classify, primes_in
 
 from oracles import PrimePower, harmonic_mod
@@ -12,7 +12,7 @@ def test_wolstenholme_primes_to_17000():
     """16843 is the only Wolstenholme prime below 17000 (McIntosh and
     Roettger, Math. Comp. 2007): there H_{p-1} vanishes mod p^3, everywhere
     else exactly mod p^2."""
-    valuations = {p: verify_wolstenholme(p).achieved_valuation
+    valuations = {p: cg.verify_case("wolstenholme", p, {}, None).achieved_valuation
                   for p in primes_in(5, 17000)}
     assert {p: v for p, v in valuations.items() if v != 2} == {16843: 3}
 
@@ -22,7 +22,8 @@ def test_wieferich_primes_to_4000():
     p q_p^2 mod p^2, so it vanishes mod p^2 exactly when p divides q_p: at
     the Wieferich primes 1093 (Meissner 1913) and 3511 (Beeger 1922)."""
     primes = primes_in(3, 4000)
-    valuations = {p: verify_eisenstein(p).achieved_valuation for p in primes}
+    valuations = {p: cg.verify_case("eisenstein", p, {}, None).achieved_valuation
+                  for p in primes}
     assert min(valuations.values()) == 1
     reaching_two = {p for p, v in valuations.items() if v >= 2}
     assert reaching_two == {1093, 3511}

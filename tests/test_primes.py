@@ -91,16 +91,17 @@ def test_lemma_binom_grid():
 def test_lemma_pB_examples(cache):
     """The two p*B congruences as the lemma-pb-1 and lemma-pb-2 verdicts,
     exact where the values are small enough to write down."""
-    v = cg.verify_lemma_pb_1(5, 2, cache)  # 5 B_20 - 4, B_20 = -174611/330
+    v = cg.verify_case("lemma-pb-1", 5, {"n": 2}, cache)  # 5 B_20 - 4, B_20 = -174611/330
     assert v.passed and v.lhs == Fraction(-174875, 66) and v.achieved_valuation == 3
-    v = cg.verify_lemma_pb_2(3, 2, 1, cache)  # 3 B_4 - H^(2)_2 = -1/10 - 5/4
+    v = cg.verify_case("lemma-pb-2", 3, {"n": 2, "h": 1}, cache)  # 3 B_4 - H^(2)_2 = -1/10 - 5/4
     assert v.passed and v.lhs == Fraction(-27, 20) and v.achieved_valuation == 3
-    assert cg.verify_lemma_pb_1(7, 1, cache).passed
-    assert cg.verify_lemma_pb_2(7, 1, 1, cache).passed
-    for refused in (lambda: cg.verify_lemma_pb_1(2, 1, cache),  # p = 2
-                    lambda: cg.verify_lemma_pb_1(5, 0, cache),
-                    lambda: cg.verify_lemma_pb_2(7, 1, 0, cache),
-                    lambda: cg.verify_lemma_pb_2(7, 1, 3, cache)):  # would read B_0
+    assert cg.verify_case("lemma-pb-1", 7, {"n": 1}, cache).passed
+    assert cg.verify_case("lemma-pb-2", 7, {"n": 1, "h": 1}, cache).passed
+    for refused in (lambda: cg.verify_case("lemma-pb-1", 2, {"n": 1}, cache),  # p = 2
+                    lambda: cg.verify_case("lemma-pb-1", 5, {"n": 0}, cache),
+                    lambda: cg.verify_case("lemma-pb-2", 7, {"n": 1, "h": 0}, cache),
+                    # would read B_0
+                    lambda: cg.verify_case("lemma-pb-2", 7, {"n": 1, "h": 3}, cache)):
         with pytest.raises(HypothesisViolated):
             refused()
 
@@ -109,9 +110,9 @@ def test_lemma_pB_small_grid(cache):
     for p, n in ((3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2),
                  (11, 1), (13, 1)):
         big = p ** (n - 1) * (p - 1)
-        assert cg.verify_lemma_pb_1(p, n, cache).passed
+        assert cg.verify_case("lemma-pb-1", p, {"n": n}, cache).passed
         for h in range(1, min(4, (big - 2) // 2 + 1)):
-            assert cg.verify_lemma_pb_2(p, n, h, cache).passed
+            assert cg.verify_case("lemma-pb-2", p, {"n": n, "h": h}, cache).passed
 
 
 def test_fermat_expansion_examples():

@@ -8,8 +8,8 @@ from hclab.report import ReportRecord, emit, parse
 
 
 def _records(cache):
-    a = ReportRecord.from_verdict(cg.verify_wolstenholme(7), 1.234)
-    b = ReportRecord.from_verdict(cg.verify_thm_eecj(5, 1, 2, cache=cache), 8.5)
+    a = ReportRecord.from_verdict(cg.verify_case("wolstenholme", 7, {}, None), 1.234)
+    b = ReportRecord.from_verdict(cg.verify_case("thm-eecj", 5, {"n": 1, "i": 2}, cache), 8.5)
     c = ReportRecord.skipped("thm-ee20", 3, {"n": 6}, "hypothesis")
     return [a, b, c]
 
@@ -59,14 +59,14 @@ _PINNED_CSV = (
 
 def test_emit_bytes_pinned(cache):
     records = _records(cache) + [
-        ReportRecord.from_verdict(cg.verify_thm_ee20(3, 2, cache), 0.1)
+        ReportRecord.from_verdict(cg.verify_case("thm-ee20", 3, {"n": 2}, cache), 0.1)
     ]
     assert emit(records, "json") == _PINNED_JSON
     assert emit(records, "csv") == _PINNED_CSV
 
 
 def test_infinite_valuation_serializes(cache):
-    v = cg.verify_thm_ee20(3, 2, cache)  # lhs is exactly zero here
+    v = cg.verify_case("thm-ee20", 3, {"n": 2}, cache)  # lhs is exactly zero here
     assert math.isinf(v.achieved_valuation)
     r = ReportRecord.from_verdict(v, 0.1)
     for fmt in ("json", "csv"):

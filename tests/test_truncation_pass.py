@@ -22,7 +22,9 @@ from hclab.cli import run
 from hclab.errors import HypothesisViolated
 from hclab.exact import vp
 from hclab.harmonic import harmonic
-from hclab.primes import fermat_quotient, primes_in, q_series
+from hclab.primes import fermat_quotient, primes_in
+
+from oracles import coeff_c, q_series
 
 ODD_PRIMES = primes_in(3, 60)
 LENGTHS = list(range(8))
@@ -98,7 +100,7 @@ def eecj_sum(p, i, J, cache):
     return sum(
         (comb(j + 2 * i - 1, j + 1)
          * Fraction(2 ** (j + 2 * i) - 1, 2**j)
-         * cg.coeff_c(j, cache)
+         * coeff_c(j, cache)
          * harmonic(j + 2 * i, half)
          * Fraction(p) ** j
          for j in range(J)),
@@ -162,7 +164,7 @@ def test_expansion_pass_matches_per_length_sums(which):
     for p in ODD_PRIMES:
         for k in (1, 2, 3):
             records = check_lengths(
-                lambda J: cg.verify_expansion_truncation(which, k, p, J),
+                lambda J: cg.verify_case(f"expansion-{which}", p, {"k": k, "J": J}, None),
                 lambda J: oracle_expansion(which, k, p, J),
                 LENGTHS, p, {"k": k},
             )
@@ -174,7 +176,7 @@ def test_cor_ee10biss_pass_matches_per_length_sums(cache):
     for p in ODD_PRIMES:
         for i in (0, 1, 2, 3):
             records = check_lengths(
-                lambda k: cg.verify_cor_ee10biss(p, i, k, cache),
+                lambda k: cg.verify_case("cor-ee10biss", p, {"i": i, "k": k}, cache),
                 lambda k: oracle_cor_ee10biss(p, i, k, cache),
                 LENGTHS, p, {"i": i},
             )
@@ -185,7 +187,7 @@ def test_cor_eecjj_pass_matches_per_length_sums(cache):
     drops = 0
     for p in ODD_PRIMES:
         records = check_lengths(
-            lambda J: cg.verify_cor_eecjj(p, J, cache),
+            lambda J: cg.verify_case("cor-eecjj", p, {"J": J}, cache),
             lambda J: oracle_cor_eecjj(p, J, cache),
             LENGTHS, p, {},
         )
@@ -197,7 +199,7 @@ def test_cor_eecjj_pass_matches_per_length_sums(cache):
 def test_thm_ee20_pass_matches_per_length_sums(cache):
     for p in ODD_PRIMES:
         check_lengths(
-            lambda n: cg.verify_thm_ee20(p, n, cache),
+            lambda n: cg.verify_case("thm-ee20", p, {"n": n}, cache),
             lambda n: oracle_thm_ee20(p, n, cache),
             LENGTHS, p, {},
         )
@@ -210,26 +212,24 @@ def test_ladders_share_the_running_sum(cache):
     i = 1  # cor-eecjj reads the thm-eecj series at i = 1
     for p in ODD_PRIMES[:6]:
         reads = [
-            *((2 * n + 2, ee10bis_sum, lambda n=n: cg.verify_thm_ee10bis(p, n, i, cache=cache))
-              for n in range(4)),
-            *((k, ee10bis_sum, lambda k=k: cg.verify_cor_ee10biss(p, i, k, cache))
-              for k in range(1, 8)),
-            *((2 * n, eecj_sum, lambda n=n: cg.verify_thm_eecj(p, n, i, cache=cache))
-              for n in range(1, 4)),
-            *((J, eecj_sum, lambda J=J: cg.verify_cor_eecjj(p, J, cache)) for J in range(1, 8)),
+            *((2 * n + 2, ee10bis_sum, "thm-ee10bis", {"n": n, "i": i}) for n in range(4)),
+            *((k, ee10bis_sum, "cor-ee10biss", {"i": i, "k": k}) for k in range(1, 8)),
+            *((2 * n, eecj_sum, "thm-eecj", {"n": n, "i": i}) for n in range(1, 4)),
+            *((J, eecj_sum, "cor-eecjj", {"J": J}) for J in range(1, 8)),
         ]
         for order in _orders(reads, key=lambda read: read[0]):
-            for length, series, verify in order:
-                assert verify().lhs == series(p, i, length, cache), (p, series, length)
+            for length, series, theorem_id, params in order:
+                record = cg.verify_case(theorem_id, p, params, cache)
+                assert record.lhs == series(p, i, length, cache), (p, series, length)
 
 
 def test_group_hypothesis_refuses_whole_pass():
     """An even p, or k = 0, is refused at every length."""
     for J in (0, 1, 2):
         with pytest.raises(HypothesisViolated, match="needs odd p"):
-            cg.verify_expansion_truncation("e10eed", 1, 2, J)
+            cg.verify_case("expansion-e10eed", 2, {"k": 1, "J": J}, None)
         with pytest.raises(HypothesisViolated, match="needs k >= 1"):
-            cg.verify_expansion_truncation("e10ee", 0, 5, J)
+            cg.verify_case("expansion-e10ee", 5, {"k": 0, "J": J}, None)
 
 
 class _ShiftedCache(BernoulliCache):
@@ -246,11 +246,13 @@ def test_two_caches_do_not_share_a_sum(cache):
     p = 11
     for n in range(1, 7):
         for c in (cache, shifted):
-            assert cg.verify_thm_ee20(p, n, c).lhs == oracle_thm_ee20(p, n, c)[0], (n, c)
+            record = cg.verify_case("thm-ee20", p, {"n": n}, c)
+            assert record.lhs == oracle_thm_ee20(p, n, c)[0], (n, c)
     assert oracle_thm_ee20(p, 6, cache) != oracle_thm_ee20(p, 6, shifted)
     for J in range(1, 7):
         for c in (cache, shifted):
-            assert cg.verify_cor_eecjj(p, J, c).lhs == oracle_cor_eecjj(p, J, c)[0], (J, c)
+            record = cg.verify_case("cor-eecjj", p, {"J": J}, c)
+            assert record.lhs == oracle_cor_eecjj(p, J, c)[0], (J, c)
 
 
 def test_sum_that_raises_leaves_nothing_stale(monkeypatch):
@@ -259,7 +261,7 @@ def test_sum_that_raises_leaves_nothing_stale(monkeypatch):
     still equals the oracle."""
     p, k = 13, 2
     lhs, _ = oracle_expansion("e10ee", k, p, 2)
-    assert cg.verify_expansion_truncation("e10ee", k, p, 2).lhs == lhs
+    assert cg.verify_case("expansion-e10ee", p, {"k": k, "J": 2}, None).lhs == lhs
     reads = count()
 
     def failing_harmonic(order, upto):
@@ -269,11 +271,11 @@ def test_sum_that_raises_leaves_nothing_stale(monkeypatch):
 
     monkeypatch.setattr(cg, "harmonic", failing_harmonic)
     with pytest.raises(MemoryError):
-        cg.verify_expansion_truncation("e10ee", k, p, 6)
+        cg.verify_case("expansion-e10ee", p, {"k": k, "J": 6}, None)
     monkeypatch.setattr(cg, "harmonic", harmonic)
     for J in (6, 7):
         lhs, _ = oracle_expansion("e10ee", k, p, J)
-        assert cg.verify_expansion_truncation("e10ee", k, p, J).lhs == lhs, J
+        assert cg.verify_case("expansion-e10ee", p, {"k": k, "J": J}, None).lhs == lhs, J
 
 
 def test_each_record_times_its_own_case(capsys, tmp_path, monkeypatch):
