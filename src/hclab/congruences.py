@@ -28,7 +28,7 @@ from .report import ReportRecord
 EXPANSION_IDS = ("e10ee", "e10eed", "e10eee", "e10eeeff")
 
 
-def _verdict(theorem_id, p, lhs, tier=None, **params) -> ReportRecord:
+def _verdict(theorem_id, p, lhs, tier, **params) -> ReportRecord:
     required = THEOREMS[theorem_id].exponent(p, params, tier)
     v = vp(lhs, p)
     return ReportRecord(theorem_id, p, params, required_exponent=required,
@@ -350,7 +350,7 @@ class Theorem(NamedTuple):
 
     params: tuple[str, ...]
     exponent: Callable[[int, dict, int | None], int]
-    terms: Callable[..., Iterable[Term]] = lambda p, **a: ()
+    terms: Callable[..., Iterable[Term]]
     requires: Sequence[tuple[Callable[[int, dict], bool], str | Callable[[int], str]]] = ()
     tier: Callable[[int, dict, BernoulliCache], int] | None = None
     hypothesis: Callable[[int, dict], bool] = lambda p, a: True
@@ -370,7 +370,7 @@ def bernoulli_need(theorem_id: str, p: int, args: dict) -> int:
 
 # Hypotheses several rows state.
 _P5 = (lambda p, a: p >= 5, "needs p >= 5")
-_ODD_PRIME = (lambda p, a: p >= 3, "needs an odd prime")
+_P3 = (lambda p, a: p >= 3, "needs an odd prime")
 _ODD_P = (lambda p, a: p % 2 == 1 and p >= 3, "needs odd p")
 _K1 = (lambda p, a: a["k"] >= 1, "needs k >= 1")
 _N1 = (lambda p, a: a["n"] >= 1, "needs n >= 1")
@@ -385,11 +385,11 @@ THEOREMS: dict[str, Theorem] = {
         [(lambda p, a: p >= 7, "needs p >= 7")]),
     # H_{(p-1)/2} + 2 q_p == 0 (mod p) for odd p
     "eisenstein": Theorem((), lambda p, a, t: 1,
-                          lambda p: [Term(1, (1, (p - 1) // 2)), Term(2, q=1)], [_ODD_PRIME]),
+                          lambda p: [Term(1, (1, (p - 1) // 2)), Term(2, q=1)], [_P3]),
     # H_{(p-1)/2} + 2 q_p - p q_p^2 == 0 (mod p^2) for odd p
     "lehmer": Theorem((), lambda p, a, t: 2,
                       lambda p: [Term(1, (1, (p - 1) // 2)), Term(2, q=1), Term(-p, q=2)],
-                      [_ODD_PRIME]),
+                      [_P3]),
     # The four expansions truncated at j < J, odd p but for e10ee: the left-hand
     # side is the truncated series less its target, and every omitted term
     # carries p^j with j >= J times a p-integral cofactor, so the exponent is J.
