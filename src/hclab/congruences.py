@@ -35,11 +35,6 @@ def _verdict(theorem_id, p, lhs, tier, **params) -> ReportRecord:
                         achieved_valuation=v, tier=tier, passed=v >= required, lhs=lhs)
 
 
-def _require(cond: bool, msg: str | Callable[[int], str], p: int):
-    if not cond:
-        raise HypothesisViolated(msg(p) if callable(msg) else msg)
-
-
 class Term(NamedTuple):
     """One term c H^(m)_u B_b q_p^q of a left-hand side: h = (m, u), u p - 1 or (p - 1)/2,
     h or b None for no such factor, c rational with its powers of p, or in a series
@@ -111,7 +106,8 @@ def verify_case(theorem_id: str, p: int, params: dict,
     left-hand side is summed and a ladder's tier resolved."""
     row = THEOREMS[theorem_id]
     for holds, msg in row.requires:
-        _require(holds(p, params), msg, p)
+        if not holds(p, params):
+            raise HypothesisViolated(msg(p) if callable(msg) else msg)
     lhs = _lhs(theorem_id, p, cache, **params)
     tier = row.tier(p, params, cache) if row.tier else None
     return _verdict(theorem_id, p, lhs, tier=tier, **params)
@@ -351,7 +347,7 @@ class Theorem(NamedTuple):
     params: tuple[str, ...]
     exponent: Callable[[int, dict, int | None], int]
     terms: Callable[..., Iterable[Term]]
-    requires: Sequence[tuple[Callable[[int, dict], bool], str | Callable[[int], str]]] = ()
+    requires: Sequence[tuple[Callable[[int, dict], bool], str | Callable[[int], str]]]
     tier: Callable[[int, dict, BernoulliCache], int] | None = None
     hypothesis: Callable[[int, dict], bool] = lambda p, a: True
     tier_need: Callable[[int, dict], int] = lambda p, a: -1

@@ -266,25 +266,34 @@ def test_remark0_least_margins(cache):
 
 
 def test_exponent_stated_only_in_the_table():
-    """Exponents and hypotheses are stated only in the theorem table: one
-    function in congruences.py calls _verdict, passing exactly the id, p and
-    lhs by position and no exponent; one calls _require, on the rows'
-    requirements; and no function assigns an exponent."""
+    """Exponents and hypotheses are stated only in the theorem table: anywhere
+    in congruences.py, lambdas included, the one _verdict call and the one
+    raise of HypothesisViolated lie in verify_case, the _verdict call passes
+    exactly the id, p and lhs by position and no exponent, and nothing but
+    Theorem's field assigns an exponent."""
     tree = ast.parse(Path(cg.__file__).read_text(encoding="utf-8"))
-    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    verify_case = next(node for node in tree.body
+                       if isinstance(node, ast.FunctionDef) and node.name == "verify_case")
 
-    def callers(name: str) -> list:
-        return [(f.name, node) for f in functions for node in ast.walk(f)
-                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name]
+    def verdicts(root: ast.AST) -> list:
+        return [node for node in ast.walk(root)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_verdict"]
 
-    verdicts = callers("_verdict")
-    assert [name for name, _ in verdicts] == ["verify_case"]
-    for _, call in verdicts:
+    def raises(root: ast.AST) -> list:
+        return [node for node in ast.walk(root) if isinstance(node, ast.Raise)
+                and isinstance(node.exc, ast.Call)
+                and getattr(node.exc.func, "id", None) == "HypothesisViolated"]
+
+    calls = verdicts(tree)
+    assert len(calls) == len(verdicts(verify_case)) == 1
+    for call in calls:
         assert len(call.args) == 3, ast.unparse(call)
         assert not any(isinstance(arg, ast.Starred) for arg in call.args), ast.unparse(call)
         assert "exponent" not in {kw.arg for kw in call.keywords}, ast.unparse(call)
-    assert [name for name, _ in callers("_require")] == ["verify_case"]
-    assigned = [(f.name, node.lineno) for f in functions for node in ast.walk(f)
+    assert len(raises(tree)) == len(raises(verify_case)) == 1
+    assigned = [node.lineno for top in tree.body
+                if not (isinstance(top, ast.ClassDef) and top.name == "Theorem")
+                for node in ast.walk(top)
                 if isinstance(node, ast.Name) and node.id == "exponent"
                 and isinstance(node.ctx, ast.Store)]
     assert assigned == []

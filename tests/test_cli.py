@@ -640,7 +640,7 @@ def test_case_need_reaches_ceiling(capsys, tmp_path, monkeypatch, argv, stored):
 
 def test_grid_flags_come_from_theorem_table(capsys, monkeypatch):
     """A theorem with a new parameter name needs no CLI edit."""
-    fake = cg.Theorem(("q",), lambda p, a, t: 1, lambda p, q: [cg.Term(q * p)])
+    fake = cg.Theorem(("q",), lambda p, a, t: 1, lambda p, q: [cg.Term(q * p)], [])
     monkeypatch.setitem(cg.THEOREMS, "fake", fake)
     code, out, err = run_capture(capsys, ["verify", "fake", "--p", "7", "--q", "3"])
     assert code == 0, err
