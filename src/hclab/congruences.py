@@ -64,18 +64,14 @@ def _value(terms: Iterable[Term], p: int, cache: BernoulliCache | None) -> Fract
     return sum(parts[1:], parts[0]) if parts else Fraction(0)
 
 
-class _Head:
+class _Head(NamedTuple):
     """The terms of a series truncated at ``length``: ``series(*args, j)`` gives
     those of its term j, j = 0, 1, ..., and of its value at length 0 for j = -1.
     Each series' B indices grow with j, so its largest lies in its last term."""
 
-    def __init__(self, series: Callable[..., list[Term]], args: tuple, length: int):
-        self.series, self.args, self.length = series, args, length
-
-    def ends(self) -> list[Term]:
-        """The terms of its value at length 0 and of its last term, unbuilt."""
-        js = range(-1, self.length)
-        return [t for j in {*js[:1], *js[-1:]} for t in self.series(*self.args, j)]
+    series: Callable[..., list[Term]]
+    args: tuple
+    length: int
 
 
 # The series read last: (series, args, cache, length, its sum).
@@ -359,14 +355,13 @@ def bernoulli_need(theorem_id: str, p: int, args: dict) -> int:
     no hypothesis; `verify` and `scan` fill to its maximum at the top prime."""
     row = THEOREMS[theorem_id]
     terms = row.terms(p, **args)
-    if isinstance(terms, _Head):
-        terms = terms.ends()  # two of its terms, at any length
+    if isinstance(terms, _Head):  # its value at length 0 and its last term, unbuilt
+        terms = [t for j in {-1, max(terms.length, 0) - 1} for t in terms.series(*terms.args, j)]
     return max([row.tier_need(p, args), *(t.b for t in terms if t.b is not None)])
 
 
 # Hypotheses several rows state.
 _P5 = (lambda p, a: p >= 5, "needs p >= 5")
-_P3 = (lambda p, a: p >= 3, "needs an odd prime")
 _ODD_P = (lambda p, a: p % 2 == 1 and p >= 3, "needs odd p")
 _K1 = (lambda p, a: a["k"] >= 1, "needs k >= 1")
 _N1 = (lambda p, a: a["n"] >= 1, "needs n >= 1")
@@ -381,11 +376,11 @@ THEOREMS: dict[str, Theorem] = {
         [(lambda p, a: p >= 7, "needs p >= 7")]),
     # H_{(p-1)/2} + 2 q_p == 0 (mod p) for odd p
     "eisenstein": Theorem((), lambda p, a, t: 1,
-                          lambda p: [Term(1, (1, (p - 1) // 2)), Term(2, q=1)], [_P3]),
+                          lambda p: [Term(1, (1, (p - 1) // 2)), Term(2, q=1)], [_ODD_P]),
     # H_{(p-1)/2} + 2 q_p - p q_p^2 == 0 (mod p^2) for odd p
     "lehmer": Theorem((), lambda p, a, t: 2,
                       lambda p: [Term(1, (1, (p - 1) // 2)), Term(2, q=1), Term(-p, q=2)],
-                      [_P3]),
+                      [_ODD_P]),
     # The four expansions truncated at j < J, odd p but for e10ee: the left-hand
     # side is the truncated series less its target, and every omitted term
     # carries p^j with j >= J times a p-integral cofactor, so the exponent is J.
@@ -417,8 +412,7 @@ THEOREMS: dict[str, Theorem] = {
     "thm-ee10bis": Theorem(
         ("i", "n"), lambda p, a, t: 2 * a["n"] + t,
         lambda p, i, n: _Head(_ee10bis_series, (p, i), 2 * n + 2),
-        [(lambda p, a: p >= 2, "needs a prime"),
-         (lambda p, a: a["n"] >= 0 and a["i"] >= 0, "needs n, i >= 0")],
+        [(lambda p, a: a["n"] >= 0 and a["i"] >= 0, "needs n, i >= 0")],
         tier=lambda p, a, c: _ee10bis_tier(p, a["n"], a["i"], c),
         tier_need=lambda p, a: p - 2 * a["n"] - 2 * a["i"] - 5,
     ),
@@ -458,7 +452,7 @@ THEOREMS: dict[str, Theorem] = {
     # exhibits the sharpness counterexample (p = 3, n = 5, valuation 4 < 5).
     "thm-ee20": Theorem(
         ("n",), lambda p, a, t: a["n"], lambda p, n: _Head(_ee20_series, (p,), n), [_ODD_P, _N1],
-        hypothesis=lambda p, a: 2 * p > a["n"] + 1,
+        hypothesis=_P_PAST_HALF_N[0],
     ),
     # The delta/Z/A bookkeeping congruence from the final proof (n even).
     "eq47": Theorem(("n",), lambda p, a, t: a["n"], _eq47, [

@@ -16,12 +16,10 @@ import pytest
 
 import hclab._kernels
 import hclab.bernoulli as bernoulli_mod
-import hclab.primes
 from hclab import cli, fork
 from hclab import congruences as cg
 from hclab.bernoulli import BernoulliCache
 from hclab.cli import run
-from hclab.errors import HypothesisViolated
 from hclab.harmonic import harmonic
 from hclab.primes import primes_in
 from hclab.report import emit, parse
@@ -423,14 +421,12 @@ def test_far_past_a_ceiling_refused_at_once(tmp_path, argv, line):
 
 
 # For each id, the requirements of its row in order, each as the flags of one
-# `verify` that fails it first and the message it ends with.  No prime fails
-# thm-ee10bis's first, p >= 2, so `verify` cannot reach it (None): it is
-# judged in process at p = 1.
+# `verify` that fails it first and the message it ends with.
 _VIOLATIONS = {
     "wolstenholme": [("--p 3", "needs p >= 5")],
     "wolstenholme-refined": [("--p 5", "needs p >= 7")],
-    "eisenstein": [("--p 2", "needs an odd prime")],
-    "lehmer": [("--p 2", "needs an odd prime")],
+    "eisenstein": [("--p 2", "needs odd p")],
+    "lehmer": [("--p 2", "needs odd p")],
     **{f"expansion-{w}": [("--p 5 --k 0 --j-terms 1", "needs k >= 1"),
                           ("--p 5 --k 1 --j-terms -1", "needs J >= 0"),
                           *[("--p 2 --k 1 --j-terms 1", "needs odd p")] * (w != "e10ee")]
@@ -441,7 +437,7 @@ _VIOLATIONS = {
        for idx in range(1, 4)},
     "prop3-4": [("--p 5 --k 0", "needs k >= 1"),
                 ("--p 3 --k 2", "needs p >= 2k+3 or p = 2k+1")],
-    "thm-ee10bis": [(None, "needs a prime"), ("--p 3 --i 0 --n -1", "needs n, i >= 0")],
+    "thm-ee10bis": [("--p 3 --i 0 --n -1", "needs n, i >= 0")],
     "cor-ee10biss": [("--p 2 --i 0 --k 1", "needs odd p"),
                      ("--p 3 --i 0 --k 0", "needs i >= 0, k >= 1")],
     "thm-eecj": [("--p 2 --i 1 --n 1", "needs odd p"), ("--p 3 --i 1 --n 0", "needs n, i >= 1")],
@@ -472,10 +468,6 @@ def test_every_requirement_ends_verify_with_its_line(capsys, tmp_path, theorem_i
     assert [msg for _, msg in violations] == [
         msg if isinstance(msg, str) else msg(11) for _, msg in cg.THEOREMS[theorem_id].requires]
     for flags, msg in violations:
-        if flags is None:
-            with pytest.raises(HypothesisViolated, match=re.escape(msg)):
-                cg.verify_case(theorem_id, 1, {"i": 0, "n": 0}, None)
-            continue
         argv = ["verify", theorem_id, *flags.split(), "--cache", str(tmp_path / "c.cache")]
         assert run_capture(capsys, argv) == (2, "", f"hypothesis violated: {msg}\n"), flags
 
@@ -799,7 +791,7 @@ def test_missing_directory_refused_before_work(capsys, tmp_path, monkeypatch, ar
     sieve or kernel call."""
     monkeypatch.setattr(hclab._kernels, "bernoulli_extend", _no_kernel)
     monkeypatch.setattr(cli, "primes_in", _no_kernel)
-    monkeypatch.setattr(hclab.primes, "primes_in", _no_kernel)
+    monkeypatch.setattr(bernoulli_mod, "primes_in", _no_kernel)
     (tmp_path / "link").symlink_to(tmp_path / "missing" / "target")
     argv = [a.format(tmp=tmp_path) for a in argv]
     missing = os.path.realpath(tmp_path / "missing")
