@@ -258,10 +258,9 @@ class BernoulliCache:
                 out.write(b"\n")
 
     def _fill_run(self, run: range, fh) -> int:
-        """A fill worker's run: its values, written to fh as one marshal blob
-        (linear time, where decimal is quadratic) after its 8-byte length: read at
-        once and loaded, a 575 KB blob took 1-2 ms where marshal.load of the file,
-        digit by digit, took 45-73 ms; then a mirrored cache's lines; 0, its outcome."""
+        """A fill worker's run: its values as one marshal blob (linear, where decimal
+        is quadratic) after its 8-byte length, since one read beats marshal.load of
+        the file (ROADMAP item 7); then, if mirrored, their lines; 0, its outcome."""
         nums, dens = _kernels.bernoulli_range(run[0], run[-1])
         blob = marshal.dumps((nums, dens))
         fh.buffer.write(len(blob).to_bytes(8, "little"))

@@ -32,9 +32,7 @@ from .report import ReportRecord, emit
 
 DEFAULT_CACHE_FILE = "./bernoulli.cache"
 
-# Records serialized per write, never a report as one string: one emit per chunk
-# took the peak RSS of `scan expansion-e10eed --p-min 3 --p-max 600 --k 1:3
-# --j-terms 0:6` from 18.45 to 25.42 MB on one CPU, 17.84 to 20.71 MB on two.
+# Records serialized per write: a whole chunk at once raised peak RSS (ROADMAP item 7).
 EMIT_BATCH = 100
 
 # The four worked examples reproduced by `selftest`: theorem id, p, params,
@@ -203,13 +201,13 @@ def _scan(args, chunks: list[list[int]], cases: list[dict], scan: bool, cache) -
 
     With one chunk, or none (an empty report), nothing is forked and no file
     is opened.  Otherwise each worker judges, sorts and serializes its chunk
-    into its own anonymous file (_scan_worker), and so does the parent with
-    its own while the workers run (after reap() instead, harmonic-sweep's
-    fifteen commands took 3.470 s, not 3.183, in 9 alternated rounds).  It
-    reaps them and copies the files out in chunk order, the report's, since
-    chunks end on prime boundaries.  A chunk that did not finish ends the
-    command as a sequential run would end, and no report is written.  Open
-    files: one per chunk, so at most fork.MAX_WORKERS.
+    into its own anonymous file (_scan_worker).  The parent does the same
+    with its own chunk while the workers run (after reap() it was slower:
+    ROADMAP item 7), reaps them in chunk order, then copies the files out in
+    that order, which is the report's, since chunks end on prime boundaries.
+    A chunk that did not finish ends the command as a sequential run would
+    end, and no report is written.  Open files: one per chunk, so at most
+    fork.MAX_WORKERS.
     """
     first, *rest = chunks or [[]]
     header = emit([], args.format)

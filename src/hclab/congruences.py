@@ -64,14 +64,13 @@ def _value(terms: Iterable[Term], p: int, cache: BernoulliCache | None) -> Fract
     return sum(parts[1:], parts[0]) if parts else Fraction(0)
 
 
-class _Head(NamedTuple):
+class _Head:
     """The terms of a series truncated at ``length``: ``series(*args, j)`` gives
     those of its term j, j = 0, 1, ..., and of its value at length 0 for j = -1.
     Each series' B indices grow with j, so its largest lies in its last term."""
 
-    series: Callable[..., list[Term]]
-    args: tuple
-    length: int
+    def __init__(self, series: Callable[..., list[Term]], args: tuple, length: int):
+        self.series, self.args, self.length = series, args, length
 
 
 # The series read last: (series, args, cache, length, its sum).

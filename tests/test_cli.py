@@ -16,6 +16,7 @@ import pytest
 
 import hclab._kernels
 import hclab.bernoulli as bernoulli_mod
+import hclab.primes
 from hclab import cli, fork
 from hclab import congruences as cg
 from hclab.bernoulli import BernoulliCache
@@ -792,6 +793,7 @@ def test_missing_directory_refused_before_work(capsys, tmp_path, monkeypatch, ar
     monkeypatch.setattr(hclab._kernels, "bernoulli_extend", _no_kernel)
     monkeypatch.setattr(cli, "primes_in", _no_kernel)
     monkeypatch.setattr(bernoulli_mod, "primes_in", _no_kernel)
+    monkeypatch.setattr(hclab.primes, "primes_in", _no_kernel)
     (tmp_path / "link").symlink_to(tmp_path / "missing" / "target")
     argv = [a.format(tmp=tmp_path) for a in argv]
     missing = os.path.realpath(tmp_path / "missing")
